@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from .dfg import Dfg, discover_dfg
+from .dfg import Dfg, _summary, discover_dfg
 from .eventlog import EventLog, filter_by_time, filter_complete
 from .timeutil import format_timestamp, to_utc
 
@@ -166,18 +166,16 @@ def case_duration_stats(log: EventLog, bin_width: timedelta = timedelta(days=1))
 
     The histogram uses fixed-width bins starting at zero.
     """
-    durations = sorted(t.duration for t in log if t.complete and t.events)
+    durations = [t.duration for t in log if t.complete and t.events]
     if not durations:
         return None
-    n = len(durations)
-    mean = sum(durations, timedelta()) / n
-    median = durations[n // 2] if n % 2 else (durations[n // 2 - 1] + durations[n // 2]) / 2
-    bins = int(durations[-1] / bin_width) + 1
+    summary = _summary(durations)
+    bins = int(summary.max / bin_width) + 1
     histogram = [0] * bins
     for d in durations:
         histogram[min(int(d / bin_width), bins - 1)] += 1
-    return CaseDurationStats(mean=mean, median=median, min=durations[0], max=durations[-1],
-                             histogram=tuple(histogram), bin_width=bin_width)
+    return CaseDurationStats(mean=summary.mean, median=summary.median, min=summary.min,
+                             max=summary.max, histogram=tuple(histogram), bin_width=bin_width)
 
 
 def compare_waves(log: EventLog, split: datetime, complete_only: bool = True) -> WaveComparison:

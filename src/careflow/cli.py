@@ -84,12 +84,14 @@ def _load_model(spec: str):
 
 
 def _resolve_config(path: str) -> str:
+    """Config text from a file, or from the packaged config named by a bare file name."""
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    packaged = resources.files("careflow").joinpath("data", os.path.basename(path))
-    if packaged.is_file():
-        return packaged.read_text(encoding="utf-8")
+    if not os.path.dirname(path):
+        packaged = resources.files("careflow") / "data" / path
+        if packaged.is_file():
+            return packaged.read_text(encoding="utf-8")
     raise CareflowError(f"config file not found: {path}")
 
 
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, "generate a synthetic log from a config")
     p.add_argument("--config", required=True,
-                   help="config file (falls back to the packaged one by name)")
+                   help="config file, or the bare name of a packaged one")
     p.add_argument("--model", default="covas", help="'covas' or a PNML file")
     p.add_argument("--out", required=True, help="output log (.xes or .csv)")
     p.add_argument("--with-noise", action="store_true",

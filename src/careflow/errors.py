@@ -48,6 +48,15 @@ class ReplayConfigError(CareflowError):
     """Replay was asked to run against a net without initial or final marking."""
 
 
+class ReplayBudgetError(CareflowError):
+    """The replay search for one case expanded more states than its budget."""
+
+    def __init__(self, case_id: str, budget: int):
+        self.case_id, self.budget = case_id, budget
+        super().__init__(f"replay of case {case_id!r} exceeded its budget of {budget} "
+                         "search expansions; simplify the net or the log")
+
+
 class ConfigError(CareflowError):
     """Bad simulator configuration file."""
 

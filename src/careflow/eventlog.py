@@ -6,7 +6,7 @@ so per-trace work can safely run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
 from .timeutil import to_utc
@@ -62,10 +62,6 @@ class Trace:
     @property
     def start_time(self) -> datetime | None:
         return self.events[0].timestamp if self.events else None
-
-    @property
-    def end_time(self) -> datetime | None:
-        return self.events[-1].timestamp if self.events else None
 
     @property
     def duration(self) -> timedelta | None:
@@ -166,41 +162,27 @@ def log_stats(log: EventLog) -> LogStats:
     )
 
 
-def filter_by_time(log: EventLog, split: datetime, side: str, anchor: str = "first_event") -> EventLog:
-    """Keep whole traces by where their anchor event falls relative to split.
+def filter_by_time(log: EventLog, split: datetime, side: str) -> EventLog:
+    """Keep whole traces by where their first event falls relative to split.
 
     side 'before' keeps traces whose first event is strictly earlier than the
     split; 'on_or_after' keeps the complement (including traces without any
     event), so the two sides always partition the log. Traces are never cut.
     """
-    if anchor != "first_event":
-        raise ValueError(f"unsupported anchor {anchor!r}")
     if side not in ("before", "on_or_after"):
         raise ValueError(f"side must be 'before' or 'on_or_after', got {side!r}")
     split = to_utc(split)
-
-    def is_before(trace: Trace) -> bool:
-        return trace.start_time is not None and trace.start_time < split
-
-    if side == "before":
-        kept = tuple(t for t in log if is_before(t))
-    else:
-        kept = tuple(t for t in log if not is_before(t))
-    return EventLog(kept, name=log.name, attributes=dict(log.attributes),
-                    raw_extensions=log.raw_extensions)
+    before = side == "before"
+    kept = tuple(t for t in log if (t.start_time is not None and t.start_time < split) == before)
+    return replace(log, traces=kept)
 
 
 def filter_complete(log: EventLog) -> EventLog:
     """Drop ongoing cases (trace attribute complete=false)."""
-    return EventLog(tuple(t for t in log if t.complete), name=log.name,
-                    attributes=dict(log.attributes), raw_extensions=log.raw_extensions)
+    return replace(log, traces=tuple(t for t in log if t.complete))
 
 
 def drop_activities(log: EventLog, labels: set[str]) -> EventLog:
     """Remove all events with the given activity labels, keeping traces."""
-    out = []
-    for trace in log:
-        events = tuple(e for e in trace.events if e.activity not in labels)
-        out.append(Trace(trace.case_id, events, dict(trace.attributes), trace.raw_extensions))
-    return EventLog(tuple(out), name=log.name, attributes=dict(log.attributes),
-                    raw_extensions=log.raw_extensions)
+    return replace(log, traces=tuple(
+        replace(t, events=tuple(e for e in t.events if e.activity not in labels)) for t in log))

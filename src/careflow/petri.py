@@ -3,15 +3,24 @@
 Nets and markings are immutable; ``fire`` returns a fresh marking. Arc
 multiplicities are fixed at 1 (ordinary arcs only). Construction accepts
 structurally broken nets on purpose so ``validate`` can report what is wrong.
+
+The token game is played once, by ``CompiledNet`` (``PetriNet.compiled``):
+places become indices, markings tuples of token counts, and transitions are
+numbered in sorted-id order, so index sequences sort like id sequences. Its
+``fire`` creates missing tokens and reports them, or in strict mode raises
+NotEnabledError; ``fire``, ``enabled``, ``reachable_markings``, replay and
+the simulator all go through it.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from xml.sax.saxutils import quoteattr
 
 from .errors import NotEnabledError, PetriNetError, PnmlFormatError
+from .xesio import _local
 
 
 class Marking:
@@ -138,6 +147,60 @@ class PetriNet:
     def labels(self) -> frozenset[str]:
         return frozenset(t.label for t in self.transitions if t.label is not None)
 
+    @cached_property
+    def compiled(self) -> CompiledNet:
+        """The net's integer form, built on first use and kept with the net."""
+        return CompiledNet(self)
+
+
+class CompiledNet:
+    """Integer form of a net for the token game; markings are count tuples."""
+
+    def __init__(self, net: PetriNet):
+        extra = (net.initial_marking.places() | net.final_marking.places()) - set(net.places)
+        self.place_ids = tuple(dict.fromkeys(net.places)) + tuple(sorted(extra))
+        self.place_index = {place: i for i, place in enumerate(self.place_ids)}
+        order = sorted(net.transitions, key=lambda t: t.id)
+        self.tids = tuple(t.id for t in order)
+        self.index = {tid: i for i, tid in enumerate(self.tids)}
+        self.labels = tuple(t.label for t in order)
+        self.pre = tuple(tuple(self.place_index[p] for p in net.inputs(tid)) for tid in self.tids)
+        self.post = tuple(tuple(self.place_index[p] for p in net.outputs(tid)) for tid in self.tids)
+        self.initial, self.final = self.vector(net.initial_marking), self.vector(net.final_marking)
+
+    def vector(self, marking: Marking) -> tuple[int, ...]:
+        counts = [0] * len(self.place_ids)
+        for place, count in marking.items():
+            counts[self.place_index[place]] = count
+        return tuple(counts)
+
+    def marking(self, vector: tuple[int, ...]) -> Marking:
+        return Marking({self.place_ids[i]: n for i, n in enumerate(vector) if n})
+
+    def enabled(self, vector: tuple[int, ...]) -> list[int]:
+        """Indices of transitions that fire without missing tokens, in id order."""
+        return [t for t in range(len(self.tids)) if not self.fire(vector, t)[1]]
+
+    def fire(self, vector: tuple[int, ...], t: int,
+             strict: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Fire transition index ``t``: (successor, missing input place indices).
+
+        Missing input tokens are created on the fly and reported, or, when
+        ``strict``, NotEnabledError is raised. The input tuple is unchanged.
+        """
+        counts = list(vector)
+        missing = []
+        for p in self.pre[t]:
+            if counts[p]:
+                counts[p] -= 1
+            else:
+                missing.append(p)
+        if missing and strict:
+            raise NotEnabledError(self.tids[t], frozenset(self.place_ids[p] for p in missing))
+        for p in self.post[t]:
+            counts[p] += 1
+        return tuple(counts), tuple(missing)
+
 
 def _check_marking(net: PetriNet, marking: Marking):
     unknown = marking.places() - set(net.places)
@@ -146,15 +209,10 @@ def _check_marking(net: PetriNet, marking: Marking):
 
 
 def enabled(net: PetriNet, marking: Marking) -> set[str]:
-    """Ids of transitions whose every input place holds at least one token."""
+    """Ids of transitions whose input places hold enough tokens."""
     _check_marking(net, marking)
-    return {t.id for t in net.transitions
-            if all(marking.get(p) >= 1 for p in net.inputs(t.id))}
-
-
-def missing_inputs(net: PetriNet, marking: Marking, tid: str) -> frozenset[str]:
-    """Input places of ``tid`` that currently hold no token."""
-    return frozenset(p for p in net.inputs(tid) if marking.get(p) < 1)
+    cn = net.compiled
+    return {cn.tids[t] for t in cn.enabled(cn.vector(marking))}
 
 
 def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
@@ -165,15 +223,9 @@ def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
     """
     _check_marking(net, marking)
     net.transition(tid)
-    missing = missing_inputs(net, marking, tid)
-    if missing:
-        raise NotEnabledError(tid, missing)
-    counts = marking.as_dict()
-    for place in net.inputs(tid):
-        counts[place] -= 1
-    for place in net.outputs(tid):
-        counts[place] = counts.get(place, 0) + 1
-    return Marking(counts)
+    cn = net.compiled
+    succ, _ = cn.fire(cn.vector(marking), cn.index[tid], strict=True)
+    return cn.marking(succ)
 
 
 def validate(net: PetriNet) -> list[Violation]:
@@ -208,22 +260,21 @@ def validate(net: PetriNet) -> list[Violation]:
 
 
 def reachable_markings(net: PetriNet, limit: int = 100_000) -> set[tuple[tuple[str, int], ...]]:
-    """Exhaustive token-game state space from the initial marking (BFS)."""
-    start = net.initial_marking
-    seen = {start.key()}
-    frontier = [start]
+    """Exhaustive token-game state space from the initial marking."""
+    _check_marking(net, net.initial_marking)
+    cn = net.compiled
+    seen = {cn.initial}
+    frontier = [cn.initial]
     while frontier:
-        nxt = []
-        for marking in frontier:
-            for tid in sorted(enabled(net, marking)):
-                succ = fire(net, marking, tid)
-                if succ.key() not in seen:
-                    if len(seen) >= limit:
-                        raise PetriNetError(f"state space exceeds {limit} markings")
-                    seen.add(succ.key())
-                    nxt.append(succ)
-        frontier = nxt
-    return seen
+        vector = frontier.pop()
+        for t in cn.enabled(vector):
+            succ, _ = cn.fire(vector, t)
+            if succ not in seen:
+                if len(seen) >= limit:
+                    raise PetriNetError(f"state space exceeds {limit} markings")
+                seen.add(succ)
+                frontier.append(succ)
+    return {cn.marking(vector).key() for vector in seen}
 
 
 # --- PNML-style serialization -------------------------------------------------
@@ -262,10 +313,6 @@ def write_pnml(net: PetriNet) -> str:
 
 def _pnml_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
 
 
 def parse_pnml(text: str) -> PetriNet:

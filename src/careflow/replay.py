@@ -25,16 +25,26 @@ tokens count into m, leftovers into r, and
 
 Events whose activity has no transition in the net cost one missing and one
 remaining token each (and one produced and consumed, keeping m <= c, r <= p).
+
+The search runs on the net's ``CompiledNet``, whose transition indices follow
+sorted ids: an index path sorts exactly like its id path, so tie 4 holds (any
+other numbering would break it). ``max_expansions`` bounds each search and
+raises ReplayBudgetError. ``replay_log`` reuses work within one call and frees
+it on return: each variant, keyed by the activity sequence (unmapped events
+included) and whether the final marking is ignored, is searched once and its
+repeats copy the result under their own case id; and one successor memo keyed
+by (marking, transition) serves every trace, as firing depends on the marking
+alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import ReplayConfigError
+from .errors import ReplayBudgetError, ReplayConfigError
 from .eventlog import EventLog, Trace
-from .petri import Marking, PetriNet
+from .petri import PetriNet
 
 _DONE = -1
 
@@ -78,62 +88,137 @@ def _fitness(produced: int, consumed: int, missing: int, remaining: int) -> floa
     return 0.5 * miss_term + 0.5 * rem_term
 
 
-def _resolve(net: PetriNet, label_map: dict[str, str] | None, activity: str,
-             marking: dict[str, int]) -> str | None:
-    """Transition id for an event, or None when the activity is unmapped.
+def _final_gap(final: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(deficit, remaining, short place indices) for consuming the final marking."""
+    short = tuple(p for p, need in enumerate(final) if vector[p] < need)
+    deficit = sum(final[p] - vector[p] for p in short)
+    return deficit, sum(vector) - sum(final) + deficit, short
 
-    With duplicate labels the enabled candidate wins, lowest id first; this
-    keeps replay deterministic on nets where labels are not unique.
-    """
-    if label_map is not None:
-        tid = label_map.get(activity)
+
+class _Replayer:
+    """Replays traces on one net with one successor memo: ``moves`` maps
+    (marking, transition) to (successor, missing tokens), and ``silent_moves``
+    holds each marking's silent moves."""
+
+    def __init__(self, net: PetriNet, label_map: dict[str, str] | None,
+                 max_silent_run: int, max_expansions: int):
+        self.net, self.cn, self.label_map = net, net.compiled, label_map
+        self.max_silent_run, self.max_expansions = max_silent_run, max_expansions
+        self.silents = tuple(t for t, label in enumerate(self.cn.labels) if label is None)
+        self.moves: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+        self.silent_moves: dict[tuple[int, ...], tuple] = {}
+
+    def _candidates(self, activity: str) -> tuple[int, ...]:
+        """Transition indices an event may fire, ascending; empty when unmapped."""
+        net, index = self.net, self.cn.index
+        if self.label_map is None:
+            return tuple(index[t.id] for t in net.labeled(activity))
+        tid = self.label_map.get(activity)
         if tid is None:
-            return None
+            return ()
         if not net.has_transition(tid):
             raise ReplayConfigError(f"label_map points to unknown transition {tid!r}")
         if net.transition(tid).silent:
             raise ReplayConfigError(f"label_map maps {activity!r} to silent transition {tid!r}")
-        return tid
-    candidates = net.labeled(activity)
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0].id
-    for trans in candidates:  # already sorted by id
-        if all(marking.get(p, 0) >= 1 for p in net.inputs(trans.id)):
-            return trans.id
-    return candidates[0].id
+        return (index[tid],)
 
+    def _move(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
+        hit = self.moves.get((vector, t))
+        if hit is None:
+            succ, missing = self.cn.fire(vector, t)
+            hit = self.moves[vector, t] = (succ, len(missing))
+        return hit
 
-def _force_fire(net: PetriNet, marking: dict[str, int], tid: str) -> tuple[dict[str, int], tuple[str, ...]]:
-    """Fire ``tid`` creating any missing input tokens; returns (marking, missing)."""
-    nxt = dict(marking)
-    missing = []
-    for place in net.inputs(tid):
-        if nxt.get(place, 0) >= 1:
-            nxt[place] -= 1
-            if nxt[place] == 0:
-                del nxt[place]
-        else:
-            missing.append(place)
-    for place in net.outputs(tid):
-        nxt[place] = nxt.get(place, 0) + 1
-    return nxt, tuple(missing)
+    def _search(self, case_id: str, events: list[tuple[int, ...]],
+                ignore_final_marking: bool) -> tuple[int, ...]:
+        """The winning schedule for the mapped events' candidate transitions.
 
+        Heap entries (m, r, silents, path, event, marking, gap) sort in cost order.
+        Of duplicate-label candidates the first enabled one fires, else the first.
+        """
+        pre, final = self.cn.pre, self.cn.final
+        move, silent_moves = self._move, self.silent_moves
+        max_silent_run, budget = self.max_silent_run, self.max_expansions
+        n = len(events)
+        push, pop = heapq.heappush, heapq.heappop
+        heap = [(0, 0, 0, (), 0, self.cn.initial, 0)]
+        settled: set[tuple[int, tuple[int, ...], int]] = set()
+        expansions = 0
+        while heap:
+            m, r, s, path, i, vector, gap = pop(heap)
+            state = (i, vector, gap)
+            if state in settled:
+                continue
+            settled.add(state)
+            if i == _DONE:
+                return path
+            expansions += 1
+            if expansions > budget:
+                raise ReplayBudgetError(case_id, budget)
+            if i == n:
+                deficit = remaining = 0
+                if not ignore_final_marking:
+                    deficit, remaining, _ = _final_gap(final, vector)
+                push(heap, (m + deficit, r + remaining, s, path, _DONE, (), 0))
+            else:
+                candidates = events[i]
+                t = candidates[0]
+                if len(candidates) > 1:
+                    t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
+                succ, missing = move(vector, t)
+                if (i + 1, succ, 0) not in settled:
+                    push(heap, (m + missing, r, s, path + (t,), i + 1, succ, 0))
+            if gap < max_silent_run:
+                silent = silent_moves.get(vector)
+                if silent is None:
+                    silent = silent_moves[vector] = tuple((t,) + move(vector, t) for t in self.silents)
+                for t, succ, missing in silent:
+                    if (i, succ, gap + 1) not in settled:
+                        push(heap, (m + missing, r, s + 1, path + (t,), i, succ, gap + 1))
+        raise AssertionError("unreachable: the no-silents schedule always completes")
 
-def _final_gap(final: Marking, marking: dict[str, int]) -> tuple[int, int, tuple[str, ...]]:
-    """(deficit, remaining, missing place list) for consuming the final marking."""
-    deficit = 0
-    covered = 0
-    missing = []
-    for place, need in final.items():
-        have = min(marking.get(place, 0), need)
-        covered += have
-        if have < need:
-            deficit += need - have
-            missing.append(place)
-    remaining = sum(marking.values()) - covered
-    return deficit, remaining, tuple(sorted(missing))
+    def replay(self, trace: Trace, ignore_final_marking: bool) -> TraceReplayResult:
+        net, cn, events = self.net, self.cn, trace.events
+        if not net.initial_marking:
+            raise ReplayConfigError("replay requires a non-empty initial marking")
+        if not ignore_final_marking and not net.final_marking:
+            raise ReplayConfigError("replay requires a non-empty final marking")
+        candidates = [self._candidates(e.activity) for e in events]
+        winner = self._search(trace.case_id, [c for c in candidates if c], ignore_final_marking)
+
+        # Fire the winning schedule once more for the firing log; an unmapped
+        # event is logged just before the next labeled firing after it.
+        steps: list[FiringStep] = []
+        vector, position, forced_total = cn.initial, 0, 0
+        for t in winner:
+            activity = None
+            if cn.labels[t] is not None:
+                while not candidates[position]:
+                    steps.append(FiringStep(len(steps), None, events[position].activity))
+                    position += 1
+                activity = events[position].activity
+                position += 1
+            vector, forced = cn.fire(vector, t)
+            forced_total += len(forced)
+            steps.append(FiringStep(len(steps), cn.tids[t], activity,
+                                    frozenset(cn.place_ids[p] for p in forced)))
+        steps.extend(FiringStep(len(steps) + k, None, e.activity)
+                     for k, e in enumerate(events[position:]))
+
+        unmapped = sum(1 for c in candidates if not c)
+        produced = net.initial_marking.total() + unmapped + sum(len(cn.post[t]) for t in winner)
+        consumed = unmapped + sum(len(cn.pre[t]) for t in winner)
+        missing, remaining = forced_total + unmapped, unmapped
+        final_missing: frozenset[str] = frozenset()
+        if not ignore_final_marking:
+            deficit, left, short = _final_gap(cn.final, vector)
+            consumed += net.final_marking.total()
+            missing += deficit
+            remaining += left
+            final_missing = frozenset(cn.place_ids[p] for p in short)
+        return TraceReplayResult(trace.case_id, produced, consumed, missing, remaining,
+                                 _fitness(produced, consumed, missing, remaining),
+                                 tuple(steps), final_missing, ignore_final_marking)
 
 
 def replay_trace(net: PetriNet, trace: Trace, label_map: dict[str, str] | None = None,
@@ -143,153 +228,37 @@ def replay_trace(net: PetriNet, trace: Trace, label_map: dict[str, str] | None =
 
     ``ignore_final_marking`` skips final-marking consumption and remaining
     token counting; use it for ongoing (censored) cases whose tail is simply
-    not recorded yet.
+    not recorded yet. A search that expands more than ``max_expansions``
+    states raises ReplayBudgetError.
     """
-    if not net.initial_marking:
-        raise ReplayConfigError("replay requires a non-empty initial marking")
-    if not ignore_final_marking and not net.final_marking:
-        raise ReplayConfigError("replay requires a non-empty final marking")
-
-    silents = sorted(t.id for t in net.silent_transitions())
-
-    def mappable(activity: str) -> bool:
-        if label_map is not None:
-            return activity in label_map
-        return bool(net.labeled(activity))
-
-    mapped_positions = [i for i, e in enumerate(trace.events) if mappable(e.activity)]
-    acts = [trace.events[i].activity for i in mapped_positions]
-    n = len(acts)
-
-    start = net.initial_marking.as_dict()
-    start_key = tuple(sorted(start.items()))
-    zero = (0, 0, 0)
-    heap: list[tuple[tuple[int, int, int], tuple[str, ...], int, tuple[tuple[str, int], ...], int]] = \
-        [(zero, (), 0, start_key, 0)]
-    settled: set[tuple[int, tuple[tuple[str, int], ...], int]] = set()
-    winner: tuple[str, ...] | None = None
-    expansions = 0
-
-    while heap:
-        cost, path, i, mk_key, gap = heapq.heappop(heap)
-        state = (i, mk_key, gap)
-        if state in settled:
-            continue
-        settled.add(state)
-        if i == _DONE:
-            winner = path
-            break
-        expansions += 1
-        if expansions > max_expansions:
-            raise RuntimeError("replay search exceeded its state budget; "
-                               "raise max_expansions or simplify the net")
-        marking = dict(mk_key)
-        if i == n:
-            if ignore_final_marking:
-                terminal = zero
-            else:
-                deficit, remaining, _ = _final_gap(net.final_marking, marking)
-                terminal = (deficit, remaining, 0)
-            total = (cost[0] + terminal[0], cost[1] + terminal[1], cost[2] + terminal[2])
-            heapq.heappush(heap, (total, path, _DONE, (), 0))
-        else:
-            tid = _resolve(net, label_map, acts[i], marking)
-            assert tid is not None  # unmapped events were filtered out
-            nxt, missing = _force_fire(net, marking, tid)
-            total = (cost[0] + len(missing), cost[1], cost[2])
-            heapq.heappush(heap, (total, path + (tid,), i + 1, tuple(sorted(nxt.items())), 0))
-        if gap < max_silent_run:
-            for sid in silents:
-                nxt, missing = _force_fire(net, marking, sid)
-                total = (cost[0] + len(missing), cost[1], cost[2] + 1)
-                heapq.heappush(heap, (total, path + (sid,), i, tuple(sorted(nxt.items())), gap + 1))
-
-    assert winner is not None  # the no-silents schedule always completes
-
-    # Replay the winning schedule once more to build the firing log and counters.
-    produced = net.initial_marking.total()
-    consumed = 0
-    missing_total = 0
-    steps: list[FiringStep] = []
-    marking = dict(start)
-    mapped_iter = iter(mapped_positions)
-    next_mapped = next(mapped_iter, None)
-    unmapped_pos = [i for i in range(len(trace.events)) if i not in set(mapped_positions)]
-    unmapped_iter = iter(unmapped_pos)
-    next_unmapped = next(unmapped_iter, None)
-    step_index = 0
-
-    def flush_unmapped(before: int | None):
-        nonlocal next_unmapped, step_index, produced, consumed, missing_total
-        while next_unmapped is not None and (before is None or next_unmapped < before):
-            activity = trace.events[next_unmapped].activity
-            steps.append(FiringStep(step_index, None, activity))
-            produced += 1
-            consumed += 1
-            missing_total += 1
-            step_index += 1
-            next_unmapped = next(unmapped_iter, None)
-
-    for tid in winner:
-        trans = net.transition(tid)
-        if trans.silent:
-            activity = None
-        else:
-            flush_unmapped(next_mapped)
-            activity = trace.events[next_mapped].activity
-            next_mapped = next(mapped_iter, None)
-        marking, forced = _force_fire(net, marking, tid)
-        missing_total += len(forced)
-        consumed += len(net.inputs(tid))
-        produced += len(net.outputs(tid))
-        steps.append(FiringStep(step_index, tid, activity, frozenset(forced)))
-        step_index += 1
-    flush_unmapped(None)
-
-    remaining_total = len(unmapped_pos)
-    final_missing: frozenset[str] = frozenset()
-    if ignore_final_marking:
-        pass
-    else:
-        deficit, remaining, missing_places = _final_gap(net.final_marking, marking)
-        consumed += net.final_marking.total()
-        missing_total += deficit
-        remaining_total += remaining
-        final_missing = frozenset(missing_places)
-
-    return TraceReplayResult(
-        case_id=trace.case_id,
-        produced=produced,
-        consumed=consumed,
-        missing=missing_total,
-        remaining=remaining_total,
-        fitness=_fitness(produced, consumed, missing_total, remaining_total),
-        firing_log=tuple(steps),
-        final_missing=final_missing,
-        final_marking_ignored=ignore_final_marking,
-    )
+    replayer = _Replayer(net, label_map, max_silent_run, max_expansions)
+    return replayer.replay(trace, ignore_final_marking)
 
 
 def replay_log(net: PetriNet, log: EventLog, label_map: dict[str, str] | None = None,
-               ignore_final_for_ongoing: bool = True, max_silent_run: int = 8) -> LogReplayResult:
+               ignore_final_for_ongoing: bool = True, max_silent_run: int = 8,
+               max_expansions: int = 500_000) -> LogReplayResult:
     """Replay every trace and aggregate counters into a log-level fitness.
 
     Ongoing cases (complete=false) are by default replayed without the
     final-marking penalty; pass ignore_final_for_ongoing=False to treat them
-    like complete cases.
+    like complete cases. Each variant is searched once; see the module notes.
     """
+    replayer = _Replayer(net, label_map, max_silent_run, max_expansions)
+    by_variant: dict[tuple[tuple[str, ...], bool], TraceReplayResult] = {}
     results = []
     for trace in log:
         ignore = ignore_final_for_ongoing and not trace.complete
-        results.append(replay_trace(net, trace, label_map=label_map,
-                                    ignore_final_marking=ignore,
-                                    max_silent_run=max_silent_run))
-    produced = sum(r.produced for r in results)
-    consumed = sum(r.consumed for r in results)
-    missing = sum(r.missing for r in results)
-    remaining = sum(r.remaining for r in results)
-    return LogReplayResult(tuple(results), produced, consumed, missing, remaining,
-                           _fitness(produced, consumed, missing, remaining))
+        key = (trace.activities(), ignore)
+        first = by_variant.get(key)
+        if first is None:
+            first = by_variant[key] = replayer.replay(trace, ignore)
+            results.append(first)
+        else:
+            results.append(replace(first, case_id=trace.case_id))
+    totals = [sum(getattr(r, counter) for r in results)
+              for counter in ("produced", "consumed", "missing", "remaining")]
+    return LogReplayResult(tuple(results), *totals, _fitness(*totals))
 
 
 def replay_csv(result: LogReplayResult) -> str:

@@ -21,14 +21,14 @@ parameters are calibration artifacts, not measured clinical values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
 from .errors import ConfigError, SimulationDeadlockError
 from .eventlog import Event, EventLog, Trace
 from .petri import PetriNet
 from .rng import Stream
-from .timeutil import format_timestamp, parse_timestamp
+from .timeutil import format_timestamp, parse_split_instant
 
 _MAX_STEPS_PER_CASE = 10_000
 
@@ -142,26 +142,24 @@ def _draw_admission(wave: WaveSpec, rng: Stream) -> datetime:
     return instant.replace(microsecond=0)
 
 
-def _conflict_groups(net: PetriNet, enabled_ids: list[str]) -> list[list[str]]:
-    """Enabled transitions grouped by identical preset; groups sorted by preset."""
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for tid in enabled_ids:
-        groups.setdefault(tuple(sorted(net.inputs(tid))), []).append(tid)
-    return [sorted(groups[key]) for key in sorted(groups)]
-
-
-def _pick_in_group(group: list[str], probs: dict[str, float], rng: Stream) -> str:
-    if len(group) == 1:
-        return group[0]
-    configured = {tid: probs[tid] for tid in group if tid in probs}
-    mass = sum(configured.values())
-    free = [tid for tid in group if tid not in configured]
-    if mass > 1.0 + 1e-9 or (not free and abs(mass - 1.0) > 1e-9):
-        weights = [configured.get(tid, 0.0) for tid in group]  # normalize below
-    else:
-        rest = (1.0 - mass) / len(free) if free else 0.0
-        weights = [configured.get(tid, rest) for tid in group]
-    return group[rng.pick_weighted(weights)]
+def _conflict_groups(net: PetriNet, marking: tuple[int, ...],
+                     probs: dict[str, float]) -> list[tuple[tuple[int, ...], list[float]]]:
+    """Enabled transitions grouped by identical preset, groups sorted by preset;
+    each group is (transition indices in id order, pick weights)."""
+    cn = net.compiled
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for t in cn.enabled(marking):
+        groups.setdefault(tuple(sorted(net.inputs(cn.tids[t]))), []).append(t)
+    out = []
+    for key in sorted(groups):
+        group = groups[key]
+        configured = {t: probs[cn.tids[t]] for t in group if cn.tids[t] in probs}
+        mass = sum(configured.values())
+        free = [t for t in group if t not in configured]
+        # unconfigured members share what is left; over-full groups are normalized by the draw
+        rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
+        out.append((tuple(group), [configured.get(t, rest) for t in group]))
+    return out
 
 
 def _delay_for(label: str, config: SimConfig) -> DelaySpec:
@@ -171,31 +169,27 @@ def _delay_for(label: str, config: SimConfig) -> DelaySpec:
     return spec
 
 
-def _play_case(net: PetriNet, config: SimConfig, wave: WaveSpec,
-               path_rng: Stream, delay_rng: Stream, admission: datetime) -> list[Event]:
-    marking = net.initial_marking.as_dict()
-    final = net.final_marking.as_dict()
+def _play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng: Stream,
+               delay_rng: Stream, admission: datetime, groups_at: dict) -> list[Event]:
+    """One case's events; ``groups_at`` memoises ``_conflict_groups`` by marking."""
+    cn = net.compiled
+    marking = cn.initial
     clock = admission
     prev_ts: datetime | None = None
     events: list[Event] = []
     for _ in range(_MAX_STEPS_PER_CASE):
-        if marking == final:
+        if marking == cn.final:
             return events
-        enabled_ids = sorted(
-            t.id for t in net.transitions
-            if all(marking.get(p, 0) >= 1 for p in net.inputs(t.id)))
-        if not enabled_ids:
-            raise SimulationDeadlockError(repr(dict(sorted(marking.items()))))
-        groups = _conflict_groups(net, enabled_ids)
-        group = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
-        tid = _pick_in_group(group, config.branch_probabilities, path_rng)
-        for place in net.inputs(tid):
-            marking[place] -= 1
-            if marking[place] == 0:
-                del marking[place]
-        for place in net.outputs(tid):
-            marking[place] = marking.get(place, 0) + 1
-        label = net.transition(tid).label
+        groups = groups_at.get(marking)
+        if groups is None:
+            groups = groups_at[marking] = _conflict_groups(net, marking,
+                                                           config.branch_probabilities)
+        if not groups:
+            raise SimulationDeadlockError(repr(dict(cn.marking(marking).key())))
+        group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
+        t = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
+        marking, _ = cn.fire(marking, t, strict=True)
+        label = cn.labels[t]
         if label is not None:
             clock += timedelta(hours=_delay_for(label, config).draw(delay_rng, wave.delay_scale))
             ts = clock.replace(microsecond=0)
@@ -212,13 +206,14 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     plan = _case_plan(config)
     width = len(str(len(plan)))
     traces: list[Trace] = []
+    groups_at: dict = {}
     for case_index, (wave_index, ongoing) in enumerate(plan):
         path_rng = Stream(config.seed, case_index, 0)
         delay_rng = Stream(config.seed, case_index, 1)
         admission_rng = Stream(config.seed, case_index, 2)
         wave = config.waves[wave_index]
         admission = _draw_admission(wave, admission_rng)
-        events = _play_case(net, config, wave, path_rng, delay_rng, admission)
+        events = _play_case(net, config, wave, path_rng, delay_rng, admission, groups_at)
         ards = path_rng.bernoulli(config.ards_probability)
         if ongoing and len(events) >= 2:
             keep = 1 + path_rng.randint(len(events) - 1)  # uniform proper prefix
@@ -248,10 +243,8 @@ def inject_noise(log: EventLog, spec: NoiseSpec) -> EventLog:
             drop = rng.bernoulli(spec.event_drop_probability)
             if protected or not drop:
                 kept.append(event)
-        out.append(Trace(trace.case_id, tuple(kept), dict(trace.attributes),
-                         trace.raw_extensions))
-    return EventLog(tuple(out), name=log.name, attributes=dict(log.attributes),
-                    raw_extensions=log.raw_extensions)
+        out.append(replace(trace, events=tuple(kept)))
+    return replace(log, traces=tuple(out))
 
 
 # --- config file format ---------------------------------------------------------
@@ -311,11 +304,10 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
             raise ConfigError(f"wave {index} needs window_start and window_end")
         mode_raw = take(prefix + "admission_mode")
         waves.append(WaveSpec(
-            window_start=parse_timestamp(start_raw if "T" in start_raw else start_raw + "T00:00:00+00:00"),
-            window_end=parse_timestamp(end_raw if "T" in end_raw else end_raw + "T00:00:00+00:00"),
+            window_start=parse_split_instant(start_raw),
+            window_end=parse_split_instant(end_raw),
             share=number(prefix + "share", float),
-            admission_mode=None if mode_raw is None else parse_timestamp(
-                mode_raw if "T" in mode_raw else mode_raw + "T00:00:00+00:00"),
+            admission_mode=None if mode_raw is None else parse_split_instant(mode_raw),
             admission_spread_hours=number(prefix + "admission_spread_hours", float, 0.0),
             delay_scale=number(prefix + "delay_scale", float, 1.0),
         ))
@@ -396,8 +388,3 @@ def write_config(config: SimConfig, noise: NoiseSpec | None = None) -> str:
         lines.append(f"noise.seed = {noise.seed}")
     lines.append("")
     return "\n".join(lines)
-
-
-def load_config(path: str) -> tuple[SimConfig, NoiseSpec | None]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 
+from careflow.covas import covas_model
 from careflow.eventlog import Event, EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
+from careflow.simulate import inject_noise, parse_config, simulate
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
 
@@ -63,6 +66,18 @@ def random_net(rnd: random.Random, max_places: int = 8) -> PetriNet:
     final = {rnd.choice(places): 1}
     return PetriNet(places, transitions, tuple(dict.fromkeys(arcs)),
                     Marking(initial), Marking(final))
+
+
+def budget_net() -> PetriNet:
+    """Token-generating silent loop: s returns p2's token and adds one to p3."""
+    return PetriNet(
+        places=("p1", "p2", "p3"),
+        transitions=(Transition("a", "A"), Transition("b", "B"), Transition("s", None)),
+        arcs=(("p1", "a"), ("a", "p2"), ("p2", "b"), ("b", "p3"),
+              ("p2", "s"), ("s", "p2"), ("s", "p3")),
+        initial_marking=Marking({"p1": 1}),
+        final_marking=Marking({"p3": 1}),
+    )
 
 
 def random_activities(rnd: random.Random, net: PetriNet, max_events: int = 6) -> list[str]:
@@ -153,3 +168,11 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
     if not ignore_final:
         consumed += final.total()
     return produced, consumed, m + n_unmapped, r + n_unmapped
+
+
+def paper_logs() -> tuple[EventLog, EventLog]:
+    """The clean and the noise-injected log of the packaged desk config (1x)."""
+    text = (resources.files("careflow") / "data" / "covas_desk.config").read_text(encoding="utf-8")
+    config, noise = parse_config(text)
+    clean = simulate(config, covas_model())
+    return clean, inject_noise(clean, noise)

@@ -1,14 +1,16 @@
+import hashlib
 import random
 from datetime import timedelta
 
 import pytest
 
 from careflow.covas import covas_model
-from careflow.errors import ReplayConfigError
+from careflow.errors import ReplayBudgetError, ReplayConfigError
 from careflow.eventlog import EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
 from careflow.replay import deviation_report, replay_csv, replay_log, replay_trace
-from helpers import make_log, make_trace, oracle_replay, random_activities, random_net
+from helpers import (budget_net, make_log, make_trace, oracle_replay, paper_logs,
+                     random_activities, random_net)
 
 FULL_TRACE = ["Start", "startSymptoms", "Hospitalization", "startOxygen", "endOxygen",
               "endSymptoms", "ICUadmission", "startVentilation", "startECMO", "endECMO",
@@ -186,3 +188,58 @@ def test_counters_match_bruteforce_oracle_on_random_pairs():
         got = (result.produced, result.consumed, result.missing, result.remaining)
         assert got == expected, f"net={net} activities={activities}"
         checked += 1
+
+
+def test_budget_exhaustion_raises_replay_budget_error():
+    trace = make_trace("c7", ["B", "A", "B"])
+    with pytest.raises(ReplayBudgetError) as err:
+        replay_trace(budget_net(), trace, max_expansions=10)
+    assert (err.value.case_id, err.value.budget) == ("c7", 10)
+    assert "'c7'" in str(err.value) and "10" in str(err.value)
+    assert replay_trace(budget_net(), trace).missing == 1  # the default budget suffices
+
+
+def test_replay_log_equals_per_trace_replay_on_noisy_log():
+    net = covas_model()
+    _, noisy = paper_logs()
+    result = replay_log(net, noisy)
+    expected = [replay_trace(net, trace, ignore_final_marking=not trace.complete)
+                for trace in noisy]
+    assert list(result.per_trace) == expected  # firing logs included
+
+
+def test_variant_cache_keeps_complete_and_ongoing_apart():
+    prefix = FULL_TRACE[:5]
+    log = EventLog((make_trace("done", prefix, complete=True),
+                    make_trace("open", prefix, complete=False),
+                    make_trace("done2", prefix)))
+    done, ongoing, done2 = replay_log(covas_model(), log).per_trace
+    assert not done.final_marking_ignored and done.fitness < 1.0
+    assert ongoing.final_marking_ignored and ongoing.fitness == 1.0
+    assert done2.case_id == "done2"
+    assert (done2.remaining, done2.firing_log) == (done.remaining, done.firing_log)
+    reversed_log = EventLog(tuple(reversed(log.traces)))
+    assert replay_log(covas_model(), reversed_log).per_trace[1] == ongoing
+
+
+def test_noisy_replay_outputs_are_pinned():
+    # sha256 of replay_csv + deviation_report on the packaged config's noisy log,
+    # recorded before replay moved to the compiled net and the variant cache
+    _, noisy = paper_logs()
+    result = replay_log(covas_model(), noisy)
+    digest = hashlib.sha256((replay_csv(result) + deviation_report(result)).encode()).hexdigest()
+    assert digest == "87a0548c4ddea2d2a7d9a29918af68ca9db77d9d6eda759cf1137306d2fed2ba"
+
+
+def test_ties_break_on_transition_ids_not_declaration_order():
+    # s2 is declared before s1; both schedules cost (0, 0, 1), so tie 4 decides
+    net = PetriNet(
+        places=("p1", "p2", "p3"),
+        transitions=(Transition("s2", None), Transition("s1", None), Transition("A", "A")),
+        arcs=(("p1", "s2"), ("s2", "p2"), ("p1", "s1"), ("s1", "p2"), ("p2", "A"), ("A", "p3")),
+        initial_marking=Marking({"p1": 1}),
+        final_marking=Marking({"p3": 1}),
+    )
+    result = replay_trace(net, make_trace("c1", ["A"]))
+    assert [s.transition_id for s in result.firing_log] == ["s1", "A"]
+    assert result.fitness == 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from datetime import datetime, timezone
@@ -12,7 +13,7 @@ from careflow.replay import replay_log
 from careflow.simulate import (DelaySpec, NoiseSpec, SimConfig, WaveSpec, inject_noise,
                                parse_config, simulate, write_config)
 from careflow.xesio import write_xes
-from helpers import make_log, make_trace
+from helpers import make_log, make_trace, paper_logs
 
 WAVE = WaveSpec(window_start=datetime(2020, 2, 1, tzinfo=timezone.utc),
                 window_end=datetime(2020, 6, 30, tzinfo=timezone.utc),
@@ -199,3 +200,11 @@ def test_simulated_log_has_unique_case_ids():
     log = simulate(config(case_count=25), covas_model())
     assert isinstance(log, EventLog)
     assert len({t.case_id for t in log}) == 25
+
+
+def test_packaged_config_log_is_pinned():
+    # sha256 of write_xes on the packaged config's clean log, recorded before
+    # the simulator moved to the compiled net and its conflict-group memo
+    clean, _ = paper_logs()
+    digest = hashlib.sha256(write_xes(clean).encode()).hexdigest()
+    assert digest == "b4a25c762c839b213c4875c51d62d627ffecaaf8c0d0c084f5f8b9dd45b15b0f"
