@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Derive covas_desk.config: the desk-scale simulation whose headline numbers
-match the case study's published aggregates.
+"""Derive the packaged covas_desk.config: the desk-scale simulation whose
+headline numbers match the case study's published aggregates.
 
 Targets:
   - 216 cases, 20 ongoing, complete cases split 133/63 at 2020-07-01 (forced
@@ -15,8 +15,9 @@ Targets:
     wave-1 admission spread and mode, which never touch durations or paths)
   - a noise drop rate under which token replay fitness lands on 0.98
 
-Run from the repository root:  python3 scripts/calibrate_desk_config.py
-Writes covas_desk.config and src/careflow/data/covas_desk.config.
+Run:  python3 scripts/calibrate_desk_config.py
+Writes src/careflow/data/covas_desk.config, the one copy of the config; the
+CLI finds it by its bare name (``careflow simulate --config covas_desk.config``).
 """
 
 import sys
@@ -24,7 +25,8 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from careflow.analytics import occupancy
 from careflow.covas import covas_model
@@ -229,11 +231,9 @@ def main():
             print("  verification failed; next seed")
             continue
 
-        text = write_config(cfg, noise)
-        for out in (Path("covas_desk.config"),
-                    Path("src/careflow/data/covas_desk.config")):
-            out.write_text(text, encoding="utf-8")
-            print(f"  wrote {out}")
+        out = SRC / "careflow" / "data" / "covas_desk.config"
+        out.write_text(write_config(cfg, noise), encoding="utf-8")
+        print(f"  wrote {out}")
         return 0
     print("calibration failed for all seeds tried")
     return 1

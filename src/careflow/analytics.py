@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .dfg import Dfg, _summary, discover_dfg
-from .eventlog import EventLog, filter_by_time, filter_complete
+from .eventlog import EventLog, _mean_case_duration, filter_by_time, filter_complete
 from .timeutil import format_timestamp, to_utc
 
 
@@ -161,11 +161,12 @@ def occupancy_daily_max(series: OccupancySeries) -> tuple[tuple[datetime, int], 
     return tuple(sorted(days.items()))
 
 
-def case_duration_stats(log: EventLog, bin_width: timedelta = timedelta(days=1)) -> CaseDurationStats | None:
+def case_duration_stats(log: EventLog) -> CaseDurationStats | None:
     """Duration summary over complete traces; None when there are none.
 
-    The histogram uses fixed-width bins starting at zero.
+    The histogram uses one-day bins starting at zero.
     """
+    bin_width = timedelta(days=1)
     durations = [t.duration for t in log if t.complete and t.events]
     if not durations:
         return None
@@ -189,10 +190,8 @@ def compare_waves(log: EventLog, split: datetime, complete_only: bool = True) ->
 
     def wave(side: str) -> WaveStats:
         part = filter_by_time(base, split, side)
-        durations = [t.duration for t in part if t.complete and t.events]
-        mean = sum(durations, timedelta()) / len(durations) if durations else None
         return WaveStats(case_count=len(part), event_count=part.event_count,
-                         mean_case_duration=mean, dfg=discover_dfg(part))
+                         mean_case_duration=_mean_case_duration(part), dfg=discover_dfg(part))
 
     return WaveComparison(split, wave("before"), wave("on_or_after"))
 
@@ -219,9 +218,9 @@ def dotted_chart_csv(data: DottedChartData) -> str:
     return "\n".join(lines)
 
 
-def dotted_chart_svg(data: DottedChartData, width: int = 1000, height: int = 600) -> str:
+def dotted_chart_svg(data: DottedChartData) -> str:
     """Self-contained SVG: x = time, y = case index, one circle per event."""
-    pad = 40
+    width, height, pad = 1000, 600, 40
     rows = data.rows
     if rows:
         t_min = min(r.timestamp for r in rows)
@@ -258,9 +257,9 @@ def occupancy_csv(series: OccupancySeries, daily_max: bool = False) -> str:
     return "\n".join(lines)
 
 
-def occupancy_svg(series: OccupancySeries, width: int = 1000, height: int = 400) -> str:
+def occupancy_svg(series: OccupancySeries) -> str:
     """Step plot of the concurrency series."""
-    pad = 40
+    width, height, pad = 1000, 400, 40
     points = series.breakpoints
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}">',

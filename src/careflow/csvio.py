@@ -4,7 +4,9 @@ The default column layout is ``case_id,activity,timestamp`` (RFC-4180, UTF-8).
 Extra columns become event attributes; columns prefixed ``case:`` become trace
 attributes (written once per case, repeated on every row). All non-core values
 are ingested as strings unless a type map says otherwise, so nothing is
-silently coerced.
+silently coerced. Values are parsed and spelled by the attribute codec in
+``eventlog`` (``_PARSERS`` and ``_attr_text``), which XES shares, so a value
+reads the same in both formats.
 """
 
 from __future__ import annotations
@@ -12,22 +14,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from datetime import datetime
 
 from .errors import CsvFormatError
-from .eventlog import AttrValue, Event, EventLog, Trace
+from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
 from .timeutil import format_timestamp, parse_timestamp
 
 CASE_PREFIX = "case:"
-
-# Converters for the type map. Keys are the names accepted in ColumnMapping.
-_CONVERTERS = {
-    "string": lambda s: s,
-    "int": int,
-    "float": float,
-    "bool": lambda s: {"true": True, "false": False}[s.lower()],
-    "date": parse_timestamp,
-}
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,7 @@ class ColumnMapping:
     activity: str = "activity"
     timestamp: str = "timestamp"
     timestamp_format: str | None = None
-    # column name -> one of 'string' | 'int' | 'float' | 'bool' | 'date'
+    # column name -> one of 'string' | 'int' | 'float' | 'boolean' (or 'bool') | 'date'
     type_map: dict[str, str] = field(default_factory=dict)
 
 
@@ -48,12 +40,12 @@ DEFAULT_MAPPING = ColumnMapping()
 def _convert(column: str, raw: str, mapping: ColumnMapping, row_no: int) -> AttrValue:
     kind = mapping.type_map.get(column, "string")
     try:
-        conv = _CONVERTERS[kind]
+        parser = _PARSERS["boolean" if kind == "bool" else kind]
     except KeyError:
         raise CsvFormatError(f"unknown type {kind!r} for column {column!r}")
     try:
-        return conv(raw)
-    except (ValueError, KeyError):
+        return parser(raw)
+    except ValueError:
         raise CsvFormatError(f"cannot parse {raw!r} as {kind} in column {column!r}", row=row_no)
 
 
@@ -86,6 +78,9 @@ def parse_csv(text: str, mapping: ColumnMapping = DEFAULT_MAPPING, name: str = "
         case_id = row[idx[mapping.case]]
         activity = row[idx[mapping.activity]]
         ts_raw = row[idx[mapping.timestamp]]
+        if not case_id or not activity:
+            column = mapping.activity if case_id else mapping.case
+            raise CsvFormatError(f"empty {column!r} cell", row=row_no)
         try:
             ts = parse_timestamp(ts_raw, mapping.timestamp_format)
         except ValueError:
@@ -113,14 +108,6 @@ def parse_csv(text: str, mapping: ColumnMapping = DEFAULT_MAPPING, name: str = "
     return EventLog(tuple(traces), name=name)
 
 
-def _render(value: AttrValue) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, datetime):
-        return format_timestamp(value)
-    return str(value)
-
-
 def write_csv(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> str:
     """Serialize a log to CSV, deterministically.
 
@@ -136,12 +123,14 @@ def write_csv(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> str:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     for trace in log:
-        case_cells = [_render(trace.attributes[k]) if k in trace.attributes else "" for k in trace_keys]
+        case_cells = [_attr_text(trace.attributes[k])[1] if k in trace.attributes else ""
+                      for k in trace_keys]
         for event in trace.events:
             row = [trace.case_id, event.activity,
                    format_timestamp(event.timestamp) if mapping.timestamp_format is None
                    else event.timestamp.strftime(mapping.timestamp_format)]
-            row += [_render(event.attributes[k]) if k in event.attributes else "" for k in event_keys]
+            row += [_attr_text(event.attributes[k])[1] if k in event.attributes else ""
+                    for k in event_keys]
             row += case_cells
             writer.writerow(row)
     return buf.getvalue()
@@ -154,23 +143,11 @@ def roundtrip_mapping(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -
     parse_csv(write_csv(log), roundtrip_mapping(log)) reproduces it exactly.
     """
     type_map = dict(mapping.type_map)
-
-    def kind_of(value: AttrValue) -> str:
-        if isinstance(value, bool):
-            return "bool"
-        if isinstance(value, int):
-            return "int"
-        if isinstance(value, float):
-            return "float"
-        if isinstance(value, datetime):
-            return "date"
-        return "string"
-
     for trace in log:
         for key, value in trace.attributes.items():
-            type_map.setdefault(CASE_PREFIX + key, kind_of(value))
+            type_map.setdefault(CASE_PREFIX + key, _attr_text(value)[0])
         for event in trace.events:
             for key, value in event.attributes.items():
-                type_map.setdefault(key, kind_of(value))
+                type_map.setdefault(key, _attr_text(value)[0])
     return ColumnMapping(mapping.case, mapping.activity, mapping.timestamp,
                          mapping.timestamp_format, type_map)

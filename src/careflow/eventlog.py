@@ -9,10 +9,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
-from .timeutil import to_utc
+from .timeutil import format_timestamp, parse_timestamp, to_utc
 
 # Attribute values carried by events, traces and logs.
 AttrValue = str | int | float | bool | datetime
+
+
+def _parse_boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return lowered == "true"
+
+
+# The attribute codec shared by the XES and CSV readers and writers. Kinds are
+# the typed attributes of XES (IEEE 1849); each parser raises ValueError on a
+# bad literal, and _attr_text is their inverse. Names stay private so that the
+# codec is not traced as a layer entry point.
+_PARSERS = {"string": str, "int": int, "float": float, "boolean": _parse_boolean,
+            "date": parse_timestamp}
+
+
+def _attr_text(value: AttrValue) -> tuple[str, str]:
+    """The (kind, text) of an attribute value; bool comes first, as it subclasses int."""
+    if isinstance(value, bool):
+        return "boolean", "true" if value else "false"
+    if isinstance(value, int):
+        return "int", str(value)
+    if isinstance(value, float):
+        return "float", repr(value)
+    if isinstance(value, datetime):
+        return "date", format_timestamp(value)
+    return "string", str(value)
 
 
 def _normalize_attrs(attrs: dict[str, AttrValue]) -> dict[str, AttrValue]:
@@ -147,19 +175,22 @@ def log_stats(log: EventLog) -> LogStats:
     """
     case_count = len(log)
     event_count = log.event_count
-    complete_traces = [t for t in log if t.complete]
     mean_events = event_count / case_count if case_count else None
-    durations = [t.duration for t in complete_traces if t.duration is not None]
-    mean_duration = sum(durations, timedelta()) / len(durations) if durations else None
     return LogStats(
         case_count=case_count,
         event_count=event_count,
         activity_count=len(log.activity_alphabet()),
         variant_count=len(variants(log)),
-        complete_case_count=len(complete_traces),
+        complete_case_count=sum(1 for t in log if t.complete),
         mean_events_per_case=mean_events,
-        mean_case_duration=mean_duration,
+        mean_case_duration=_mean_case_duration(log),
     )
+
+
+def _mean_case_duration(log: EventLog) -> timedelta | None:
+    """Mean first-to-last event gap of the complete traces with events, else None."""
+    durations = [t.duration for t in log if t.complete and t.events]
+    return sum(durations, timedelta()) / len(durations) if durations else None
 
 
 def filter_by_time(log: EventLog, split: datetime, side: str) -> EventLog:

@@ -22,6 +22,9 @@ from xml.sax.saxutils import quoteattr
 from .errors import NotEnabledError, PetriNetError, PnmlFormatError
 from .xesio import _local
 
+# reachable_markings gives up beyond this many markings, so an unbounded net fails fast.
+STATE_LIMIT = 100_000
+
 
 class Marking:
     """Immutable multiset of tokens over place ids (zero counts dropped)."""
@@ -259,8 +262,9 @@ def validate(net: PetriNet) -> list[Violation]:
     return violations
 
 
-def reachable_markings(net: PetriNet, limit: int = 100_000) -> set[tuple[tuple[str, int], ...]]:
-    """Exhaustive token-game state space from the initial marking."""
+def reachable_markings(net: PetriNet) -> set[tuple[tuple[str, int], ...]]:
+    """Exhaustive token-game state space from the initial marking, at most
+    ``STATE_LIMIT`` markings; a larger one raises PetriNetError."""
     _check_marking(net, net.initial_marking)
     cn = net.compiled
     seen = {cn.initial}
@@ -270,8 +274,8 @@ def reachable_markings(net: PetriNet, limit: int = 100_000) -> set[tuple[tuple[s
         for t in cn.enabled(vector):
             succ, _ = cn.fire(vector, t)
             if succ not in seen:
-                if len(seen) >= limit:
-                    raise PetriNetError(f"state space exceeds {limit} markings")
+                if len(seen) >= STATE_LIMIT:
+                    raise PetriNetError(f"state space exceeds {STATE_LIMIT} markings")
                 seen.add(succ)
                 frontier.append(succ)
     return {cn.marking(vector).key() for vector in seen}
@@ -311,6 +315,12 @@ def write_pnml(net: PetriNet) -> str:
     return "\n".join(lines)
 
 
+def _token_count(text: str, place: str) -> int:
+    if not text.strip().isdecimal():
+        raise PnmlFormatError(f"bad token count {text!r} for place {place!r}")
+    return int(text)
+
+
 def _pnml_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -345,7 +355,7 @@ def parse_pnml(text: str) -> PetriNet:
                 if _local(child.tag) == "initialMarking":
                     text_elem = next((c for c in child.iter() if _local(c.tag) == "text"), None)
                     if text_elem is not None and text_elem.text:
-                        initial[pid] = int(text_elem.text)
+                        initial[pid] = _token_count(text_elem.text, pid)
         elif tag == "transition":
             tid = elem.get("id")
             if tid is None:
@@ -368,7 +378,7 @@ def parse_pnml(text: str) -> PetriNet:
                     pid = ref.get("idref")
                     text_elem = next((c for c in ref.iter() if _local(c.tag) == "text"), None)
                     if pid and text_elem is not None and text_elem.text:
-                        final[pid] = int(text_elem.text)
+                        final[pid] = _token_count(text_elem.text, pid)
     return PetriNet(tuple(places), tuple(transitions), tuple(arcs),
                     Marking(initial), Marking(final), name=net_xml.get("id") or "")
 

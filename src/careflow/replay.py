@@ -13,7 +13,7 @@ minimizes, in order:
 
 That total order makes the result deterministic and matches an exhaustive
 enumeration of silent interleavings on small nets. Silent runs between two
-consecutive events (and after the last one) are capped at ``max_silent_run``
+consecutive events (and after the last one) are capped at ``MAX_SILENT_RUN``
 firings, which keeps the search finite on nets with token-generating loops;
 the cap is far above anything the care-pathway model needs.
 
@@ -47,6 +47,7 @@ from .eventlog import EventLog, Trace
 from .petri import PetriNet
 
 _DONE = -1
+MAX_SILENT_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,9 @@ class _Replayer:
     (marking, transition) to (successor, missing tokens), and ``silent_moves``
     holds each marking's silent moves."""
 
-    def __init__(self, net: PetriNet, label_map: dict[str, str] | None,
-                 max_silent_run: int, max_expansions: int):
+    def __init__(self, net: PetriNet, label_map: dict[str, str] | None, max_expansions: int):
         self.net, self.cn, self.label_map = net, net.compiled, label_map
-        self.max_silent_run, self.max_expansions = max_silent_run, max_expansions
+        self.max_expansions = max_expansions
         self.silents = tuple(t for t, label in enumerate(self.cn.labels) if label is None)
         self.moves: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
         self.silent_moves: dict[tuple[int, ...], tuple] = {}
@@ -138,7 +138,7 @@ class _Replayer:
         """
         pre, final = self.cn.pre, self.cn.final
         move, silent_moves = self._move, self.silent_moves
-        max_silent_run, budget = self.max_silent_run, self.max_expansions
+        budget = self.max_expansions
         n = len(events)
         push, pop = heapq.heappush, heapq.heappop
         heap = [(0, 0, 0, (), 0, self.cn.initial, 0)]
@@ -168,7 +168,7 @@ class _Replayer:
                 succ, missing = move(vector, t)
                 if (i + 1, succ, 0) not in settled:
                     push(heap, (m + missing, r, s, path + (t,), i + 1, succ, 0))
-            if gap < max_silent_run:
+            if gap < MAX_SILENT_RUN:
                 silent = silent_moves.get(vector)
                 if silent is None:
                     silent = silent_moves[vector] = tuple((t,) + move(vector, t) for t in self.silents)
@@ -222,7 +222,7 @@ class _Replayer:
 
 
 def replay_trace(net: PetriNet, trace: Trace, label_map: dict[str, str] | None = None,
-                 ignore_final_marking: bool = False, max_silent_run: int = 8,
+                 ignore_final_marking: bool = False,
                  max_expansions: int = 500_000) -> TraceReplayResult:
     """Replay one trace and return its token counters and firing log.
 
@@ -231,12 +231,12 @@ def replay_trace(net: PetriNet, trace: Trace, label_map: dict[str, str] | None =
     not recorded yet. A search that expands more than ``max_expansions``
     states raises ReplayBudgetError.
     """
-    replayer = _Replayer(net, label_map, max_silent_run, max_expansions)
+    replayer = _Replayer(net, label_map, max_expansions)
     return replayer.replay(trace, ignore_final_marking)
 
 
 def replay_log(net: PetriNet, log: EventLog, label_map: dict[str, str] | None = None,
-               ignore_final_for_ongoing: bool = True, max_silent_run: int = 8,
+               ignore_final_for_ongoing: bool = True,
                max_expansions: int = 500_000) -> LogReplayResult:
     """Replay every trace and aggregate counters into a log-level fitness.
 
@@ -244,7 +244,7 @@ def replay_log(net: PetriNet, log: EventLog, label_map: dict[str, str] | None = 
     final-marking penalty; pass ignore_final_for_ongoing=False to treat them
     like complete cases. Each variant is searched once; see the module notes.
     """
-    replayer = _Replayer(net, label_map, max_silent_run, max_expansions)
+    replayer = _Replayer(net, label_map, max_expansions)
     by_variant: dict[tuple[tuple[str, ...], bool], TraceReplayResult] = {}
     results = []
     for trace in log:

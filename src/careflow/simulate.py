@@ -31,6 +31,7 @@ from .rng import Stream
 from .timeutil import format_timestamp, parse_split_instant
 
 _MAX_STEPS_PER_CASE = 10_000
+_REQUIRED = object()  # parse_config: a key without a default
 
 CONFIG_VERSION = 1
 
@@ -269,61 +270,54 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
             raise ConfigError(f"duplicate key {key!r}", line=line_no)
         entries[key] = (value, line_no)
 
-    def take(key: str, default: str | None = None) -> str | None:
-        if key in entries:
-            return entries.pop(key)[0]
-        return default
-
-    def number(key: str, conv, default=None):
-        raw = take(key)
-        if raw is None:
-            if default is None:
+    def take(key: str, conv, default=_REQUIRED):
+        """The converted value of a key, which is consumed; bad values name their line."""
+        if key not in entries:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             return default
+        raw, line_no = entries.pop(key)
         try:
             return conv(raw)
         except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}")
+            raise ConfigError(f"bad value for {key!r}: {raw!r}", line=line_no)
 
-    version = number("config_version", int)
+    version = take("config_version", int)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config_version {version}")
-    name = take("name", "simulated")
-    case_count = number("case_count", int)
-    seed = number("seed", int)
-    ongoing_fraction = number("ongoing_fraction", float, 0.0)
-    ards_probability = number("ards_probability", float, 0.0)
+    name = take("name", str, "simulated")
+    case_count = take("case_count", int)
+    seed = take("seed", int)
+    ongoing_fraction = take("ongoing_fraction", float, 0.0)
+    ards_probability = take("ards_probability", float, 0.0)
+    noise_p = take("noise.drop_probability", float, None)
+    noise_seed = take("noise.seed", int, None)
 
-    wave_indices = sorted({int(key.split(".")[1]) for key in entries if key.startswith("wave.")})
+    wave_indices = set()
+    for key, (_, line_no) in entries.items():
+        if key.startswith("wave."):
+            index = key.split(".")[1]
+            if not index.isdecimal():
+                raise ConfigError(f"bad wave number in key {key!r}", line=line_no)
+            wave_indices.add(int(index))
     waves = []
-    for index in wave_indices:
+    for index in sorted(wave_indices):
         prefix = f"wave.{index}."
-        start_raw = take(prefix + "window_start")
-        end_raw = take(prefix + "window_end")
-        if start_raw is None or end_raw is None:
-            raise ConfigError(f"wave {index} needs window_start and window_end")
-        mode_raw = take(prefix + "admission_mode")
         waves.append(WaveSpec(
-            window_start=parse_split_instant(start_raw),
-            window_end=parse_split_instant(end_raw),
-            share=number(prefix + "share", float),
-            admission_mode=None if mode_raw is None else parse_split_instant(mode_raw),
-            admission_spread_hours=number(prefix + "admission_spread_hours", float, 0.0),
-            delay_scale=number(prefix + "delay_scale", float, 1.0),
+            window_start=take(prefix + "window_start", parse_split_instant),
+            window_end=take(prefix + "window_end", parse_split_instant),
+            share=take(prefix + "share", float),
+            admission_mode=take(prefix + "admission_mode", parse_split_instant, None),
+            admission_spread_hours=take(prefix + "admission_spread_hours", float, 0.0),
+            delay_scale=take(prefix + "delay_scale", float, 1.0),
         ))
 
     probs: dict[str, float] = {}
     delays: dict[str, DelaySpec] = {}
-    noise_p = None
-    noise_seed = None
     for key in list(entries):
         value, line_no = entries[key]
         if key.startswith("prob."):
-            try:
-                probs[key[len("prob."):]] = float(value)
-            except ValueError:
-                raise ConfigError(f"bad probability {value!r}", line=line_no)
-            del entries[key]
+            probs[key[len("prob."):]] = take(key, float)
         elif key.startswith("delay."):
             parts = value.split()
             kind = parts[0] if parts else ""
@@ -335,12 +329,6 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
             except ValueError:
                 raise ConfigError(f"bad delay parameters in {value!r}", line=line_no)
             delays[key[len("delay."):]] = DelaySpec(kind, params)
-            del entries[key]
-        elif key == "noise.drop_probability":
-            noise_p = float(value)
-            del entries[key]
-        elif key == "noise.seed":
-            noise_seed = int(value)
             del entries[key]
     if entries:
         stray, (_, line_no) = next(iter(entries.items()))

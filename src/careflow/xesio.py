@@ -5,6 +5,8 @@ Supported subset: ``<log>/<trace>/<event>`` with typed attribute elements
 activity labels, ``time:timestamp`` the event instant. Any other child element
 (extensions, classifiers, globals, nested lists) is kept as an opaque XML
 snippet and written back verbatim, so foreign logs survive a round trip.
+How a typed value is spelled is decided by the attribute codec in
+``eventlog`` (``_PARSERS`` and ``_attr_text``), which CSV shares.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from datetime import datetime
 from xml.sax.saxutils import quoteattr
 
 from .errors import XesFormatError
-from .eventlog import AttrValue, Event, EventLog, Trace
-from .timeutil import format_timestamp, parse_timestamp
-
-_TYPED_TAGS = {"string", "int", "float", "boolean", "date"}
+from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
 
 
 class XesWarning(UserWarning):
@@ -27,21 +26,6 @@ class XesWarning(UserWarning):
 
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
-
-
-def _parse_value(tag: str, raw: str) -> AttrValue:
-    if tag == "string":
-        return raw
-    if tag == "int":
-        return int(raw)
-    if tag == "float":
-        return float(raw)
-    if tag == "boolean":
-        lowered = raw.lower()
-        if lowered not in ("true", "false"):
-            raise ValueError(raw)
-        return lowered == "true"
-    return parse_timestamp(raw)
 
 
 def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET.Element]]:
@@ -56,9 +40,9 @@ def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET
             continue
         key = child.get("key")
         value = child.get("value")
-        if tag in _TYPED_TAGS and key is not None and value is not None and len(child) == 0:
+        if tag in _PARSERS and key is not None and value is not None and len(child) == 0:
             try:
-                attrs[key] = _parse_value(tag, value)
+                attrs[key] = _PARSERS[tag](value)
             except ValueError:
                 raise XesFormatError(f"bad {tag} literal {value!r} for key {key!r}")
         else:
@@ -66,7 +50,7 @@ def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET
     return attrs, raw, containers
 
 
-def parse_xes(text: str, name: str = "") -> EventLog:
+def parse_xes(text: str) -> EventLog:
     """Parse an XES document into an event log.
 
     Traces without a ``concept:name`` get a synthetic case id and a warning is
@@ -81,7 +65,7 @@ def parse_xes(text: str, name: str = "") -> EventLog:
         raise XesFormatError(f"expected <log> root element, found <{_local(root.tag)}>")
 
     log_attrs, log_raw, traces_xml = _collect(root)
-    log_name = log_attrs.pop("concept:name", name)
+    log_name = log_attrs.pop("concept:name", "")
     if not isinstance(log_name, str):
         log_name = str(log_name)
 
@@ -92,12 +76,14 @@ def parse_xes(text: str, name: str = "") -> EventLog:
             raise XesFormatError("<event> element outside of a <trace>")
         trace_attrs, trace_raw, events_xml = _collect(trace_xml)
         case_id = trace_attrs.pop("concept:name", None)
-        if case_id is None:
+        if case_id in (None, ""):
             case_id = f"case_{position}"
             while case_id in used_ids:
                 case_id += "_x"
             warnings.warn(f"trace #{position} lacks concept:name; assigned {case_id!r}", XesWarning)
         case_id = str(case_id)
+        if case_id in used_ids:
+            raise XesFormatError(f"trace #{position} repeats case id {case_id!r}")
         used_ids.add(case_id)
 
         events: list[Event] = []
@@ -108,7 +94,7 @@ def parse_xes(text: str, name: str = "") -> EventLog:
             if nested:
                 raise XesFormatError("<trace>/<event> nested inside an <event>")
             activity = event_attrs.pop("concept:name", None)
-            if activity is None:
+            if activity in (None, ""):
                 raise XesFormatError(f"event without concept:name in case {case_id!r}")
             timestamp = event_attrs.pop("time:timestamp", None)
             if not isinstance(timestamp, datetime):
@@ -120,21 +106,10 @@ def parse_xes(text: str, name: str = "") -> EventLog:
                     raw_extensions=tuple(log_raw))
 
 
-def _attr_line(key: str, value: AttrValue) -> str:
-    if isinstance(value, bool):
-        return f"<boolean key={quoteattr(key)} value={quoteattr('true' if value else 'false')}/>"
-    if isinstance(value, int):
-        return f"<int key={quoteattr(key)} value={quoteattr(str(value))}/>"
-    if isinstance(value, float):
-        return f"<float key={quoteattr(key)} value={quoteattr(repr(value))}/>"
-    if isinstance(value, datetime):
-        return f"<date key={quoteattr(key)} value={quoteattr(format_timestamp(value))}/>"
-    return f"<string key={quoteattr(key)} value={quoteattr(str(value))}/>"
-
-
 def _emit_attrs(lines: list[str], indent: str, attrs: dict[str, AttrValue], raw: tuple[str, ...]):
     for key in sorted(attrs):
-        lines.append(indent + _attr_line(key, attrs[key]))
+        kind, text = _attr_text(attrs[key])
+        lines.append(f"{indent}<{kind} key={quoteattr(key)} value={quoteattr(text)}/>")
     for snippet in raw:
         lines.append(indent + snippet)
 

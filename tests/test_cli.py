@@ -2,11 +2,17 @@ import json
 from datetime import timedelta
 from functools import partial
 
+import pytest
+
 from careflow import cli
-from careflow.petri import write_pnml
+from careflow.csvio import parse_csv, write_csv
+from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
+from careflow.eventlog import EventLog
+from careflow.petri import parse_pnml, write_pnml
 from careflow.replay import replay_log
-from careflow.xesio import write_xes
-from helpers import budget_net, make_log
+from careflow.simulate import parse_config
+from careflow.xesio import parse_xes, write_xes
+from helpers import budget_net, make_log, make_trace
 
 
 def run_json(capsys, *argv) -> dict:
@@ -66,3 +72,60 @@ def test_replay_budget_exhaustion_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'c1'" in err and "budget of 10" in err
+
+
+CONFIG = """config_version = 1
+case_count = 5
+seed = 1
+wave.1.window_start = 2020-01-01
+wave.1.window_end = 2020-02-01
+wave.1.share = 1
+"""
+PNML = write_pnml(budget_net())
+CSV = "case_id,activity,timestamp\nc1,A,2020-02-01T00:00:00+00:00\n"
+XES = write_xes(make_log(["A"]))
+TRACE = XES[XES.index("  <trace>"):XES.index("</log>")]
+PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlFormatError),
+           "csv": (parse_csv, CsvFormatError), "xes": (parse_xes, XesFormatError)}
+
+
+@pytest.mark.parametrize("kind, text, location", [
+    ("config", CONFIG + "noise.seed = x\n", "line 7"),
+    ("config", CONFIG + "noise.drop_probability = x\n", "line 7"),
+    ("config", CONFIG + "wave.x.share = 1\n", "line 7"),
+    ("config", CONFIG + "wave. = 1\n", "line 7"),
+    ("pnml", PNML.replace("<text>1</text></initialMarking>", "<text>one</text></initialMarking>"),
+     "'p1'"),
+    ("pnml", PNML.replace("<text>1</text></place>", "<text>1.5</text></place>"), "'p3'"),
+    ("csv", CSV + ",B,2020-02-01T01:00:00+00:00\n", "row 3"),
+    ("csv", CSV + "c1,,2020-02-01T01:00:00+00:00\n", "row 3"),
+    ("xes", XES.replace("</log>", TRACE + "</log>"), "trace #2"),
+    ("xes", XES.replace('value="A"', 'value=""'), "case 'c1'"),
+], ids=["noise-seed", "noise-drop", "wave-number", "wave-empty", "initial-marking",
+        "final-marking", "empty-case", "empty-activity", "duplicate-case", "empty-event-name"])
+def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, tmp_path, capsys):
+    parse, error = PARSERS[kind]
+    with pytest.raises(error, match=location):
+        parse(text)
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text, encoding="utf-8")
+    argv = {"config": ["simulate", "--config", str(path), "--out", str(tmp_path / "log.xes")],
+            "pnml": ["replay", str(tmp_path / "unread.xes"), "--model", str(path)]
+            }.get(kind, ["stats", str(path)])
+    assert cli.main(argv) == 2
+    assert location in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["no-such-command"], ["waves", "log.xes"]],
+                         ids=["unknown-command", "missing-split"])
+def test_usage_errors_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_csv_types_accept_bool(tmp_path):
+    log = EventLog((make_trace("c1", ["A"], ards=True),))
+    (tmp_path / "in.csv").write_text(write_csv(log), encoding="utf-8")
+    assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes"),
+                     "--types", "case:ards=bool"]) == 0
+    assert parse_xes((tmp_path / "out.xes").read_text(encoding="utf-8")) == log

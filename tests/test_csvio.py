@@ -1,3 +1,6 @@
+import csv
+import io
+import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from careflow.csvio import ColumnMapping, parse_csv, roundtrip_mapping, write_csv
 from careflow.errors import CsvFormatError
 from careflow.eventlog import Event, EventLog, Trace
+from careflow.xesio import parse_xes, write_xes
 from helpers import T0, make_trace
 
 CSV = """case_id,activity,timestamp
@@ -106,3 +110,32 @@ def test_roundtrip_quoting():
     log = EventLog((trace,))
     back = parse_csv(write_csv(log), roundtrip_mapping(log))
     assert back == log
+
+
+def test_each_kind_reads_and_writes_alike_in_xes_and_csv():
+    """XES and CSV share one attribute codec: same kind, same text, same value back."""
+    cest = timezone(timedelta(hours=2))
+    expected = {  # key: (value, XES tag, text in both formats)
+        "ratio": (0.1, "float", "0.1"),
+        "tiny": (1e-07, "float", "1e-07"),
+        "big": (2 ** 70, "int", "1180591620717411303424"),
+        "yes": (True, "boolean", "true"),
+        "no": (False, "boolean", "false"),
+        "seen": (datetime(2020, 4, 13, 10, 30, tzinfo=cest), "date", "2020-04-13T08:30:00+00:00"),
+        "note": ('said "stop", then, left', "string", 'said "stop", then, left'),
+    }
+    attrs = {key: value for key, (value, _, _) in expected.items()}
+    log = EventLog((Trace("c1", (Event("A", T0, attrs),)),))
+
+    xes, csv_text = write_xes(log), write_csv(log)
+    event_xml = ET.fromstring(xes).find("trace/event")
+    in_xes = {child.get("key"): (child.tag, child.get("value")) for child in event_xml}
+    header, row = csv.reader(io.StringIO(csv_text))
+    in_csv = dict(zip(header, row))
+    mapping = roundtrip_mapping(log)
+    for key, (_, tag, text) in expected.items():
+        assert in_xes[key] == (tag, text), key
+        assert in_csv[key] == text, key
+        assert mapping.type_map[key] == tag, key
+    assert parse_xes(xes) == log
+    assert parse_csv(csv_text, mapping) == log

@@ -36,10 +36,11 @@ def test_malformed_xml_reports_location():
 
 
 def test_trace_without_case_id_gets_synthetic_id():
-    text = MINIMAL.replace('<string key="concept:name" value="c1"/>', "")
-    with pytest.warns(XesWarning):
-        log = parse_xes(text)
-    assert log.traces[0].case_id == "case_1"
+    for name in ("", '<string key="concept:name" value=""/>'):
+        text = MINIMAL.replace('<string key="concept:name" value="c1"/>', name)
+        with pytest.warns(XesWarning):
+            log = parse_xes(text)
+        assert log.traces[0].case_id == "case_1"
 
 
 def test_event_without_timestamp_is_an_error():
