@@ -7,16 +7,22 @@ activity labels, ``time:timestamp`` the event instant. Any other child element
 snippet and written back verbatim, so foreign logs survive a round trip.
 How a typed value is spelled is decided by the attribute codec in
 ``eventlog`` (``_PARSERS`` and ``_attr_text``), which CSV shares.
+
+The reader streams the document through expat and builds no element tree of
+it, so its memory follows the log rather than a tree.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime
+from sys import intern
+from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
-from .errors import XesFormatError
+from .errors import CareflowError, XesFormatError
 from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
 
 
@@ -28,26 +34,91 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET.Element]]:
-    """Split children into typed attributes, opaque snippets, and containers."""
-    attrs: dict[str, AttrValue] = {}
-    raw: list[str] = []
-    containers: list[ET.Element] = []
-    for child in elem:
-        tag = _local(child.tag)
-        if tag in ("trace", "event"):
-            containers.append(child)
-            continue
-        key = child.get("key")
-        value = child.get("value")
-        if tag in _PARSERS and key is not None and value is not None and len(child) == 0:
+def _qualified(elem: ET.Element) -> ET.Element:
+    """A captured element with expat's ``uri}local`` names spelled ``{uri}local``."""
+    for node in elem.iter():
+        node.tag = "{" + node.tag if "}" in node.tag else node.tag
+        node.attrib = {"{" + k if "}" in k else k: v for k, v in node.attrib.items()}
+    return elem
+
+
+class _Node:
+    """A container as read: typed attributes, snippets, containers, first bad literal."""
+
+    __slots__ = ("tag", "attrs", "raw", "children", "bad")
+
+    def __init__(self, tag: str):
+        self.tag, self.attrs, self.raw, self.children, self.bad = tag, {}, [], [], None
+
+    def parts(self) -> tuple[dict[str, AttrValue], list[str], list[_Node]]:
+        if self.bad:
+            raise XesFormatError(self.bad)
+        raw = [ET.tostring(_qualified(elem), encoding="unicode").strip() for elem in self.raw]
+        return self.attrs, raw, self.children
+
+
+def _read(text: str) -> _Node:
+    """One expat pass: the root's node, with every <trace>/<event> beneath it.
+
+    Any other element is captured whole, to become a typed attribute or a
+    snippet; whitespace between elements reaches no Python handler.
+    """
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    stack: list[_Node] = []
+    builder, depth = None, 0  # the element being captured and its open elements
+
+    def start(name, attrib):
+        nonlocal builder, depth
+        if not depth:
+            parser.CharacterDataHandler = None  # ends a snippet's tail
+            tag = _local(name) if "}" in name else name
+            if not stack or tag == "trace" or tag == "event":
+                stack.append(_Node(tag))
+                if len(stack) > 1:
+                    stack[-2].children.append(stack[-1])
+                return
+            builder = ET.TreeBuilder()
+            parser.CharacterDataHandler = builder.data
+        builder.start(name, attrib)
+        depth += 1
+
+    def end(name):
+        nonlocal depth
+        if not depth:
+            parser.CharacterDataHandler = None  # ends a snippet's tail
+            if len(stack) > 1:
+                stack.pop()
+            return
+        depth -= 1
+        elem = builder.end(name)
+        if depth:
+            return
+        tag = _local(name) if "}" in name else name
+        key, value, owner = elem.get("key"), elem.get("value"), stack[-1]
+        if tag in _PARSERS and key is not None and value is not None and not len(elem):
             try:
-                attrs[key] = _PARSERS[tag](value)
+                owner.attrs[intern(key)] = _PARSERS[tag](value)  # one copy of each key
             except ValueError:
-                raise XesFormatError(f"bad {tag} literal {value!r} for key {key!r}")
-        else:
-            raw.append(ET.tostring(child, encoding="unicode").strip())
-    return attrs, raw, containers
+                owner.bad = owner.bad or f"bad {tag} literal {value!r} for key {key!r}"
+            parser.CharacterDataHandler = None
+        else:  # a snippet; its builder is done, so its tail up to the next tag is kept here
+            owner.raw.append(elem)
+            parser.CharacterDataHandler = lambda data: setattr(elem, "tail", (elem.tail or "") + data)
+
+    def skipped(name, is_parameter_entity):  # an undeclared entity, when the DTD is external
+        if not is_parameter_entity:
+            raise XesFormatError(f"malformed XML: undefined entity &{name};",
+                                 line=parser.CurrentLineNumber, column=parser.CurrentColumnNumber)
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.SkippedEntityHandler = skipped
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise XesFormatError(f"malformed XML: {str(exc).split(':')[0]}",
+                             line=exc.lineno, column=exc.offset)
+    return stack[0]
 
 
 def parse_xes(text: str) -> EventLog:
@@ -56,15 +127,11 @@ def parse_xes(text: str) -> EventLog:
     Traces without a ``concept:name`` get a synthetic case id and a warning is
     emitted; events must carry both an activity and a timestamp.
     """
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise XesFormatError(f"malformed XML: {exc.msg.split(':')[0]}", line=line, column=column)
-    if _local(root.tag) != "log":
-        raise XesFormatError(f"expected <log> root element, found <{_local(root.tag)}>")
+    root = _read(text)
+    if root.tag != "log":
+        raise XesFormatError(f"expected <log> root element, found <{root.tag}>")
 
-    log_attrs, log_raw, traces_xml = _collect(root)
+    log_attrs, log_raw, traces_xml = root.parts()
     log_name = log_attrs.pop("concept:name", "")
     if not isinstance(log_name, str):
         log_name = str(log_name)
@@ -72,9 +139,9 @@ def parse_xes(text: str) -> EventLog:
     used_ids: set[str] = set()
     traces: list[Trace] = []
     for position, trace_xml in enumerate(traces_xml, start=1):
-        if _local(trace_xml.tag) != "trace":
+        if trace_xml.tag != "trace":
             raise XesFormatError("<event> element outside of a <trace>")
-        trace_attrs, trace_raw, events_xml = _collect(trace_xml)
+        trace_attrs, trace_raw, events_xml = trace_xml.parts()
         case_id = trace_attrs.pop("concept:name", None)
         if case_id in (None, ""):
             case_id = f"case_{position}"
@@ -88,9 +155,9 @@ def parse_xes(text: str) -> EventLog:
 
         events: list[Event] = []
         for event_xml in events_xml:
-            if _local(event_xml.tag) != "event":
+            if event_xml.tag != "event":
                 raise XesFormatError("<trace> nested inside a <trace>")
-            event_attrs, event_raw, nested = _collect(event_xml)
+            event_attrs, event_raw, nested = event_xml.parts()
             if nested:
                 raise XesFormatError("<trace>/<event> nested inside an <event>")
             activity = event_attrs.pop("concept:name", None)
@@ -106,10 +173,18 @@ def parse_xes(text: str) -> EventLog:
                     raw_extensions=tuple(log_raw))
 
 
+_ESCAPED = re.compile('[&<>"\n\r\t]')  # what quoteattr escapes, and '"', which it may single-quote
+
+
+def _quote(text: str) -> str:
+    """``quoteattr(text)``, without its replace passes where nothing needs escaping."""
+    return quoteattr(text) if _ESCAPED.search(text) else f'"{text}"'
+
+
 def _emit_attrs(lines: list[str], indent: str, attrs: dict[str, AttrValue], raw: tuple[str, ...]):
     for key in sorted(attrs):
         kind, text = _attr_text(attrs[key])
-        lines.append(f"{indent}<{kind} key={quoteattr(key)} value={quoteattr(text)}/>")
+        lines.append(f"{indent}<{kind} key={_quote(key)} value={_quote(text)}/>")
     for snippet in raw:
         lines.append(indent + snippet)
 
@@ -150,4 +225,4 @@ def sniff_format(path: str) -> str:
         return "xes"
     if lowered.endswith(".csv"):
         return "csv"
-    raise ValueError(f"cannot infer log format from {path!r}; expected .xes or .csv")
+    raise CareflowError(f"cannot infer log format from {path!r}; expected .xes or .csv")

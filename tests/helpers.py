@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+import warnings
+import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 from careflow.covas import covas_model
-from careflow.eventlog import Event, EventLog, Trace
+from careflow.errors import XesFormatError
+from careflow.eventlog import _PARSERS, AttrValue, Event, EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
 from careflow.simulate import inject_noise, parse_config, simulate
+from careflow.xesio import XesWarning, _local
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
 
@@ -176,3 +180,86 @@ def paper_logs() -> tuple[EventLog, EventLog]:
     config, noise = parse_config(text)
     clean = simulate(config, covas_model())
     return clean, inject_noise(clean, noise)
+
+
+# --- tree-based XES reader oracle ---------------------------------------------
+
+def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET.Element]]:
+    """Split children into typed attributes, opaque snippets, and containers."""
+    attrs: dict[str, AttrValue] = {}
+    raw: list[str] = []
+    containers: list[ET.Element] = []
+    for child in elem:
+        tag = _local(child.tag)
+        if tag in ("trace", "event"):
+            containers.append(child)
+            continue
+        key = child.get("key")
+        value = child.get("value")
+        if tag in _PARSERS and key is not None and value is not None and len(child) == 0:
+            try:
+                attrs[key] = _PARSERS[tag](value)
+            except ValueError:
+                raise XesFormatError(f"bad {tag} literal {value!r} for key {key!r}")
+        else:
+            raw.append(ET.tostring(child, encoding="unicode").strip())
+    return attrs, raw, containers
+
+
+def oracle_parse_xes(text: str) -> EventLog:
+    """The tree-based XES reader that the streaming ``parse_xes`` replaced.
+
+    Builds a complete ElementTree first, then reads events from it; kept
+    unchanged as the reference the streaming reader is compared against.
+
+    Traces without a ``concept:name`` get a synthetic case id and a warning is
+    emitted; events must carry both an activity and a timestamp.
+    """
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise XesFormatError(f"malformed XML: {exc.msg.split(':')[0]}", line=line, column=column)
+    if _local(root.tag) != "log":
+        raise XesFormatError(f"expected <log> root element, found <{_local(root.tag)}>")
+
+    log_attrs, log_raw, traces_xml = _collect(root)
+    log_name = log_attrs.pop("concept:name", "")
+    if not isinstance(log_name, str):
+        log_name = str(log_name)
+
+    used_ids: set[str] = set()
+    traces: list[Trace] = []
+    for position, trace_xml in enumerate(traces_xml, start=1):
+        if _local(trace_xml.tag) != "trace":
+            raise XesFormatError("<event> element outside of a <trace>")
+        trace_attrs, trace_raw, events_xml = _collect(trace_xml)
+        case_id = trace_attrs.pop("concept:name", None)
+        if case_id in (None, ""):
+            case_id = f"case_{position}"
+            while case_id in used_ids:
+                case_id += "_x"
+            warnings.warn(f"trace #{position} lacks concept:name; assigned {case_id!r}", XesWarning)
+        case_id = str(case_id)
+        if case_id in used_ids:
+            raise XesFormatError(f"trace #{position} repeats case id {case_id!r}")
+        used_ids.add(case_id)
+
+        events: list[Event] = []
+        for event_xml in events_xml:
+            if _local(event_xml.tag) != "event":
+                raise XesFormatError("<trace> nested inside a <trace>")
+            event_attrs, event_raw, nested = _collect(event_xml)
+            if nested:
+                raise XesFormatError("<trace>/<event> nested inside an <event>")
+            activity = event_attrs.pop("concept:name", None)
+            if activity in (None, ""):
+                raise XesFormatError(f"event without concept:name in case {case_id!r}")
+            timestamp = event_attrs.pop("time:timestamp", None)
+            if not isinstance(timestamp, datetime):
+                raise XesFormatError(f"event without time:timestamp in case {case_id!r}")
+            events.append(Event(str(activity), timestamp, event_attrs, tuple(event_raw)))
+        traces.append(Trace(case_id, tuple(events), trace_attrs, tuple(trace_raw)))
+
+    return EventLog(tuple(traces), name=log_name, attributes=log_attrs,
+                    raw_extensions=tuple(log_raw))

@@ -1,13 +1,15 @@
 import random
+import warnings
 from datetime import timedelta
+from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, strategies as st
 
-from careflow.errors import XesFormatError
+from careflow.errors import CareflowError, XesFormatError
 from careflow.eventlog import Event, EventLog, Trace, log_stats
 from careflow.xesio import XesWarning, parse_xes, sniff_format, write_xes
-from helpers import T0, make_trace, random_log
+from helpers import T0, make_trace, oracle_parse_xes, paper_logs, random_log
 
 MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <log>
@@ -113,11 +115,14 @@ def test_roundtrip_random_logs_preserves_stats():
 def test_sniff_format():
     assert sniff_format("a/b/log.XES") == "xes"
     assert sniff_format("x.csv") == "csv"
-    with pytest.raises(ValueError):
+    with pytest.raises(CareflowError, match="notes.txt"):
         sniff_format("notes.txt")
 
 
-_name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=12)
+_name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, include_characters="\t\n\r"),
+                min_size=1, max_size=12)
+# XES spells the case id, activity and timestamp as these keys, so they are no free attributes
+_key = _name.filter(lambda key: key not in ("concept:name", "time:timestamp"))
 _value = st.one_of(
     _name,
     st.integers(-10**6, 10**6),
@@ -136,13 +141,103 @@ def xes_logs(draw):
         ts = T0
         for _ in range(draw(st.integers(0, 4))):
             ts = ts + timedelta(minutes=draw(st.integers(1, 500)))
-            attrs = draw(st.dictionaries(_name, _value, max_size=2))
+            attrs = draw(st.dictionaries(_key, _value, max_size=2))
             events.append(Event(draw(_name), ts, attrs))
         traces.append(Trace(f"case{index}", tuple(events),
-                            draw(st.dictionaries(_name, _value, max_size=2))))
+                            draw(st.dictionaries(_key, _value, max_size=2))))
     return EventLog(tuple(traces), name=draw(_name))
 
 
 @given(xes_logs())
 def test_roundtrip_property(log):
     assert parse_xes(write_xes(log)) == log
+
+
+@pytest.mark.parametrize("text", ["a&b<c>d\"e'f\tg\nh\ri", "a&b<c>d\"e\tg\nh\ri"],
+                         ids=["both-quotes", "double-quote-only"])
+def test_writer_escapes_like_quoteattr(text):
+    log = EventLog((Trace(text, (Event(text, T0, {text: text}),)),), name=text)
+    xes = write_xes(log)
+    assert parse_xes(xes) == log
+    spelled = quoteattr(text)
+    assert xes.count(f"<string key={spelled} value={spelled}/>") == 1
+    assert xes.count(f'<string key="concept:name" value={spelled}/>') == 3  # log, case, activity
+
+
+# --- the streaming reader against the tree-based one ---------------------------
+
+def _outcome(reader, text: str):
+    """The log a reader returns, or its error, plus the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = reader(text)
+        except Exception as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_readers_agree(text: str):
+    assert _outcome(parse_xes, text) == _outcome(oracle_parse_xes, text)
+
+
+_EVENT = ('<event><string key="concept:name" value="A"/>'
+          '<date key="time:timestamp" value="2020-02-01T00:00:00+00:00"/>{}</event>')
+
+
+def _doc(prolog="", log="", trace="", event="", root="log", root_attrs=""):
+    return (f'{prolog}<{root}{root_attrs}>{log}<trace><string key="concept:name" value="c1"/>'
+            f'{trace}{_EVENT.format(event)}</trace></{root}>')
+
+
+READER_CASES = {
+    "opaque-children-and-tails": _doc(
+        trace='<container key="k">text<int key="d" value="2"/>inner tail</container>after',
+        event='<list key="l"><string key="x" value="y"/>t1</list>\n  t2 <!-- c --> t3\n'),
+    "typed-with-child": _doc(event='<string key="s" value="v">before<child a="1"/>x</string>tail'),
+    "typed-with-text": _doc(event='<string key="s" value="v">just text</string>'),
+    "namespaces": _doc(
+        root_attrs=' xmlns="http://www.xes-standard.org/" xmlns:x="urn:x"',
+        event='<x:string key="k" value="v"/><x:foo x:a="1" b="2"><x:bar/></x:foo>'
+              '<string x:key="k" value="v"/>'),
+    "prefixed-root": '<x:log xmlns:x="urn:x"><x:trace><x:string key="concept:name" value="c"/>'
+                     '<x:event><x:string key="concept:name" value="A"/>'
+                     '<x:date key="time:timestamp" value="2020-02-01T00:00:00Z"/></x:event>'
+                     '</x:trace></x:log>',
+    "dtd-internal-entity": _doc(prolog='<!DOCTYPE log [<!ENTITY who "Dr &amp; Co">]>',
+                                trace='<foo>&who;</foo>').replace('value="A"', 'value="&who;"'),
+    "dtd-default-attribute": _doc(prolog='<!DOCTYPE log [<!ATTLIST foo extra CDATA "d">]>',
+                                  event='<foo a="1"/>'),
+    "comments-and-pis": _doc(prolog='<?xml version="1.0"?><?pi head?><!-- head -->',
+                             event='<?p inner?><!-- c --><foo/><?p?>x<!--y-->z<![CDATA[<&]]>'),
+    "bom": "\ufeff" + _doc(prolog='<?xml version="1.0" encoding="UTF-8"?>'),
+    "bad-literals-in-order": _doc(trace='<float key="f" value="y"/>').replace(
+        "</log>", '<int key="n" value="x"/><int key="m" value="z"/></log>'),
+    "bad-literal-then-malformed": '<log><int key="n" value="x"/><trace></log>',
+    "misplaced-containers": _doc(log='<event/>'),
+    "nested-event": _doc(event='<event/>'),
+    "warning-then-error": '<log><trace/><trace><string key="concept:name" value="case_1"/>'
+                          '</trace></log>',
+    "non-log-root": _doc(root="foo"),
+    "empty": "",
+    "junk-after-root": _doc() + "<x/>",
+    "undefined-entity": _doc(event="<foo>&undef;</foo>"),
+    "undefined-entity-external-dtd": _doc(prolog='<!DOCTYPE log SYSTEM "log.dtd">',
+                                          event="<foo>&undef;</foo>"),
+    "mismatched-tag": "<log><trace></log>",
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_streaming_reader_matches_tree_reader(text):
+    assert_readers_agree(text)
+
+
+def test_streaming_reader_matches_tree_reader_on_paper_logs():
+    for log in paper_logs():
+        assert_readers_agree(write_xes(log))
+
+
+@given(xes_logs())
+def test_streaming_reader_matches_tree_reader_property(log):
+    assert_readers_agree(write_xes(log))
