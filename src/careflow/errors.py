@@ -16,7 +16,7 @@ class CsvFormatError(CareflowError):
 
 
 class XesFormatError(CareflowError):
-    """Malformed XES input; carries the parser's location when available."""
+    """Malformed XES input, or a log XES cannot spell; carries the parser's location if any."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line

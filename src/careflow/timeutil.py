@@ -17,15 +17,18 @@ def to_utc(dt: datetime) -> datetime:
 def parse_timestamp(text: str, fmt: str | None = None) -> datetime:
     """Parse an instant, ISO-8601 by default or via a strptime format string.
 
-    Raises ValueError on unparseable input.
+    Raises ValueError on unparseable input or an instant outside datetime's range in UTC.
     """
     text = text.strip()
-    if fmt is not None:
-        return to_utc(datetime.strptime(text, fmt))
-    # datetime.fromisoformat in 3.10 does not accept a trailing 'Z'
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    return to_utc(datetime.fromisoformat(text))
+    try:
+        if fmt is not None:
+            return to_utc(datetime.strptime(text, fmt))
+        # datetime.fromisoformat in 3.10 does not accept a trailing 'Z'
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        return to_utc(datetime.fromisoformat(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} lies outside the datetime range in UTC") from None
 
 
 def format_timestamp(dt: datetime) -> str:

@@ -8,8 +8,8 @@ snippet and written back verbatim, so foreign logs survive a round trip.
 How a typed value is spelled is decided by the attribute codec in
 ``eventlog`` (``_PARSERS`` and ``_attr_text``), which CSV shares.
 
-The reader streams the document through expat and builds no element tree of
-it, so its memory follows the log rather than a tree.
+The reader streams: it reads each ``<trace>`` as it closes and drops its
+elements, so memory follows the log rather than a tree of the document.
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime
 from sys import intern
-from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
 from .errors import CareflowError, XesFormatError
 from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
+
+# characters fed to the parser at a time: with few parsed elements waiting to be read,
+# few live long enough for the garbage collector to promote them and collect in full
+_CHUNK = 1 << 12
 
 
 class XesWarning(UserWarning):
@@ -34,141 +37,108 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _qualified(elem: ET.Element) -> ET.Element:
-    """A captured element with expat's ``uri}local`` names spelled ``{uri}local``."""
-    for node in elem.iter():
-        node.tag = "{" + node.tag if "}" in node.tag else node.tag
-        node.attrib = {"{" + k if "}" in k else k: v for k, v in node.attrib.items()}
-    return elem
-
-
-class _Node:
-    """A container as read: typed attributes, snippets, containers, first bad literal."""
-
-    __slots__ = ("tag", "attrs", "raw", "children", "bad")
-
-    def __init__(self, tag: str):
-        self.tag, self.attrs, self.raw, self.children, self.bad = tag, {}, [], [], None
-
-    def parts(self) -> tuple[dict[str, AttrValue], list[str], list[_Node]]:
-        if self.bad:
-            raise XesFormatError(self.bad)
-        raw = [ET.tostring(_qualified(elem), encoding="unicode").strip() for elem in self.raw]
-        return self.attrs, raw, self.children
-
-
-def _read(text: str) -> _Node:
-    """One expat pass: the root's node, with every <trace>/<event> beneath it.
-
-    Any other element is captured whole, to become a typed attribute or a
-    snippet; whitespace between elements reaches no Python handler.
-    """
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.buffer_text = True
-    stack: list[_Node] = []
-    builder, depth = None, 0  # the element being captured and its open elements
-
-    def start(name, attrib):
-        nonlocal builder, depth
-        if not depth:
-            parser.CharacterDataHandler = None  # ends a snippet's tail
-            tag = _local(name) if "}" in name else name
-            if not stack or tag == "trace" or tag == "event":
-                stack.append(_Node(tag))
-                if len(stack) > 1:
-                    stack[-2].children.append(stack[-1])
-                return
-            builder = ET.TreeBuilder()
-            parser.CharacterDataHandler = builder.data
-        builder.start(name, attrib)
-        depth += 1
-
-    def end(name):
-        nonlocal depth
-        if not depth:
-            parser.CharacterDataHandler = None  # ends a snippet's tail
-            if len(stack) > 1:
-                stack.pop()
-            return
-        depth -= 1
-        elem = builder.end(name)
-        if depth:
-            return
-        tag = _local(name) if "}" in name else name
-        key, value, owner = elem.get("key"), elem.get("value"), stack[-1]
-        if tag in _PARSERS and key is not None and value is not None and not len(elem):
+def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET.Element]]:
+    """Split children into typed attributes, opaque snippets, and containers."""
+    attrs: dict[str, AttrValue] = {}
+    raw: list[str] = []
+    containers: list[ET.Element] = []
+    for child in elem:
+        tag = child.tag
+        tag = _local(tag) if "}" in tag else tag
+        if tag in ("trace", "event"):
+            containers.append(child)
+            continue
+        key = child.get("key")
+        value = child.get("value")
+        if tag in _PARSERS and key is not None and value is not None and len(child) == 0:
             try:
-                owner.attrs[intern(key)] = _PARSERS[tag](value)  # one copy of each key
+                attrs[intern(key)] = _PARSERS[tag](value)  # one copy of each key
             except ValueError:
-                owner.bad = owner.bad or f"bad {tag} literal {value!r} for key {key!r}"
-            parser.CharacterDataHandler = None
-        else:  # a snippet; its builder is done, so its tail up to the next tag is kept here
-            owner.raw.append(elem)
-            parser.CharacterDataHandler = lambda data: setattr(elem, "tail", (elem.tail or "") + data)
+                raise XesFormatError(f"bad {tag} literal {value!r} for key {key!r}")
+        else:
+            raw.append(ET.tostring(child, encoding="unicode").strip())
+    return attrs, raw, containers
 
-    def skipped(name, is_parameter_entity):  # an undeclared entity, when the DTD is external
-        if not is_parameter_entity:
-            raise XesFormatError(f"malformed XML: undefined entity &{name};",
-                                 line=parser.CurrentLineNumber, column=parser.CurrentColumnNumber)
 
-    parser.StartElementHandler, parser.EndElementHandler = start, end
-    parser.SkippedEntityHandler = skipped
-    try:
-        parser.Parse(text, True)
-    except expat.ExpatError as exc:
-        raise XesFormatError(f"malformed XML: {str(exc).split(':')[0]}",
-                             line=exc.lineno, column=exc.offset)
-    return stack[0]
+def _trace(trace_xml: ET.Element, position: int, used_ids: set[str], notes: list[str]) -> Trace:
+    """A child container of ``<log>`` read as a trace; warnings go to ``notes``."""
+    if _local(trace_xml.tag) != "trace":
+        raise XesFormatError("<event> element outside of a <trace>")
+    trace_attrs, trace_raw, events_xml = _collect(trace_xml)
+    case_id = trace_attrs.pop("concept:name", None)
+    if case_id in (None, ""):
+        case_id = f"case_{position}"
+        while case_id in used_ids:
+            case_id += "_x"
+        notes.append(f"trace #{position} lacks concept:name; assigned {case_id!r}")
+    case_id = str(case_id)
+    if case_id in used_ids:
+        raise XesFormatError(f"trace #{position} repeats case id {case_id!r}")
+    used_ids.add(case_id)
+
+    events: list[Event] = []
+    for event_xml in events_xml:
+        if _local(event_xml.tag) != "event":
+            raise XesFormatError("<trace> nested inside a <trace>")
+        event_attrs, event_raw, nested = _collect(event_xml)
+        if nested:
+            raise XesFormatError("<trace>/<event> nested inside an <event>")
+        activity = event_attrs.pop("concept:name", None)
+        if activity in (None, ""):
+            raise XesFormatError(f"event without concept:name in case {case_id!r}")
+        timestamp = event_attrs.pop("time:timestamp", None)
+        if not isinstance(timestamp, datetime):
+            raise XesFormatError(f"event without time:timestamp in case {case_id!r}")
+        events.append(Event(str(activity), timestamp, event_attrs, tuple(event_raw)))
+    return Trace(case_id, tuple(events), trace_attrs, tuple(trace_raw))
+
+
+def _pull(text: str):
+    """The ``(event, element)`` pairs of a start/end pull parse of ``text``."""
+    parser = ET.XMLPullParser(("start", "end"))
+    for at in range(0, len(text), _CHUNK):
+        parser.feed(text[at:at + _CHUNK])
+        yield from parser.read_events()
+    parser.close()
 
 
 def parse_xes(text: str) -> EventLog:
     """Parse an XES document into an event log.
 
     Traces without a ``concept:name`` get a synthetic case id and a warning is
-    emitted; events must carry both an activity and a timestamp.
+    emitted; events must carry both an activity and a timestamp. Errors rank as
+    in a reader that parses first: malformed XML, the root, the log's own
+    attributes, the first bad container (after the warnings of the traces before it).
     """
-    root = _read(text)
-    if root.tag != "log":
-        raise XesFormatError(f"expected <log> root element, found <{root.tag}>")
+    root, depth, traces, used_ids, notes, error = None, 0, [], set(), [], None
+    try:
+        for kind, elem in _pull(text):
+            if kind == "start":
+                root = elem if root is None else root
+                depth += 1
+                continue
+            depth -= 1
+            if depth == 1 and _local(elem.tag) in ("trace", "event"):
+                del root[-1]  # the container closing is the log's last child
+                if error is None:
+                    try:
+                        traces.append(_trace(elem, len(traces) + 1, used_ids, notes))
+                    except XesFormatError as exc:
+                        error = exc
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise XesFormatError(f"malformed XML: {exc.msg.split(':')[0]}", line=line, column=column)
+    if _local(root.tag) != "log":
+        raise XesFormatError(f"expected <log> root element, found <{_local(root.tag)}>")
 
-    log_attrs, log_raw, traces_xml = root.parts()
+    log_attrs, log_raw, _ = _collect(root)
     log_name = log_attrs.pop("concept:name", "")
     if not isinstance(log_name, str):
         log_name = str(log_name)
-
-    used_ids: set[str] = set()
-    traces: list[Trace] = []
-    for position, trace_xml in enumerate(traces_xml, start=1):
-        if trace_xml.tag != "trace":
-            raise XesFormatError("<event> element outside of a <trace>")
-        trace_attrs, trace_raw, events_xml = trace_xml.parts()
-        case_id = trace_attrs.pop("concept:name", None)
-        if case_id in (None, ""):
-            case_id = f"case_{position}"
-            while case_id in used_ids:
-                case_id += "_x"
-            warnings.warn(f"trace #{position} lacks concept:name; assigned {case_id!r}", XesWarning)
-        case_id = str(case_id)
-        if case_id in used_ids:
-            raise XesFormatError(f"trace #{position} repeats case id {case_id!r}")
-        used_ids.add(case_id)
-
-        events: list[Event] = []
-        for event_xml in events_xml:
-            if event_xml.tag != "event":
-                raise XesFormatError("<trace> nested inside a <trace>")
-            event_attrs, event_raw, nested = event_xml.parts()
-            if nested:
-                raise XesFormatError("<trace>/<event> nested inside an <event>")
-            activity = event_attrs.pop("concept:name", None)
-            if activity in (None, ""):
-                raise XesFormatError(f"event without concept:name in case {case_id!r}")
-            timestamp = event_attrs.pop("time:timestamp", None)
-            if not isinstance(timestamp, datetime):
-                raise XesFormatError(f"event without time:timestamp in case {case_id!r}")
-            events.append(Event(str(activity), timestamp, event_attrs, tuple(event_raw)))
-        traces.append(Trace(case_id, tuple(events), trace_attrs, tuple(trace_raw)))
-
+    for note in notes:
+        warnings.warn(note, XesWarning)
+    if error is not None:
+        raise error
     return EventLog(tuple(traces), name=log_name, attributes=log_attrs,
                     raw_extensions=tuple(log_raw))
 
@@ -189,25 +159,36 @@ def _emit_attrs(lines: list[str], indent: str, attrs: dict[str, AttrValue], raw:
         lines.append(indent + snippet)
 
 
+def _free(attrs: dict[str, AttrValue], owner: str, *reserved: str) -> dict[str, AttrValue]:
+    """A copy of ``attrs``, which must not hold the keys XES spells ``owner``'s own fields with."""
+    for key in reserved:
+        if key in attrs:
+            raise XesFormatError(f"{owner} has an attribute {key!r}, a key XES reserves")
+    return dict(attrs)
+
+
 def write_xes(log: EventLog) -> str:
     """Serialize a log as XES; output is deterministic and round-trip safe.
 
     Traces keep input order, attributes are sorted by key, opaque snippets are
-    written back after the typed attributes of their owner.
+    written back after the typed attributes of their owner. An attribute named
+    like a field XES spells as an attribute (``concept:name`` of the log, a
+    trace or an event, an event's ``time:timestamp``) raises XesFormatError.
     """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', '<log xes.version="1.0">']
-    log_attrs = dict(log.attributes)
+    log_attrs = _free(log.attributes, "the log", "concept:name")
     if log.name:
         log_attrs["concept:name"] = log.name
     _emit_attrs(lines, "  ", log_attrs, log.raw_extensions)
     for trace in log:
         lines.append("  <trace>")
-        trace_attrs = dict(trace.attributes)
+        trace_attrs = _free(trace.attributes, f"case {trace.case_id!r}", "concept:name")
         trace_attrs["concept:name"] = trace.case_id
         _emit_attrs(lines, "    ", trace_attrs, trace.raw_extensions)
+        in_trace = f"an event of case {trace.case_id!r}"
         for event in trace.events:
             lines.append("    <event>")
-            event_attrs = dict(event.attributes)
+            event_attrs = _free(event.attributes, in_trace, "concept:name", "time:timestamp")
             event_attrs["concept:name"] = event.activity
             event_attrs["time:timestamp"] = event.timestamp
             _emit_attrs(lines, "      ", event_attrs, event.raw_extensions)

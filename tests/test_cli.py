@@ -99,10 +99,14 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
     ("pnml", PNML.replace("<text>1</text></place>", "<text>1.5</text></place>"), "'p3'"),
     ("csv", CSV + ",B,2020-02-01T01:00:00+00:00\n", "row 3"),
     ("csv", CSV + "c1,,2020-02-01T01:00:00+00:00\n", "row 3"),
+    ("csv", CSV + "c1,B,0001-01-01T00:00:00+01:00\n", "row 3"),
     ("xes", XES.replace("</log>", TRACE + "</log>"), "trace #2"),
     ("xes", XES.replace('value="A"', 'value=""'), "case 'c1'"),
+    ("xes", XES.replace("2020-02-01T00:00:00+00:00", "0001-01-01T00:00:00+01:00"),
+     "bad date literal"),
 ], ids=["noise-seed", "noise-drop", "wave-number", "wave-empty", "initial-marking",
-        "final-marking", "empty-case", "empty-activity", "duplicate-case", "empty-event-name"])
+        "final-marking", "empty-case", "empty-activity", "instant-out-of-range-csv",
+        "duplicate-case", "empty-event-name", "instant-out-of-range-xes"])
 def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, tmp_path, capsys):
     parse, error = PARSERS[kind]
     with pytest.raises(error, match=location):

@@ -121,7 +121,7 @@ def test_sniff_format():
 
 _name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, include_characters="\t\n\r"),
                 min_size=1, max_size=12)
-# XES spells the case id, activity and timestamp as these keys, so they are no free attributes
+# write_xes rejects these as attribute keys (test_writer_rejects_reserved_keys)
 _key = _name.filter(lambda key: key not in ("concept:name", "time:timestamp"))
 _value = st.one_of(
     _name,
@@ -162,6 +162,18 @@ def test_writer_escapes_like_quoteattr(text):
     spelled = quoteattr(text)
     assert xes.count(f"<string key={spelled} value={spelled}/>") == 1
     assert xes.count(f'<string key="concept:name" value={spelled}/>') == 3  # log, case, activity
+
+
+@pytest.mark.parametrize("log", [
+    EventLog(attributes={"concept:name": "x"}),
+    EventLog((Trace("c", (), {"concept:name": "0"}),)),
+    EventLog((Trace("c", (Event("A", T0, {"concept:name": "B"}),)),)),
+    EventLog((Trace("c", (Event("A", T0, {"time:timestamp": T0}),)),)),
+], ids=["log-name", "case-id", "activity", "timestamp"])
+def test_writer_rejects_reserved_keys(log):
+    # written, the attribute would be overwritten or read back as the field itself
+    with pytest.raises(XesFormatError, match="a key XES reserves"):
+        write_xes(log)
 
 
 # --- the streaming reader against the tree-based one ---------------------------
@@ -214,6 +226,17 @@ READER_CASES = {
     "bad-literals-in-order": _doc(trace='<float key="f" value="y"/>').replace(
         "</log>", '<int key="n" value="x"/><int key="m" value="z"/></log>'),
     "bad-literal-then-malformed": '<log><int key="n" value="x"/><trace></log>',
+    "bad-trace-then-malformed": '<log><trace><int key="n" value="x"/></trace><trace></log>',
+    "warning-then-malformed": '<log><trace/><trace></log>',
+    "two-bad-traces": '<log><trace><int key="n" value="x"/></trace>'
+                      '<trace><float key="f" value="y"/></trace></log>',
+    "date-out-of-range-then-malformed":
+        '<log><date key="d" value="0001-01-01T00:00:00+01:00"/><trace></log>',
+    "bad-literal-then-date-out-of-range":
+        '<log><int key="n" value="x"/><date key="d" value="0001-01-01T00:00:00+01:00"/></log>',
+    "trace-date-out-of-range-then-malformed":
+        '<log><trace><date key="d" value="0001-01-01T00:00:00+01:00"/></trace><trace></log>',
+    "date-out-of-range": _doc(event='<date key="d" value="9999-12-31T23:59:59-01:00"/>'),
     "misplaced-containers": _doc(log='<event/>'),
     "nested-event": _doc(event='<event/>'),
     "warning-then-error": '<log><trace/><trace><string key="concept:name" value="case_1"/>'
