@@ -32,9 +32,10 @@ other numbering would break it). ``max_expansions`` bounds each search and
 raises ReplayBudgetError. ``replay_log`` reuses work within one call and frees
 it on return: each variant, keyed by the activity sequence (unmapped events
 included) and whether the final marking is ignored, is searched once and its
-repeats copy the result under their own case id; and one successor memo keyed
-by (marking, transition) serves every trace, as firing depends on the marking
-alone.
+repeats copy the result under their own case id; and one successor memo, with
+one copy of each marking, serves every trace, as firing depends on the marking
+alone. The search pushes silent successors one at a time and spells paths as
+bytes, which keeps its heap small.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def _final_gap(final: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, in
 
 
 class _Replayer:
-    """Replays traces on one net with one successor memo: ``moves`` maps
-    (marking, transition) to (successor, missing tokens), and ``silent_moves``
-    holds each marking's silent moves."""
+    """Replays traces on one net with one successor memo: ``moves`` maps (marking,
+    labeled transition) to (successor, missing tokens), ``silent_moves`` holds each
+    marking's silent moves sorted by missing tokens, ``markings`` one copy of each."""
 
     def __init__(self, net: PetriNet, label_map: dict[str, str] | None, max_expansions: int):
         self.net, self.cn, self.label_map = net, net.compiled, label_map
@@ -107,6 +108,7 @@ class _Replayer:
         self.silents = tuple(t for t, label in enumerate(self.cn.labels) if label is None)
         self.moves: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
         self.silent_moves: dict[tuple[int, ...], tuple] = {}
+        self.markings: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _candidates(self, activity: str) -> tuple[int, ...]:
         """Transition indices an event may fire, ascending; empty when unmapped."""
@@ -122,30 +124,50 @@ class _Replayer:
             raise ReplayConfigError(f"label_map maps {activity!r} to silent transition {tid!r}")
         return (index[tid],)
 
+    def _fire(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
+        succ, missing = self.cn.fire(vector, t)
+        return self.markings.setdefault(succ, succ), len(missing)
+
     def _move(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
         hit = self.moves.get((vector, t))
         if hit is None:
-            succ, missing = self.cn.fire(vector, t)
-            hit = self.moves[vector, t] = (succ, len(missing))
+            hit = self.moves[vector, t] = self._fire(vector, t)
         return hit
 
     def _search(self, case_id: str, events: list[tuple[int, ...]],
-                ignore_final_marking: bool) -> tuple[int, ...]:
+                ignore_final_marking: bool) -> bytes | tuple[int, ...]:
         """The winning schedule for the mapped events' candidate transitions.
 
-        Heap entries (m, r, silents, path, event, marking, gap) sort in cost order.
+        Heap entries (m, r, silents, path, event, marking, gap, siblings, k) sort in
+        cost order; a path is bytes when indices fit in a byte, which sort like tuples.
         Of duplicate-label candidates the first enabled one fires, else the first.
+        Sorted by (missing, index), a marking's silent moves cost no less than the one
+        before, so popping ``siblings[k]`` pushes the next: the pop order is unchanged.
         """
-        pre, final = self.cn.pre, self.cn.final
+        cn = self.cn
+        pre, final = cn.pre, cn.final
         move, silent_moves = self._move, self.silent_moves
         budget = self.max_expansions
         n = len(events)
         push, pop = heapq.heappush, heapq.heappop
-        heap = [(0, 0, 0, (), 0, self.cn.initial, 0)]
+        wide = len(cn.tids) > 256
+        step = [(t,) if wide else bytes((t,)) for t in range(len(cn.tids))]
+        heap = [(0, 0, 0, () if wide else b"", 0, cn.initial, 0, None, 0)]
         settled: set[tuple[int, tuple[int, ...], int]] = set()
         expansions = 0
+
+        def push_silent(m, r, s, path, i, gap, silent, k):
+            """Push the first move of ``silent[k:]`` that leads to an unsettled state."""
+            for k in range(k, len(silent)):
+                t, succ, missing = silent[k]
+                if (i, succ, gap + 1) not in settled:
+                    push(heap, (m + missing, r, s + 1, path + step[t], i, succ, gap + 1, silent, k))
+                    return
+
         while heap:
-            m, r, s, path, i, vector, gap = pop(heap)
+            m, r, s, path, i, vector, gap, siblings, k = pop(heap)
+            if siblings is not None:
+                push_silent(m - siblings[k][2], r, s - 1, path[:-1], i, gap - 1, siblings, k + 1)
             state = (i, vector, gap)
             if state in settled:
                 continue
@@ -159,7 +181,7 @@ class _Replayer:
                 deficit = remaining = 0
                 if not ignore_final_marking:
                     deficit, remaining, _ = _final_gap(final, vector)
-                push(heap, (m + deficit, r + remaining, s, path, _DONE, (), 0))
+                push(heap, (m + deficit, r + remaining, s, path, _DONE, (), 0, None, 0))
             else:
                 candidates = events[i]
                 t = candidates[0]
@@ -167,14 +189,13 @@ class _Replayer:
                     t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
                 succ, missing = move(vector, t)
                 if (i + 1, succ, 0) not in settled:
-                    push(heap, (m + missing, r, s, path + (t,), i + 1, succ, 0))
+                    push(heap, (m + missing, r, s, path + step[t], i + 1, succ, 0, None, 0))
             if gap < MAX_SILENT_RUN:
                 silent = silent_moves.get(vector)
                 if silent is None:
-                    silent = silent_moves[vector] = tuple((t,) + move(vector, t) for t in self.silents)
-                for t, succ, missing in silent:
-                    if (i, succ, gap + 1) not in settled:
-                        push(heap, (m + missing, r, s + 1, path + (t,), i, succ, gap + 1))
+                    hits = ((t,) + self._fire(vector, t) for t in self.silents)  # ascending t
+                    silent = silent_moves[vector] = tuple(sorted(hits, key=lambda hit: hit[2]))
+                push_silent(m, r, s, path, i, gap, silent, 0)
         raise AssertionError("unreachable: the no-silents schedule always completes")
 
     def replay(self, trace: Trace, ignore_final_marking: bool) -> TraceReplayResult:

@@ -231,6 +231,44 @@ def test_noisy_replay_outputs_are_pinned():
     assert digest == "87a0548c4ddea2d2a7d9a29918af68ca9db77d9d6eda759cf1137306d2fed2ba"
 
 
+def test_search_expansions_are_pinned():
+    # the least max_expansions that replays every ninth trace of the packaged config's
+    # noisy log, recorded when the search pushed all silent successors at once
+    net = covas_model()
+    _, noisy = paper_logs()
+    least = []
+    for trace in noisy.traces[::9]:
+        low, high = 1, 10_000
+        while low < high:
+            budget = (low + high) // 2
+            try:
+                replay_trace(net, trace, ignore_final_marking=not trace.complete,
+                             max_expansions=budget)
+                high = budget
+            except ReplayBudgetError:
+                low = budget + 1
+        least.append(low)
+    assert least == [85, 26, 340, 27, 398, 26, 227, 26, 44, 44, 20, 22, 263, 27, 16, 26,
+                     44, 366, 26, 45, 27, 18, 2, 72]
+
+
+def test_net_with_more_transitions_than_a_byte_indexes():
+    # 301 transitions, so the search spells its paths as tuples, not bytes
+    n = 300
+    ids = [f"t{k:03d}" for k in range(n)]
+    arcs = tuple(arc for k, tid in enumerate(ids) for arc in ((f"p{k}", tid), (tid, f"p{k + 1}")))
+    net = PetriNet(
+        places=tuple(f"p{k}" for k in range(n + 1)),
+        transitions=tuple(Transition(tid, tid.upper()) for tid in ids) + (Transition("skip", None),),
+        arcs=arcs + (("p0", "skip"), ("skip", f"p{n // 2}")),
+        initial_marking=Marking({"p0": 1}),
+        final_marking=Marking({f"p{n}": 1}),
+    )
+    result = replay_trace(net, make_trace("c1", [tid.upper() for tid in ids[n // 2:]]))
+    assert [s.transition_id for s in result.firing_log] == ["skip"] + ids[n // 2:]
+    assert result.fitness == 1.0
+
+
 def test_ties_break_on_transition_ids_not_declaration_order():
     # s2 is declared before s1; both schedules cost (0, 0, 1), so tie 4 decides
     net = PetriNet(
