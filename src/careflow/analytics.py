@@ -10,7 +10,7 @@ from .eventlog import EventLog, _mean_case_duration, filter_by_time, filter_comp
 from .timeutil import format_timestamp, to_utc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DottedChartRow:
     case_index: int
     case_id: str

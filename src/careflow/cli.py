@@ -53,6 +53,17 @@ def _read_log(path: str, types: str | None = None) -> EventLog:
     return csvio.parse_csv(text, mapping)
 
 
+def _count(text: str) -> int:
+    """An option value that counts: an integer, 0 or more (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_types(spec: str) -> dict[str, str]:
     out = {}
     for part in spec.split(","):
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("variants", _cmd_variants, "list activity-sequence variants by frequency")
     p.add_argument("log")
-    p.add_argument("--top", type=int, default=0, help="show only the N most frequent")
+    p.add_argument("--top", type=_count, default=0, help="show only the N most frequent")
     p.add_argument("--json", action="store_true")
 
     p = add("dfg", _cmd_dfg, "discover a directly-follows graph")

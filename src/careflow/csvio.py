@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from sys import intern
 
 from .errors import CsvFormatError
 from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
@@ -49,14 +50,28 @@ def _convert(column: str, raw: str, mapping: ColumnMapping, row_no: int) -> Attr
         raise CsvFormatError(f"cannot parse {raw!r} as {kind} in column {column!r}", row=row_no)
 
 
+def _lines(text: str, start: int = 0):
+    """Lines of ``text`` from ``start`` on, split after each ``"\\n"`` as ``io.StringIO`` splits.
+
+    Only slices of ``text`` are made; ``io.StringIO`` would hold a copy of it
+    at four bytes a character.
+    """
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
 def parse_csv(text: str, mapping: ColumnMapping = DEFAULT_MAPPING, name: str = "") -> EventLog:
     """Parse CSV text into an event log.
 
     One trace per distinct case id, in order of first appearance; events are
     sorted by timestamp within each trace (stable for ties). Empty input gives
-    an empty log.
+    an empty log. A leading byte order mark (U+FEFF), which spreadsheet tools
+    write, is skipped.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text, 1 if text.startswith("\ufeff") else 0))
     try:
         header = next(reader)
     except StopIteration:
@@ -76,7 +91,7 @@ def parse_csv(text: str, mapping: ColumnMapping = DEFAULT_MAPPING, name: str = "
         if len(row) < len(header):
             row = row + [""] * (len(header) - len(row))
         case_id = row[idx[mapping.case]]
-        activity = row[idx[mapping.activity]]
+        activity = intern(row[idx[mapping.activity]])  # one copy of each label
         ts_raw = row[idx[mapping.timestamp]]
         if not case_id or not activity:
             column = mapping.activity if case_id else mapping.case

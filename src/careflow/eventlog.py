@@ -1,7 +1,8 @@
 """Event log data model: events, traces, logs, variants, statistics, filtering.
 
 Values are immutable after construction; every operation returns new objects,
-so per-trace work can safely run concurrently.
+so per-trace work can safely run concurrently. Events and traces, of which a
+log holds one per row and per case, are slotted: they carry no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _normalize_attrs(attrs: dict[str, AttrValue]) -> dict[str, AttrValue]:
     return {k: to_utc(v) if isinstance(v, datetime) else v for k, v in attrs.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One recorded activity execution."""
 
@@ -64,7 +65,7 @@ class Event:
         object.__setattr__(self, "attributes", _normalize_attrs(self.attributes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """All events of one case, kept sorted by timestamp (stable for ties)."""
 

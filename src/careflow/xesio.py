@@ -89,7 +89,7 @@ def _trace(trace_xml: ET.Element, position: int, used_ids: set[str], notes: list
         timestamp = event_attrs.pop("time:timestamp", None)
         if not isinstance(timestamp, datetime):
             raise XesFormatError(f"event without time:timestamp in case {case_id!r}")
-        events.append(Event(str(activity), timestamp, event_attrs, tuple(event_raw)))
+        events.append(Event(intern(str(activity)), timestamp, event_attrs, tuple(event_raw)))
     return Trace(case_id, tuple(events), trace_attrs, tuple(trace_raw))
 
 

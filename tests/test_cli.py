@@ -120,8 +120,9 @@ def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, t
     assert location in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["no-such-command"], ["waves", "log.xes"]],
-                         ids=["unknown-command", "missing-split"])
+@pytest.mark.parametrize("argv", [["no-such-command"], ["waves", "log.xes"],
+                                  ["variants", "log.xes", "--top", "-1"]],
+                         ids=["unknown-command", "missing-split", "negative-top"])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
@@ -133,3 +134,13 @@ def test_csv_types_accept_bool(tmp_path):
     assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes"),
                      "--types", "case:ards=bool"]) == 0
     assert parse_xes((tmp_path / "out.xes").read_text(encoding="utf-8")) == log
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    """Spreadsheet tools save "CSV UTF-8" with a leading U+FEFF."""
+    text = write_csv(make_log(["A", "B"], ["A"]))
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.csv").read_text(encoding="utf-8").startswith("\ufeffcase_id")
+    assert (run_json(capsys, "stats", str(tmp_path / "bom.csv"), "--json")
+            == run_json(capsys, "stats", str(tmp_path / "plain.csv"), "--json"))

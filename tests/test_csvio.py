@@ -4,12 +4,13 @@ import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
-from careflow.csvio import ColumnMapping, parse_csv, roundtrip_mapping, write_csv
+from careflow.csvio import ColumnMapping, _lines, parse_csv, roundtrip_mapping, write_csv
 from careflow.errors import CsvFormatError
 from careflow.eventlog import Event, EventLog, Trace
 from careflow.xesio import parse_xes, write_xes
-from helpers import T0, make_trace
+from helpers import T0, make_trace, paper_logs
 
 CSV = """case_id,activity,timestamp
 c1,A,2020-02-01T00:00:00+00:00
@@ -34,6 +35,37 @@ def test_out_of_order_rows_are_sorted():
 def test_empty_input_is_empty_log():
     assert len(parse_csv("")) == 0
     assert len(parse_csv("case_id,activity,timestamp\n")) == 0
+
+
+def test_leading_byte_order_mark_is_skipped():
+    assert parse_csv("\ufeff" + CSV) == parse_csv(CSV)
+    with pytest.raises(CsvFormatError, match="case_id"):
+        parse_csv("\ufeff\ufeff" + CSV)  # only the first is a byte order mark
+
+
+def _rows(lines, strict: bool) -> list:
+    """What ``csv.reader`` reads from ``lines``: its rows, then its error text if it raises."""
+    rows = []
+    try:
+        rows.extend(csv.reader(lines, strict=strict))
+    except csv.Error as exc:
+        rows.append(str(exc))
+    return rows
+
+
+@given(st.text('a ,"\r\n\x0c\x85\u2028'), st.booleans(), st.data())
+def test_line_source_reads_like_stringio(text, strict, data):
+    """Only "\\n" ends a line, as in ``io.StringIO``; other line breaks stay inside it."""
+    start = data.draw(st.integers(0, len(text)))
+    assert _rows(_lines(text, start), strict) == _rows(io.StringIO(text[start:]), strict)
+
+
+@pytest.mark.parametrize("fmt", ["xes", "csv"])
+def test_equal_labels_are_one_object(fmt):
+    clean, _ = paper_logs()
+    log = parse_xes(write_xes(clean)) if fmt == "xes" else parse_csv(write_csv(clean))
+    labels = [e.activity for t in log for e in t.events]
+    assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
 
 
 def test_missing_column_is_structural_error():

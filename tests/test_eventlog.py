@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from careflow.analytics import DottedChartRow
 from careflow.eventlog import (Event, EventLog, Trace, drop_activities, filter_by_time,
                                filter_complete, log_stats, variants)
 from helpers import T0, make_log, make_trace, random_log
@@ -17,6 +18,12 @@ def test_event_requires_activity():
 def test_event_normalizes_to_utc():
     naive = Event("A", datetime(2020, 3, 1, 12, 0))
     assert naive.timestamp.tzinfo == timezone.utc
+
+
+def test_per_event_and_per_case_records_are_slotted():
+    event = Event("A", T0)
+    for record in (event, Trace("c1", (event,)), DottedChartRow(0, "c1", T0, "unknown")):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_trace_sorts_events_stably():
