@@ -1,13 +1,12 @@
-"""Log analytics: dotted chart, resource occupancy, durations, wave comparison."""
+"""Log analytics: dotted chart, resource occupancy, wave comparison."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from .dfg import Dfg, _summary, discover_dfg
 from .eventlog import EventLog, _mean_case_duration, filter_by_time, filter_complete
-from .timeutil import format_timestamp, to_utc
+from .timeutil import format_timestamp
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,7 +20,6 @@ class DottedChartRow:
 @dataclass(frozen=True)
 class DottedChartData:
     rows: tuple[DottedChartRow, ...]
-    sort_mode: str
 
 
 @dataclass(frozen=True)
@@ -34,26 +32,14 @@ class OccupancySeries:
 
 
 @dataclass(frozen=True)
-class CaseDurationStats:
-    mean: timedelta
-    median: timedelta
-    min: timedelta
-    max: timedelta
-    histogram: tuple[int, ...]
-    bin_width: timedelta
-
-
-@dataclass(frozen=True)
 class WaveStats:
     case_count: int
     event_count: int
     mean_case_duration: timedelta | None
-    dfg: Dfg
 
 
 @dataclass(frozen=True)
 class WaveComparison:
-    split: datetime
     first: WaveStats
     second: WaveStats
 
@@ -86,7 +72,7 @@ def dotted_chart(log: EventLog, color_attribute: str = "ards",
         color = _color_value(trace.attributes.get(color_attribute))
         for event in trace.events:
             rows.append(DottedChartRow(index, trace.case_id, event.timestamp, color))
-    return DottedChartData(tuple(rows), sort)
+    return DottedChartData(tuple(rows))
 
 
 def occupancy(log: EventLog, start_activity: str, end_activity: str) -> OccupancySeries:
@@ -161,39 +147,20 @@ def occupancy_daily_max(series: OccupancySeries) -> tuple[tuple[datetime, int], 
     return tuple(sorted(days.items()))
 
 
-def case_duration_stats(log: EventLog) -> CaseDurationStats | None:
-    """Duration summary over complete traces; None when there are none.
-
-    The histogram uses one-day bins starting at zero.
-    """
-    bin_width = timedelta(days=1)
-    durations = [t.duration for t in log if t.complete and t.events]
-    if not durations:
-        return None
-    summary = _summary(durations)
-    bins = int(summary.max / bin_width) + 1
-    histogram = [0] * bins
-    for d in durations:
-        histogram[min(int(d / bin_width), bins - 1)] += 1
-    return CaseDurationStats(mean=summary.mean, median=summary.median, min=summary.min,
-                             max=summary.max, histogram=tuple(histogram), bin_width=bin_width)
-
-
 def compare_waves(log: EventLog, split: datetime, complete_only: bool = True) -> WaveComparison:
     """Split the log at an instant (anchored on first events) and compare sides.
 
     Ongoing cases are excluded by default: their durations are censored, so
     per-wave counts and means are computed over complete cases.
     """
-    split = to_utc(split)
     base = filter_complete(log) if complete_only else log
 
     def wave(side: str) -> WaveStats:
         part = filter_by_time(base, split, side)
         return WaveStats(case_count=len(part), event_count=part.event_count,
-                         mean_case_duration=_mean_case_duration(part), dfg=discover_dfg(part))
+                         mean_case_duration=_mean_case_duration(part))
 
-    return WaveComparison(split, wave("before"), wave("on_or_after"))
+    return WaveComparison(wave("before"), wave("on_or_after"))
 
 
 # --- CSV / SVG emitters -------------------------------------------------------

@@ -47,10 +47,7 @@ def _read_log(path: str, types: str | None = None) -> EventLog:
         text = handle.read()
     if kind == "xes":
         return xesio.parse_xes(text)
-    mapping = csvio.DEFAULT_MAPPING
-    if types:
-        mapping = csvio.ColumnMapping(type_map=_parse_types(types))
-    return csvio.parse_csv(text, mapping)
+    return csvio.parse_csv(text, _parse_types(types) if types else None)
 
 
 def _count(text: str) -> int:
@@ -210,6 +207,11 @@ def _cmd_occupancy(args) -> int:
     for case_id in series.flagged_cases:
         print(f"warning: unpaired {args.start}/{args.end} events in case {case_id}",
               file=sys.stderr)
+    if args.out:
+        if args.out.endswith(".svg"):
+            _write_text(args.out, analytics.occupancy_svg(series))
+        else:
+            _write_text(args.out, analytics.occupancy_csv(series, daily_max=args.daily_max))
     if args.json:
         payload = {
             "peak": None if series.peak is None else
@@ -217,15 +219,10 @@ def _cmd_occupancy(args) -> int:
             "breakpoints": len(series.breakpoints),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.out:
-        if args.out.endswith(".svg"):
-            _write_text(args.out, analytics.occupancy_svg(series))
-        else:
-            _write_text(args.out, analytics.occupancy_csv(series, daily_max=args.daily_max))
-        if series.peak:
-            print(f"peak: {series.peak[1]} at {format_timestamp(series.peak[0])}")
-    else:
+    elif not args.out:
         print(analytics.occupancy_csv(series, daily_max=args.daily_max), end="")
+    elif series.peak:
+        print(f"peak: {series.peak[1]} at {format_timestamp(series.peak[0])}")
     return 0
 
 
@@ -252,7 +249,7 @@ def _cmd_waves(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config, noise = parse_config(_resolve_config(args.config))
-    log = simulate(config, covas_model() if args.model == "covas" else _load_model(args.model))
+    log = simulate(config, _load_model(args.model))
     if args.with_noise:
         if noise is None:
             raise CareflowError("--with-noise requires noise.* keys in the config")
@@ -340,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--drop-activity", action="append", default=[],
                    help="drop all events with this activity (repeatable)")
-    p.add_argument("--types", help="CSV column types, e.g. 'case:ards=bool,n=int'")
+    p.add_argument("--types",
+                   help="types of extra CSV columns (the core ones are case_id, activity and "
+                        "timestamp), e.g. 'case:ards=bool,n=int'; kinds: string, int, float, "
+                        "boolean (or bool), date")
 
     return parser
 

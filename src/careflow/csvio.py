@@ -1,19 +1,20 @@
 """CSV ingestion and export for event logs.
 
-The default column layout is ``case_id,activity,timestamp`` (RFC-4180, UTF-8).
-Extra columns become event attributes; columns prefixed ``case:`` become trace
-attributes (written once per case, repeated on every row). All non-core values
-are ingested as strings unless a type map says otherwise, so nothing is
-silently coerced. Values are parsed and spelled by the attribute codec in
-``eventlog`` (``_PARSERS`` and ``_attr_text``), which XES shares, so a value
-reads the same in both formats.
+The layout is fixed: RFC-4180, UTF-8, with a header that names the core
+columns ``case_id``, ``activity`` and ``timestamp`` (an ISO-8601 instant), in
+any order. Extra columns become event attributes; columns prefixed ``case:``
+become trace attributes (written once per case, repeated on every row). Extra
+values are read as strings unless a ``types`` map gives their column one of
+the kinds ``string``, ``int``, ``float``, ``boolean`` (or ``bool``) and
+``date``, so nothing is silently coerced. Values are parsed and spelled by the
+attribute codec in ``eventlog`` (``_PARSERS`` and ``_attr_text``), which XES
+shares, so a value reads the same in both formats.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from sys import intern
 
 from .errors import CsvFormatError
@@ -21,33 +22,7 @@ from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
 from .timeutil import format_timestamp, parse_timestamp
 
 CASE_PREFIX = "case:"
-
-
-@dataclass(frozen=True)
-class ColumnMapping:
-    """Names of the core columns plus parse options."""
-
-    case: str = "case_id"
-    activity: str = "activity"
-    timestamp: str = "timestamp"
-    timestamp_format: str | None = None
-    # column name -> one of 'string' | 'int' | 'float' | 'boolean' (or 'bool') | 'date'
-    type_map: dict[str, str] = field(default_factory=dict)
-
-
-DEFAULT_MAPPING = ColumnMapping()
-
-
-def _convert(column: str, raw: str, mapping: ColumnMapping, row_no: int) -> AttrValue:
-    kind = mapping.type_map.get(column, "string")
-    try:
-        parser = _PARSERS["boolean" if kind == "bool" else kind]
-    except KeyError:
-        raise CsvFormatError(f"unknown type {kind!r} for column {column!r}")
-    try:
-        return parser(raw)
-    except ValueError:
-        raise CsvFormatError(f"cannot parse {raw!r} as {kind} in column {column!r}", row=row_no)
+CORE = ("case_id", "activity", "timestamp")
 
 
 def _lines(text: str, start: int = 0):
@@ -63,67 +38,71 @@ def _lines(text: str, start: int = 0):
         start = stop
 
 
-def parse_csv(text: str, mapping: ColumnMapping = DEFAULT_MAPPING, name: str = "") -> EventLog:
-    """Parse CSV text into an event log.
+def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
+    """Parse CSV text into an event log; ``types`` maps extra columns to kinds.
 
-    One trace per distinct case id, in order of first appearance; events are
-    sorted by timestamp within each trace (stable for ties). Empty input gives
-    an empty log. A leading byte order mark (U+FEFF), which spreadsheet tools
-    write, is skipped.
+    Every kind in ``types`` is checked before the first row is read. One trace
+    per distinct case id, in order of first appearance; ``Trace`` sorts its
+    events by timestamp (stable for ties). Empty input gives an empty log. A
+    leading byte order mark (U+FEFF), which spreadsheet tools write, is skipped.
     """
+    types = types or {}
+    parsers = {}
+    for column, kind in types.items():
+        parser = _PARSERS.get("boolean" if kind == "bool" else kind)
+        if parser is None:
+            raise CsvFormatError(f"unknown type {kind!r} for column {column!r}")
+        parsers[column] = parser
     reader = csv.reader(_lines(text, 1 if text.startswith("\ufeff") else 0))
     try:
         header = next(reader)
     except StopIteration:
-        return EventLog((), name=name)
-    for core in (mapping.case, mapping.activity, mapping.timestamp):
+        return EventLog()
+    for core in CORE:
         if core not in header:
-            raise CsvFormatError(f"missing mapped column {core!r} in header")
+            raise CsvFormatError(f"missing column {core!r} in header")
     idx = {col: i for i, col in enumerate(header)}
-    extra_cols = [c for c in header if c not in (mapping.case, mapping.activity, mapping.timestamp)]
+    case_at, activity_at, timestamp_at = (idx[core] for core in CORE)
+    extra = [(idx[col], col, parsers.get(col, str)) for col in header if col not in CORE]
 
-    order: list[str] = []
-    events: dict[str, list[Event]] = {}
-    trace_attrs: dict[str, dict[str, AttrValue]] = {}
+    cases: dict[str, tuple[list[Event], dict[str, AttrValue]]] = {}
     for row_no, row in enumerate(reader, start=2):
-        if not row or all(cell == "" for cell in row):
+        if not any(row):
             continue
         if len(row) < len(header):
             row = row + [""] * (len(header) - len(row))
-        case_id = row[idx[mapping.case]]
-        activity = intern(row[idx[mapping.activity]])  # one copy of each label
-        ts_raw = row[idx[mapping.timestamp]]
+        case_id = row[case_at]
+        activity = intern(row[activity_at])  # one copy of each label
+        ts_raw = row[timestamp_at]
         if not case_id or not activity:
-            column = mapping.activity if case_id else mapping.case
-            raise CsvFormatError(f"empty {column!r} cell", row=row_no)
+            raise CsvFormatError(f"empty {'activity' if case_id else 'case_id'!r} cell", row=row_no)
         try:
-            ts = parse_timestamp(ts_raw, mapping.timestamp_format)
+            ts = parse_timestamp(ts_raw)
         except ValueError:
             raise CsvFormatError(f"unparseable timestamp {ts_raw!r}", row=row_no)
-        if case_id not in events:
-            events[case_id] = []
-            trace_attrs[case_id] = {}
-            order.append(case_id)
+        case = cases.get(case_id)
+        if case is None:
+            case = cases[case_id] = ([], {})
         attrs: dict[str, AttrValue] = {}
-        for col in extra_cols:
-            raw = row[idx[col]]
+        for at, col, parse in extra:
+            raw = row[at]
             if raw == "":
                 continue
-            value = _convert(col, raw, mapping, row_no)
+            try:
+                value = parse(raw)
+            except ValueError:
+                raise CsvFormatError(f"cannot parse {raw!r} as {types[col]} in column {col!r}",
+                                     row=row_no)
             if col.startswith(CASE_PREFIX):
-                trace_attrs[case_id][col[len(CASE_PREFIX):]] = value
+                case[1][col[len(CASE_PREFIX):]] = value
             else:
                 attrs[col] = value
-        events[case_id].append(Event(activity, ts, attrs))
-
-    traces = []
-    for case_id in order:
-        evs = sorted(events[case_id], key=lambda e: e.timestamp)
-        traces.append(Trace(case_id, tuple(evs), trace_attrs[case_id]))
-    return EventLog(tuple(traces), name=name)
+        case[0].append(Event(activity, ts, attrs))
+    return EventLog(tuple(Trace(case_id, tuple(events), attrs)
+                          for case_id, (events, attrs) in cases.items()))
 
 
-def write_csv(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> str:
+def write_csv(log: EventLog) -> str:
     """Serialize a log to CSV, deterministically.
 
     Traces keep input order; attribute columns are sorted by name. Trace
@@ -131,8 +110,7 @@ def write_csv(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> str:
     """
     event_keys = sorted({k for t in log for e in t.events for k in e.attributes})
     trace_keys = sorted({k for t in log for k in t.attributes})
-    header = [mapping.case, mapping.activity, mapping.timestamp]
-    header += event_keys + [CASE_PREFIX + k for k in trace_keys]
+    header = [*CORE, *event_keys, *(CASE_PREFIX + k for k in trace_keys)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -141,9 +119,7 @@ def write_csv(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> str:
         case_cells = [_attr_text(trace.attributes[k])[1] if k in trace.attributes else ""
                       for k in trace_keys]
         for event in trace.events:
-            row = [trace.case_id, event.activity,
-                   format_timestamp(event.timestamp) if mapping.timestamp_format is None
-                   else event.timestamp.strftime(mapping.timestamp_format)]
+            row = [trace.case_id, event.activity, format_timestamp(event.timestamp)]
             row += [_attr_text(event.attributes[k])[1] if k in event.attributes else ""
                     for k in event_keys]
             row += case_cells
@@ -151,18 +127,17 @@ def write_csv(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> str:
     return buf.getvalue()
 
 
-def roundtrip_mapping(log: EventLog, mapping: ColumnMapping = DEFAULT_MAPPING) -> ColumnMapping:
-    """Build the mapping that re-reads write_csv output with original types.
+def roundtrip_mapping(log: EventLog) -> dict[str, str]:
+    """The ``types`` map that re-reads write_csv output with original types.
 
-    Attribute types are taken from the values present in the log, so
+    Kinds are taken from the values present in the log, so
     parse_csv(write_csv(log), roundtrip_mapping(log)) reproduces it exactly.
     """
-    type_map = dict(mapping.type_map)
+    types: dict[str, str] = {}
     for trace in log:
         for key, value in trace.attributes.items():
-            type_map.setdefault(CASE_PREFIX + key, _attr_text(value)[0])
+            types.setdefault(CASE_PREFIX + key, _attr_text(value)[0])
         for event in trace.events:
             for key, value in event.attributes.items():
-                type_map.setdefault(key, _attr_text(value)[0])
-    return ColumnMapping(mapping.case, mapping.activity, mapping.timestamp,
-                         mapping.timestamp_format, type_map)
+                types.setdefault(key, _attr_text(value)[0])
+    return types

@@ -52,9 +52,6 @@ class Marking:
     def total(self) -> int:
         return sum(self._counts.values())
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
     def key(self) -> tuple[tuple[str, int], ...]:
         """Canonical hashable form, used by searches over marking space."""
         return tuple(sorted(self._counts.items()))
@@ -129,9 +126,6 @@ class PetriNet:
         except KeyError:
             raise PetriNetError(f"unknown transition {tid!r}")
 
-    def has_transition(self, tid: str) -> bool:
-        return tid in self._by_id
-
     def inputs(self, tid: str) -> tuple[str, ...]:
         """Input places of a transition (preset)."""
         return self._inputs[tid]
@@ -140,15 +134,9 @@ class PetriNet:
         """Output places of a transition (postset)."""
         return self._outputs[tid]
 
-    def silent_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.silent)
-
     def labeled(self, label: str) -> tuple[Transition, ...]:
         """Transitions carrying the given activity label, in id order."""
         return tuple(sorted((t for t in self.transitions if t.label == label), key=lambda t: t.id))
-
-    def labels(self) -> frozenset[str]:
-        return frozenset(t.label for t in self.transitions if t.label is not None)
 
     @cached_property
     def compiled(self) -> CompiledNet:

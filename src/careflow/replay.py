@@ -102,8 +102,8 @@ class _Replayer:
     labeled transition) to (successor, missing tokens), ``silent_moves`` holds each
     marking's silent moves sorted by missing tokens, ``markings`` one copy of each."""
 
-    def __init__(self, net: PetriNet, label_map: dict[str, str] | None, max_expansions: int):
-        self.net, self.cn, self.label_map = net, net.compiled, label_map
+    def __init__(self, net: PetriNet, max_expansions: int):
+        self.net, self.cn = net, net.compiled
         self.max_expansions = max_expansions
         self.silents = tuple(t for t, label in enumerate(self.cn.labels) if label is None)
         self.moves: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
@@ -112,17 +112,7 @@ class _Replayer:
 
     def _candidates(self, activity: str) -> tuple[int, ...]:
         """Transition indices an event may fire, ascending; empty when unmapped."""
-        net, index = self.net, self.cn.index
-        if self.label_map is None:
-            return tuple(index[t.id] for t in net.labeled(activity))
-        tid = self.label_map.get(activity)
-        if tid is None:
-            return ()
-        if not net.has_transition(tid):
-            raise ReplayConfigError(f"label_map points to unknown transition {tid!r}")
-        if net.transition(tid).silent:
-            raise ReplayConfigError(f"label_map maps {activity!r} to silent transition {tid!r}")
-        return (index[tid],)
+        return tuple(self.cn.index[t.id] for t in self.net.labeled(activity))
 
     def _fire(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
         succ, missing = self.cn.fire(vector, t)
@@ -242,8 +232,7 @@ class _Replayer:
                                  tuple(steps), final_missing, ignore_final_marking)
 
 
-def replay_trace(net: PetriNet, trace: Trace, label_map: dict[str, str] | None = None,
-                 ignore_final_marking: bool = False,
+def replay_trace(net: PetriNet, trace: Trace, ignore_final_marking: bool = False,
                  max_expansions: int = 500_000) -> TraceReplayResult:
     """Replay one trace and return its token counters and firing log.
 
@@ -252,12 +241,10 @@ def replay_trace(net: PetriNet, trace: Trace, label_map: dict[str, str] | None =
     not recorded yet. A search that expands more than ``max_expansions``
     states raises ReplayBudgetError.
     """
-    replayer = _Replayer(net, label_map, max_expansions)
-    return replayer.replay(trace, ignore_final_marking)
+    return _Replayer(net, max_expansions).replay(trace, ignore_final_marking)
 
 
-def replay_log(net: PetriNet, log: EventLog, label_map: dict[str, str] | None = None,
-               ignore_final_for_ongoing: bool = True,
+def replay_log(net: PetriNet, log: EventLog, ignore_final_for_ongoing: bool = True,
                max_expansions: int = 500_000) -> LogReplayResult:
     """Replay every trace and aggregate counters into a log-level fitness.
 
@@ -265,7 +252,7 @@ def replay_log(net: PetriNet, log: EventLog, label_map: dict[str, str] | None = 
     final-marking penalty; pass ignore_final_for_ongoing=False to treat them
     like complete cases. Each variant is searched once; see the module notes.
     """
-    replayer = _Replayer(net, label_map, max_expansions)
+    replayer = _Replayer(net, max_expansions)
     by_variant: dict[tuple[tuple[str, ...], bool], TraceReplayResult] = {}
     results = []
     for trace in log:

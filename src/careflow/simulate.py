@@ -21,6 +21,7 @@ parameters are calibration artifacts, not measured clinical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
@@ -255,8 +256,10 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
 
     Lines are ``key = value``; '#' starts a comment; wave fields use
     ``wave.<n>.<field>``; branch probabilities ``prob.<transition_id>``;
-    delays ``delay.<activity> = kind params...``; optional noise via
-    ``noise.drop_probability`` and ``noise.seed``.
+    delays ``delay.<activity> = kind params...`` with kind ``fixed hours``,
+    ``uniform low high`` or ``lognormal mean sigma`` (finite, none negative,
+    a lognormal mean above 0); optional noise via ``noise.drop_probability``
+    and ``noise.seed``.
     """
     entries: dict[str, tuple[str, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -303,14 +306,19 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
     waves = []
     for index in sorted(wave_indices):
         prefix = f"wave.{index}."
-        waves.append(WaveSpec(
+        wave = WaveSpec(
             window_start=take(prefix + "window_start", parse_split_instant),
             window_end=take(prefix + "window_end", parse_split_instant),
             share=take(prefix + "share", float),
             admission_mode=take(prefix + "admission_mode", parse_split_instant, None),
             admission_spread_hours=take(prefix + "admission_spread_hours", float, 0.0),
             delay_scale=take(prefix + "delay_scale", float, 1.0),
-        ))
+        )
+        if wave.window_end < wave.window_start:
+            raise ConfigError(f"wave {index}: window_end is before window_start")
+        if not 0 <= wave.delay_scale < math.inf:
+            raise ConfigError(f"wave {index}: delay_scale must be finite and >= 0")
+        waves.append(wave)
 
     probs: dict[str, float] = {}
     delays: dict[str, DelaySpec] = {}
@@ -328,6 +336,10 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
                 params = tuple(float(p) for p in parts[1:])
             except ValueError:
                 raise ConfigError(f"bad delay parameters in {value!r}", line=line_no)
+            if (not all(0 <= p < math.inf for p in params)  # NaN fails every comparison
+                    or (kind == "lognormal" and params[0] == 0)
+                    or (kind == "uniform" and params[0] > params[1])):
+                raise ConfigError(f"undefined or negative delay {value!r}", line=line_no)
             delays[key[len("delay."):]] = DelaySpec(kind, params)
             del entries[key]
     if entries:

@@ -14,15 +14,13 @@ def to_utc(dt: datetime) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def parse_timestamp(text: str, fmt: str | None = None) -> datetime:
-    """Parse an instant, ISO-8601 by default or via a strptime format string.
+def parse_timestamp(text: str) -> datetime:
+    """Parse an ISO-8601 instant.
 
     Raises ValueError on unparseable input or an instant outside datetime's range in UTC.
     """
     text = text.strip()
     try:
-        if fmt is not None:
-            return to_utc(datetime.strptime(text, fmt))
         # datetime.fromisoformat in 3.10 does not accept a trailing 'Z'
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"

@@ -85,7 +85,7 @@ def budget_net() -> PetriNet:
 
 
 def random_activities(rnd: random.Random, net: PetriNet, max_events: int = 6) -> list[str]:
-    labels = sorted(net.labels())
+    labels = sorted({t.label for t in net.transitions if t.label is not None})
     out = []
     for _ in range(rnd.randint(0, max_events)):
         if labels and rnd.random() < 0.85:
@@ -107,7 +107,7 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
     sequence), and returns (p, c, m, r) of the minimum. Implemented as plain
     recursion over markings, independent of the replayer's search.
     """
-    silents = sorted(t.id for t in net.silent_transitions())
+    silents = sorted(t.id for t in net.transitions if t.silent)
     mapped = [a for a in activities if net.labeled(a)]
     n_unmapped = len(activities) - len(mapped)
     final = net.final_marking
@@ -165,7 +165,7 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
         memo[state] = result
         return result
 
-    start_key = tuple(sorted(net.initial_marking.as_dict().items()))
+    start_key = tuple(sorted(net.initial_marking.items()))
     (m, r, _), path = best(0, start_key, 0)
     produced = net.initial_marking.total() + sum(len(net.outputs(t)) for t in path) + n_unmapped
     consumed = sum(len(net.inputs(t)) for t in path) + n_unmapped

@@ -1,9 +1,9 @@
 import random
 from datetime import datetime, timedelta, timezone
 
-from careflow.analytics import (case_duration_stats, compare_waves, dotted_chart,
-                                dotted_chart_csv, dotted_chart_svg, occupancy,
-                                occupancy_csv, occupancy_daily_max, occupancy_svg)
+from careflow.analytics import (compare_waves, dotted_chart, dotted_chart_csv,
+                                dotted_chart_svg, occupancy, occupancy_csv,
+                                occupancy_daily_max, occupancy_svg)
 from careflow.eventlog import Event, EventLog, Trace
 from helpers import T0, make_log, make_trace
 
@@ -140,27 +140,6 @@ def test_occupancy_daily_max():
     assert daily[T0 + timedelta(days=2)] == 1
 
 
-def test_case_duration_stats_basic():
-    log = EventLog((make_trace("c1", ["A", "B"], gap=timedelta(hours=48)),))
-    stats = case_duration_stats(log)
-    assert stats.mean == stats.median == timedelta(hours=48)
-    assert stats.histogram == (0, 0, 1)
-
-
-def test_case_duration_stats_mean_of_two():
-    log = EventLog((make_trace("c1", ["A", "B"], gap=timedelta(days=1)),
-                    make_trace("c2", ["A", "B"], gap=timedelta(days=3))))
-    stats = case_duration_stats(log)
-    assert stats.mean == timedelta(days=2)
-    assert stats.min == timedelta(days=1)
-    assert stats.max == timedelta(days=3)
-
-
-def test_case_duration_stats_requires_complete_traces():
-    log = EventLog((make_trace("c1", ["A", "B"], complete=False),))
-    assert case_duration_stats(log) is None
-
-
 def test_compare_waves_partitions_complete_cases():
     split = T0 + timedelta(days=150)
     wave1 = [make_trace(f"a{i}", ["A", "B"], start=T0 + timedelta(days=i)) for i in range(4)]
@@ -178,7 +157,6 @@ def test_compare_waves_single_sided():
     cmp = compare_waves(log, T0 + timedelta(days=400))
     assert cmp.second.case_count == 0
     assert cmp.second.mean_case_duration is None
-    assert cmp.second.dfg.nodes == {}
 
 
 def test_compare_waves_reordering_invariance():

@@ -94,6 +94,11 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
     ("config", CONFIG + "noise.drop_probability = x\n", "line 7"),
     ("config", CONFIG + "wave.x.share = 1\n", "line 7"),
     ("config", CONFIG + "wave. = 1\n", "line 7"),
+    ("config", CONFIG + "delay.A = lognormal -5 0.5\n", "line 7"),
+    ("config", CONFIG + "delay.A = fixed -30\n", "line 7"),
+    ("config", CONFIG + "delay.A = uniform 9 1\n", "line 7"),
+    ("config", CONFIG.replace("2020-02-01", "2019-12-01"), "wave 1"),
+    ("config", CONFIG + "wave.1.delay_scale = -1\n", "wave 1"),
     ("pnml", PNML.replace("<text>1</text></initialMarking>", "<text>one</text></initialMarking>"),
      "'p1'"),
     ("pnml", PNML.replace("<text>1</text></place>", "<text>1.5</text></place>"), "'p3'"),
@@ -104,7 +109,9 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
     ("xes", XES.replace('value="A"', 'value=""'), "case 'c1'"),
     ("xes", XES.replace("2020-02-01T00:00:00+00:00", "0001-01-01T00:00:00+01:00"),
      "bad date literal"),
-], ids=["noise-seed", "noise-drop", "wave-number", "wave-empty", "initial-marking",
+], ids=["noise-seed", "noise-drop", "wave-number", "wave-empty", "delay-undefined",
+        "delay-negative", "delay-reversed-range", "wave-reversed-window",
+        "wave-negative-delay-scale", "initial-marking",
         "final-marking", "empty-case", "empty-activity", "instant-out-of-range-csv",
         "duplicate-case", "empty-event-name", "instant-out-of-range-xes"])
 def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, tmp_path, capsys):
@@ -126,6 +133,21 @@ def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, t
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_occupancy_json_with_out_writes_the_file(tmp_path, capsys):
+    log = make_log(["startVentilation", "endVentilation"])
+    (tmp_path / "log.xes").write_text(write_xes(log), encoding="utf-8")
+    argv = ["occupancy", str(tmp_path / "log.xes"), "--start", "startVentilation",
+            "--end", "endVentilation"]
+    expected = run_json(capsys, *argv, "--json")
+    out = tmp_path / "occupancy.csv"
+    assert cli.main(argv + ["--json", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith(f"wrote {out}\n")
+    assert json.loads(stdout[stdout.index("{"):]) == expected
+    assert cli.main(argv) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_csv_types_accept_bool(tmp_path):

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from careflow.csvio import ColumnMapping, _lines, parse_csv, roundtrip_mapping, write_csv
+from careflow.csvio import _lines, parse_csv, roundtrip_mapping, write_csv
 from careflow.errors import CsvFormatError
 from careflow.eventlog import Event, EventLog, Trace
 from careflow.xesio import parse_xes, write_xes
@@ -89,26 +89,23 @@ def test_unmapped_columns_become_attributes():
 def test_case_prefixed_columns_become_trace_attributes():
     text = ("case_id,activity,timestamp,case:ards\n"
             "c1,A,2020-02-01T00:00:00+00:00,true\n")
-    log = parse_csv(text, ColumnMapping(type_map={"case:ards": "bool"}))
+    log = parse_csv(text, {"case:ards": "bool"})
     assert log.traces[0].attributes == {"ards": True}
 
 
 def test_type_map_coercion_and_errors():
     text = ("case_id,activity,timestamp,n\n"
             "c1,A,2020-02-01T00:00:00+00:00,12\n")
-    log = parse_csv(text, ColumnMapping(type_map={"n": "int"}))
+    log = parse_csv(text, {"n": "int"})
     assert log.traces[0].events[0].attributes == {"n": 12}
     with pytest.raises(CsvFormatError, match="row 2"):
-        parse_csv(text.replace("12", "oops"), ColumnMapping(type_map={"n": "int"}))
-    with pytest.raises(CsvFormatError, match="unknown type"):
-        parse_csv(text, ColumnMapping(type_map={"n": "decimal"}))
-
-
-def test_custom_timestamp_format():
-    text = "case_id,activity,timestamp\nc1,A,01/02/2020 13:30\n"
-    mapping = ColumnMapping(timestamp_format="%d/%m/%Y %H:%M")
-    log = parse_csv(text, mapping)
-    assert log.traces[0].events[0].timestamp == datetime(2020, 2, 1, 13, 30, tzinfo=timezone.utc)
+        parse_csv(text.replace("12", "oops"), {"n": "int"})
+    # every kind is checked before any row is read, used by a cell or not
+    for types in ({"n": "decimal"}, {"case:nosuch": "decimal"}):
+        with pytest.raises(CsvFormatError, match="unknown type 'decimal'"):
+            parse_csv(text, types)
+        with pytest.raises(CsvFormatError, match="unknown type 'decimal'"):
+            parse_csv(text.replace("12", ""), types)
 
 
 def test_write_csv_single_trace_layout():
@@ -131,9 +128,9 @@ def test_roundtrip_with_typed_attributes():
         Event("B", T0 + timedelta(hours=1)),
     )
     trace = Trace("c1", events, {"ards": True, "complete": False})
-    log = EventLog((trace, make_trace("c2", ["A"])), name="unit")
+    log = EventLog((trace, make_trace("c2", ["A"])))
     text = write_csv(log)
-    back = parse_csv(text, roundtrip_mapping(log), name="unit")
+    back = parse_csv(text, roundtrip_mapping(log))
     assert back == log
 
 
@@ -168,6 +165,6 @@ def test_each_kind_reads_and_writes_alike_in_xes_and_csv():
     for key, (_, tag, text) in expected.items():
         assert in_xes[key] == (tag, text), key
         assert in_csv[key] == text, key
-        assert mapping.type_map[key] == tag, key
+        assert mapping[key] == tag, key
     assert parse_xes(xes) == log
     assert parse_csv(csv_text, mapping) == log

@@ -157,15 +157,6 @@ def test_duplicate_labels_prefer_enabled_then_lowest_id():
     assert [s.transition_id for s in result.firing_log] == ["t2"]
 
 
-def test_explicit_label_map():
-    net = covas_model()
-    trace = make_trace("c1", ["admit"])
-    mapped = replay_trace(net, trace, label_map={"admit": "Hospitalization"})
-    assert any(s.transition_id == "Hospitalization" for s in mapped.firing_log)
-    with pytest.raises(ReplayConfigError):
-        replay_trace(net, trace, label_map={"admit": "t5"})
-
-
 def test_replay_csv_and_report():
     net = covas_model()
     log = make_log(FULL_TRACE, ["Hospitalization", "End"])

@@ -75,7 +75,7 @@ def test_timestamps_strictly_increasing():
 def test_every_activity_is_a_model_label():
     net = covas_model()
     log = simulate(config(case_count=40, seed=3), net)
-    assert set(log.activity_alphabet()) <= set(net.labels())
+    assert set(log.activity_alphabet()) <= {t.label for t in net.transitions}
 
 
 def test_admissions_fall_inside_wave_window():
