@@ -3,8 +3,7 @@
 Every subcommand is a thin adapter over the library: it parses arguments,
 loads a log, calls one operation and serializes the result. Exit status is 0
 on success, 1 on usage errors, 2 on data errors (unreadable files, malformed
-logs, bad configs). Relative --out paths are resolved against the
-CAREFLOW_OUT_DIR environment variable when it is set.
+logs, bad configs).
 """
 
 from __future__ import annotations
@@ -32,13 +31,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _out_path(path: str) -> str:
-    base = os.environ.get("CAREFLOW_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
 
 
 def _read_log(path: str, types: str | None = None) -> EventLog:
@@ -78,7 +70,6 @@ def _write_log(log: EventLog, path: str):
 
 
 def _write_text(path: str, text: str):
-    path = _out_path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
     print(f"wrote {path}")

@@ -62,6 +62,9 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
         if core not in header:
             raise CsvFormatError(f"missing column {core!r} in header")
     idx = {col: i for i, col in enumerate(header)}
+    if len(idx) != len(header):  # idx keeps the last index of a repeated column
+        repeated = next(col for i, col in enumerate(header) if idx[col] != i)
+        raise CsvFormatError(f"repeated column {repeated!r} in header", row=1)
     case_at, activity_at, timestamp_at = (idx[core] for core in CORE)
     extra = [(idx[col], col, parsers.get(col, str)) for col in header if col not in CORE]
 

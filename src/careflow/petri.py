@@ -1,8 +1,10 @@
 """Labeled Petri nets with silent transitions and token-game semantics.
 
 Nets and markings are immutable; ``fire`` returns a fresh marking. Arc
-multiplicities are fixed at 1 (ordinary arcs only). Construction accepts
-structurally broken nets on purpose so ``validate`` can report what is wrong.
+multiplicities are fixed at 1 (ordinary arcs only). A net is well-formed by
+construction: ``PetriNet`` raises PetriNetError for a repeated id or arc, an
+arc that does not join a known place and a known transition, and a marking on
+an unknown place.
 
 The token game is played once, by ``CompiledNet`` (``PetriNet.compiled``):
 places become indices, markings tuples of token counts, and transitions are
@@ -17,7 +19,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape, quoteattr
 
 from .errors import NotEnabledError, PetriNetError, PnmlFormatError
 from .xesio import _local
@@ -83,13 +85,6 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-    severity: str = "error"  # or "warning"
-
-
-@dataclass(frozen=True)
 class PetriNet:
     places: tuple[str, ...]
     transitions: tuple[Transition, ...]
@@ -102,20 +97,31 @@ class PetriNet:
         object.__setattr__(self, "places", tuple(self.places))
         object.__setattr__(self, "transitions", tuple(self.transitions))
         object.__setattr__(self, "arcs", tuple(self.arcs))
+        for kind, items in (("place id", self.places),
+                            ("transition id", (t.id for t in self.transitions)), ("arc", self.arcs)):
+            seen = set()
+            for item in items:
+                if item in seen:
+                    raise PetriNetError(f"repeated {kind} {item!r}")
+                seen.add(item)
+        place_set = set(self.places)
         by_id = {t.id: t for t in self.transitions}
-        if len(by_id) != len(self.transitions):
-            raise PetriNetError("duplicate transition ids")
-        if set(self.places) & set(by_id):
+        if place_set & set(by_id):
             raise PetriNetError("place and transition ids must be disjoint")
         inputs: dict[str, tuple[str, ...]] = {t.id: () for t in self.transitions}
         outputs: dict[str, tuple[str, ...]] = {t.id: () for t in self.transitions}
-        place_set = set(self.places)
         for source, target in self.arcs:
             if source in place_set and target in by_id:
                 inputs[target] = inputs[target] + (source,)
             elif source in by_id and target in place_set:
                 outputs[source] = outputs[source] + (target,)
-            # anything else is left for validate() to report
+            else:
+                raise PetriNetError(f"arc {source!r} -> {target!r} must join a known place "
+                                    "and a known transition")
+        for kind, marking in (("initial", self.initial_marking), ("final", self.final_marking)):
+            unknown = marking.places() - place_set
+            if unknown:
+                raise PetriNetError(f"{kind} marking references unknown places: {sorted(unknown)}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_inputs", inputs)
         object.__setattr__(self, "_outputs", outputs)
@@ -148,8 +154,7 @@ class CompiledNet:
     """Integer form of a net for the token game; markings are count tuples."""
 
     def __init__(self, net: PetriNet):
-        extra = (net.initial_marking.places() | net.final_marking.places()) - set(net.places)
-        self.place_ids = tuple(dict.fromkeys(net.places)) + tuple(sorted(extra))
+        self.place_ids = net.places
         self.place_index = {place: i for i, place in enumerate(self.place_ids)}
         order = sorted(net.transitions, key=lambda t: t.id)
         self.tids = tuple(t.id for t in order)
@@ -219,41 +224,9 @@ def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
     return cn.marking(succ)
 
 
-def validate(net: PetriNet) -> list[Violation]:
-    """Structural checks: dangling or non-bipartite arcs, bad markings,
-    duplicate labels (warning only)."""
-    violations: list[Violation] = []
-    place_set = set(net.places)
-    trans_ids = {t.id for t in net.transitions}
-    seen_arcs = set()
-    for arc in net.arcs:
-        source, target = arc
-        if arc in seen_arcs:
-            violations.append(Violation("duplicate-arc", f"arc {source}->{target} appears twice"))
-        seen_arcs.add(arc)
-        src_place, src_trans = source in place_set, source in trans_ids
-        dst_place, dst_trans = target in place_set, target in trans_ids
-        if not (src_place or src_trans) or not (dst_place or dst_trans):
-            violations.append(Violation("dangling-arc", f"arc {source}->{target} references unknown node"))
-        elif (src_place and dst_place) or (src_trans and dst_trans):
-            violations.append(Violation("non-bipartite-arc", f"arc {source}->{target} connects same-kind nodes"))
-    for kind, marking in (("initial", net.initial_marking), ("final", net.final_marking)):
-        stray = marking.places() - place_set
-        if stray:
-            violations.append(Violation("bad-marking", f"{kind} marking uses unknown places: {sorted(stray)}"))
-        if not marking:
-            violations.append(Violation("empty-marking", f"{kind} marking is empty", severity="warning"))
-    labels = [t.label for t in net.transitions if t.label is not None]
-    for label in sorted({l for l in labels if labels.count(l) > 1}):
-        violations.append(Violation("duplicate-label", f"label {label!r} used by several transitions",
-                                    severity="warning"))
-    return violations
-
-
 def reachable_markings(net: PetriNet) -> set[tuple[tuple[str, int], ...]]:
     """Exhaustive token-game state space from the initial marking, at most
     ``STATE_LIMIT`` markings; a larger one raises PetriNetError."""
-    _check_marking(net, net.initial_marking)
     cn = net.compiled
     seen = {cn.initial}
     frontier = [cn.initial]
@@ -286,7 +259,7 @@ def write_pnml(net: PetriNet) -> str:
     for trans in net.transitions:
         lines.append(f'      <transition id={quoteattr(trans.id)}>')
         if trans.label is not None:
-            lines.append(f'        <name><text>{_pnml_text(trans.label)}</text></name>')
+            lines.append(f'        <name><text>{escape(trans.label)}</text></name>')
         lines.append('      </transition>')
     for index, (source, target) in enumerate(net.arcs, start=1):
         lines.append(f'      <arc id="a{index}" source={quoteattr(source)} target={quoteattr(target)}/>')
@@ -307,10 +280,6 @@ def _token_count(text: str, place: str) -> int:
     if not text.strip().isdecimal():
         raise PnmlFormatError(f"bad token count {text!r} for place {place!r}")
     return int(text)
-
-
-def _pnml_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def parse_pnml(text: str) -> PetriNet:
@@ -367,8 +336,11 @@ def parse_pnml(text: str) -> PetriNet:
                     text_elem = next((c for c in ref.iter() if _local(c.tag) == "text"), None)
                     if pid and text_elem is not None and text_elem.text:
                         final[pid] = _token_count(text_elem.text, pid)
-    return PetriNet(tuple(places), tuple(transitions), tuple(arcs),
-                    Marking(initial), Marking(final), name=net_xml.get("id") or "")
+    try:
+        return PetriNet(tuple(places), tuple(transitions), tuple(arcs),
+                        Marking(initial), Marking(final), name=net_xml.get("id") or "")
+    except PetriNetError as exc:
+        raise PnmlFormatError(str(exc))
 
 
 def net_to_dot(net: PetriNet) -> str:

@@ -294,6 +294,8 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
     ongoing_fraction = take("ongoing_fraction", float, 0.0)
     ards_probability = take("ards_probability", float, 0.0)
     noise_p = take("noise.drop_probability", float, None)
+    if noise_p is None and "noise.seed" in entries:
+        raise ConfigError("noise.seed without noise.drop_probability", line=entries["noise.seed"][1])
     noise_seed = take("noise.seed", int, None)
 
     wave_indices = set()
@@ -306,18 +308,27 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
     waves = []
     for index in sorted(wave_indices):
         prefix = f"wave.{index}."
+        spread_key = prefix + "admission_spread_hours"
+        if spread_key in entries and prefix + "admission_mode" not in entries:
+            raise ConfigError(f"wave {index}: admission_spread_hours without admission_mode",
+                              line=entries[spread_key][1])
         wave = WaveSpec(
             window_start=take(prefix + "window_start", parse_split_instant),
             window_end=take(prefix + "window_end", parse_split_instant),
             share=take(prefix + "share", float),
             admission_mode=take(prefix + "admission_mode", parse_split_instant, None),
-            admission_spread_hours=take(prefix + "admission_spread_hours", float, 0.0),
+            admission_spread_hours=take(spread_key, float, 0.0),
             delay_scale=take(prefix + "delay_scale", float, 1.0),
         )
         if wave.window_end < wave.window_start:
             raise ConfigError(f"wave {index}: window_end is before window_start")
         if not 0 <= wave.delay_scale < math.inf:
             raise ConfigError(f"wave {index}: delay_scale must be finite and >= 0")
+        if not 0 <= wave.admission_spread_hours < math.inf:
+            raise ConfigError(f"wave {index}: admission_spread_hours must be finite and >= 0")
+        if wave.admission_mode is not None and not (
+                wave.window_start <= wave.admission_mode <= wave.window_end):
+            raise ConfigError(f"wave {index}: admission_mode is outside the wave's window")
         waves.append(wave)
 
     probs: dict[str, float] = {}

@@ -99,21 +99,32 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
     ("config", CONFIG + "delay.A = uniform 9 1\n", "line 7"),
     ("config", CONFIG.replace("2020-02-01", "2019-12-01"), "wave 1"),
     ("config", CONFIG + "wave.1.delay_scale = -1\n", "wave 1"),
+    ("config", CONFIG + "noise.seed = 3\n", "line 7"),
+    ("config", CONFIG + "wave.1.admission_mode = 2020-01-15\n"
+     "wave.1.admission_spread_hours = -5\n", "wave 1"),
+    ("config", CONFIG + "wave.1.admission_mode = 2021-01-15\n", "wave 1"),
+    ("config", CONFIG + "wave.1.admission_spread_hours = 24\n", "wave 1"),
     ("pnml", PNML.replace("<text>1</text></initialMarking>", "<text>one</text></initialMarking>"),
      "'p1'"),
     ("pnml", PNML.replace("<text>1</text></place>", "<text>1.5</text></place>"), "'p3'"),
+    ("pnml", PNML.replace('source="b" target="p3"', 'source="b" target="p9"'), "'p9'"),
+    ("pnml", PNML.replace('idref="p3"', 'idref="p9"'), "'p9'"),
     ("csv", CSV + ",B,2020-02-01T01:00:00+00:00\n", "row 3"),
     ("csv", CSV + "c1,,2020-02-01T01:00:00+00:00\n", "row 3"),
     ("csv", CSV + "c1,B,0001-01-01T00:00:00+01:00\n", "row 3"),
+    ("csv", CSV.replace("timestamp\n", "timestamp,case_id\n").replace("00:00\n", "00:00,c2\n"),
+     "repeated column 'case_id'"),
     ("xes", XES.replace("</log>", TRACE + "</log>"), "trace #2"),
     ("xes", XES.replace('value="A"', 'value=""'), "case 'c1'"),
     ("xes", XES.replace("2020-02-01T00:00:00+00:00", "0001-01-01T00:00:00+01:00"),
      "bad date literal"),
 ], ids=["noise-seed", "noise-drop", "wave-number", "wave-empty", "delay-undefined",
         "delay-negative", "delay-reversed-range", "wave-reversed-window",
-        "wave-negative-delay-scale", "initial-marking",
-        "final-marking", "empty-case", "empty-activity", "instant-out-of-range-csv",
-        "duplicate-case", "empty-event-name", "instant-out-of-range-xes"])
+        "wave-negative-delay-scale", "noise-seed-alone", "wave-negative-spread",
+        "wave-mode-outside-window", "wave-spread-without-mode", "initial-marking",
+        "final-marking", "arc-to-unknown-place", "final-marking-unknown-place", "empty-case",
+        "empty-activity", "instant-out-of-range-csv", "repeated-column", "duplicate-case",
+        "empty-event-name", "instant-out-of-range-xes"])
 def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, tmp_path, capsys):
     parse, error = PARSERS[kind]
     with pytest.raises(error, match=location):

@@ -1,22 +1,24 @@
 import random
+import re
 
 import pytest
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import NotEnabledError, PetriNetError
 from careflow.petri import (Marking, PetriNet, Transition, enabled, fire, net_to_dot,
-                            parse_pnml, reachable_markings, validate, write_pnml)
+                            parse_pnml, reachable_markings, write_pnml)
 from helpers import random_net
 
 
-def simple_net():
-    return PetriNet(
+def simple_net(**changes):
+    fields = dict(
         places=("p1", "p2"),
         transitions=(Transition("t", "A"),),
         arcs=(("p1", "t"), ("t", "p2")),
         initial_marking=Marking({"p1": 1}),
         final_marking=Marking({"p2": 1}),
     )
+    return PetriNet(**{**fields, **changes})
 
 
 def test_marking_canonical_form():
@@ -84,26 +86,20 @@ def test_enabled_fire_agreement():
             assert can == fired
 
 
-def test_validate_reports_dangling_arc():
-    net = PetriNet(("p1",), (Transition("t", "A"),), (("p1", "t"), ("t", "nowhere")),
-                   Marking({"p1": 1}), Marking({"p1": 1}))
-    kinds = [v.kind for v in validate(net)]
-    assert kinds == ["dangling-arc"]
-
-
-def test_validate_reports_non_bipartite_arc():
-    net = PetriNet(("p1", "p2"), (Transition("t", "A"),), (("p1", "p2"),),
-                   Marking({"p1": 1}), Marking({"p2": 1}))
-    assert [v.kind for v in validate(net)] == ["non-bipartite-arc"]
-
-
-def test_validate_duplicate_label_is_warning():
-    net = PetriNet(("p1", "p2"), (Transition("t1", "A"), Transition("t2", "A")),
-                   (("p1", "t1"), ("t1", "p2"), ("p1", "t2"), ("t2", "p2")),
-                   Marking({"p1": 1}), Marking({"p2": 1}))
-    violations = validate(net)
-    assert [v.kind for v in violations] == ["duplicate-label"]
-    assert violations[0].severity == "warning"
+@pytest.mark.parametrize("changes, named", [
+    ({"arcs": (("p1", "t"), ("t", "nowhere"))}, "'t' -> 'nowhere'"),
+    ({"arcs": (("p1", "t"), ("t", "p2"), ("p1", "p2"))}, "'p1' -> 'p2'"),
+    ({"arcs": (("p1", "t"), ("t", "p2"), ("p1", "t"))}, "arc ('p1', 't')"),
+    ({"places": ("p1", "p2", "p1")}, "place id 'p1'"),
+    ({"transitions": (Transition("t", "A"), Transition("t", "B"))}, "transition id 't'"),
+    ({"places": ("p1", "p2", "t")}, "disjoint"),
+    ({"initial_marking": Marking({"p9": 1})}, "initial marking references unknown places: ['p9']"),
+    ({"final_marking": Marking({"p9": 1})}, "final marking references unknown places: ['p9']"),
+], ids=["dangling-arc", "non-bipartite-arc", "repeated-arc", "repeated-place",
+        "repeated-transition", "place-is-transition", "initial-marking", "final-marking"])
+def test_broken_net_is_rejected_at_construction(changes, named):
+    with pytest.raises(PetriNetError, match=re.escape(named)):
+        simple_net(**changes)
 
 
 def test_pnml_roundtrip_simple_and_covas():
@@ -130,7 +126,6 @@ def test_covas_model_shape():
     assert sorted(t.label for t in net.transitions if not t.silent) == sorted(ACTIVITIES)
     assert sorted(t.id for t in net.transitions if t.silent) == ["t0", "t1", "t2", "t3", "t4", "t5"]
     assert len(net.arcs) == 46
-    assert validate(net) == []
 
 
 def test_covas_initially_only_start_enabled():
