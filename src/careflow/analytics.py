@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
+from .csvio import _quoted
 from .eventlog import EventLog, _mean_case_duration, filter_by_time, filter_complete
 from .timeutil import format_timestamp
 
@@ -180,7 +181,8 @@ def _color_for(key: str, assigned: dict[str, str]) -> str:
 def dotted_chart_csv(data: DottedChartData) -> str:
     lines = ["case_index,case_id,timestamp,color"]
     for row in data.rows:
-        lines.append(f"{row.case_index},{row.case_id},{format_timestamp(row.timestamp)},{row.color_key}")
+        lines.append(f"{row.case_index},{_quoted(row.case_id)},{format_timestamp(row.timestamp)},"
+                     f"{_quoted(row.color_key)}")
     lines.append("")
     return "\n".join(lines)
 

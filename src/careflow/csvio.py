@@ -38,6 +38,21 @@ def _lines(text: str, start: int = 0):
         start = stop
 
 
+def _quoted(cell: str) -> str:
+    """``cell`` as a CSV field, quoted only where ``csv.writer`` quotes it (by default)."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cell(parse, raw: str, types: dict[str, str], column: str, row: int) -> AttrValue:
+    try:
+        return parse(raw)
+    except ValueError:
+        raise CsvFormatError(f"cannot parse {raw!r} as {types[column]} in column {column!r}",
+                             row=row)
+
+
 def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
     """Parse CSV text into an event log; ``types`` maps extra columns to kinds.
 
@@ -66,7 +81,15 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
         repeated = next(col for i, col in enumerate(header) if idx[col] != i)
         raise CsvFormatError(f"repeated column {repeated!r} in header", row=1)
     case_at, activity_at, timestamp_at = (idx[core] for core in CORE)
-    extra = [(idx[col], col, parsers.get(col, str)) for col in header if col not in CORE]
+    # (position, column, parser, attribute key, converted texts or None for an event
+    # column): a case column repeats its case's value on every row, so it converts each
+    # distinct text once, and a bad one still fails on the first row that has it
+    extra = []
+    for col in header:
+        if col not in CORE:
+            is_case = col.startswith(CASE_PREFIX)
+            extra.append((idx[col], col, parsers.get(col, str),
+                          col[len(CASE_PREFIX):] if is_case else col, {} if is_case else None))
 
     cases: dict[str, tuple[list[Event], dict[str, AttrValue]]] = {}
     for row_no, row in enumerate(reader, start=2):
@@ -87,19 +110,17 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
         if case is None:
             case = cases[case_id] = ([], {})
         attrs: dict[str, AttrValue] = {}
-        for at, col, parse in extra:
+        for at, col, parse, key, seen in extra:
             raw = row[at]
             if raw == "":
                 continue
-            try:
-                value = parse(raw)
-            except ValueError:
-                raise CsvFormatError(f"cannot parse {raw!r} as {types[col]} in column {col!r}",
-                                     row=row_no)
-            if col.startswith(CASE_PREFIX):
-                case[1][col[len(CASE_PREFIX):]] = value
-            else:
-                attrs[col] = value
+            if seen is None:
+                attrs[key] = _cell(parse, raw, types, col, row_no)
+                continue
+            value = seen.get(raw)
+            if value is None:  # no kind parses to None
+                value = seen[raw] = _cell(parse, raw, types, col, row_no)
+            case[1][key] = value
         case[0].append(Event(activity, ts, attrs))
     return EventLog(tuple(Trace(case_id, tuple(events), attrs)
                           for case_id, (events, attrs) in cases.items()))

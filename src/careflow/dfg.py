@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 
 from .eventlog import EventLog
+from .petri import _dot
 from .timeutil import format_duration
 
 
@@ -118,14 +119,14 @@ def dfg_to_dot(dfg: Dfg, annotate: str = "frequency") -> str:
     lines = ["digraph dfg {", "  rankdir=LR;", '  node [shape=box style=rounded];']
     for activity in sorted(dfg.nodes):
         stats = dfg.nodes[activity]
-        lines.append(f'  "{activity}" [label="{activity} ({stats.frequency})"];')
+        lines.append(f'  {_dot(activity)} [label={_dot(f"{activity} ({stats.frequency})")}];')
     for source, target in sorted(dfg.edges):
         stats = dfg.edges[(source, target)]
         if annotate == "frequency":
             label = str(stats.frequency)
         else:
             label = format_duration(stats.durations.mean)
-        lines.append(f'  "{source}" -> "{target}" [label="{label}"];')
+        lines.append(f'  {_dot(source)} -> {_dot(target)} [label="{label}"];')
     lines.append("}")
     lines.append("")
     return "\n".join(lines)

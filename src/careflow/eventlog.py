@@ -44,12 +44,14 @@ def _attr_text(value: AttrValue) -> tuple[str, str]:
     return "string", str(value)
 
 
-def _normalize_attrs(attrs: dict[str, AttrValue]) -> dict[str, AttrValue]:
-    """Instant-valued attributes are normalized to UTC like event timestamps."""
+def _normalize_attrs(attrs: dict[str, AttrValue] | None) -> dict[str, AttrValue]:
+    """A copy with instant-valued attributes normalized to UTC like event timestamps."""
+    if not attrs:
+        return {}  # most events carry none; skips the comprehension's own call
     return {k: to_utc(v) if isinstance(v, datetime) else v for k, v in attrs.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """One recorded activity execution."""
 
@@ -58,11 +60,18 @@ class Event:
     attributes: dict[str, AttrValue] = field(default_factory=dict)
     raw_extensions: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not self.activity:
+    def __init__(self, activity: str, timestamp: datetime,
+                 attributes: dict[str, AttrValue] | None = None,
+                 raw_extensions: tuple[str, ...] = ()):
+        # written out, as a log builds one event per row: the generated __init__ with a
+        # __post_init__ sets timestamp and attributes twice, at about twice the cost
+        if not activity:
             raise ValueError("event activity must be non-empty")
-        object.__setattr__(self, "timestamp", to_utc(self.timestamp))
-        object.__setattr__(self, "attributes", _normalize_attrs(self.attributes))
+        set_field = object.__setattr__
+        set_field(self, "activity", activity)
+        set_field(self, "timestamp", to_utc(timestamp))
+        set_field(self, "attributes", _normalize_attrs(attributes))
+        set_field(self, "raw_extensions", raw_extensions)
 
 
 @dataclass(frozen=True, slots=True)

@@ -343,6 +343,11 @@ def parse_pnml(text: str) -> PetriNet:
         raise PnmlFormatError(str(exc))
 
 
+def _dot(text: str) -> str:
+    """``text`` as a quoted DOT string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def net_to_dot(net: PetriNet) -> str:
     """Deterministic DOT rendering: circles for places, boxes for transitions,
     filled boxes for silent transitions."""
@@ -352,14 +357,14 @@ def net_to_dot(net: PetriNet) -> str:
         shade = net.final_marking.get(place)
         label = place + (f" ({tokens})" if tokens else "")
         style = ' style=filled fillcolor="gray85"' if shade else ""
-        lines.append(f'  "{place}" [shape=circle label="{label}"{style}];')
+        lines.append(f'  {_dot(place)} [shape=circle label={_dot(label)}{style}];')
     for trans in sorted(net.transitions, key=lambda t: t.id):
         if trans.silent:
-            lines.append(f'  "{trans.id}" [shape=box style=filled fillcolor=black label=""];')
+            lines.append(f'  {_dot(trans.id)} [shape=box style=filled fillcolor=black label=""];')
         else:
-            lines.append(f'  "{trans.id}" [shape=box label="{trans.label}"];')
+            lines.append(f'  {_dot(trans.id)} [shape=box label={_dot(trans.label)}];')
     for source, target in sorted(net.arcs):
-        lines.append(f'  "{source}" -> "{target}";')
+        lines.append(f'  {_dot(source)} -> {_dot(target)};')
     lines.append("}")
     lines.append("")
     return "\n".join(lines)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
+from .csvio import _quoted
 from .errors import ReplayBudgetError, ReplayConfigError
 from .eventlog import EventLog, Trace
 from .petri import PetriNet
@@ -273,7 +274,8 @@ def replay_csv(result: LogReplayResult) -> str:
     """Per-trace diagnostics as CSV: case_id,p,c,m,r,fitness."""
     lines = ["case_id,produced,consumed,missing,remaining,fitness"]
     for r in result.per_trace:
-        lines.append(f"{r.case_id},{r.produced},{r.consumed},{r.missing},{r.remaining},{r.fitness:.6f}")
+        lines.append(f"{_quoted(r.case_id)},{r.produced},{r.consumed},{r.missing},"
+                     f"{r.remaining},{r.fitness:.6f}")
     lines.append("")
     return "\n".join(lines)
 

@@ -9,6 +9,8 @@ from datetime import datetime, timedelta, timezone
 
 def to_utc(dt: datetime) -> datetime:
     """Normalize a datetime to UTC; naive values are assumed to be UTC."""
+    if dt.tzinfo is timezone.utc:
+        return dt  # as astimezone would: it returns self for the same tzinfo
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)

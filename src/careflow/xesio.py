@@ -8,8 +8,11 @@ snippet and written back verbatim, so foreign logs survive a round trip.
 How a typed value is spelled is decided by the attribute codec in
 ``eventlog`` (``_PARSERS`` and ``_attr_text``), which CSV shares.
 
-The reader streams: it reads each ``<trace>`` as it closes and drops its
-elements, so memory follows the log rather than a tree of the document.
+The reader runs on expat's start, end and text handlers and builds no element
+for the log's own structure: a typed attribute is decoded from the attribute
+dict of its start tag, and each event and trace is built when its end tag is
+read. Only an opaque snippet, or a typed element that turns out to hold a
+child, is built as an ElementTree subtree and serialised when it closes.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime
 from sys import intern
+from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
 from .errors import CareflowError, XesFormatError
 from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
 
-# characters fed to the parser at a time: with few parsed elements waiting to be read,
-# few live long enough for the garbage collector to promote them and collect in full
-_CHUNK = 1 << 12
+# characters fed to expat at a time: one UTF-8 copy of the whole text would be held
+# at once, and smaller chunks cost more calls for no saving
+_CHUNK = 1 << 16
 
 
 class XesWarning(UserWarning):
@@ -37,69 +41,221 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _collect(elem: ET.Element) -> tuple[dict[str, AttrValue], list[str], list[ET.Element]]:
-    """Split children into typed attributes, opaque snippets, and containers."""
-    attrs: dict[str, AttrValue] = {}
-    raw: list[str] = []
-    containers: list[ET.Element] = []
-    for child in elem:
-        tag = child.tag
-        tag = _local(tag) if "}" in tag else tag
-        if tag in ("trace", "event"):
-            containers.append(child)
-            continue
-        key = child.get("key")
-        value = child.get("value")
-        if tag in _PARSERS and key is not None and value is not None and len(child) == 0:
-            try:
-                attrs[intern(key)] = _PARSERS[tag](value)  # one copy of each key
-            except ValueError:
-                raise XesFormatError(f"bad {tag} literal {value!r} for key {key!r}")
+def _qname(name: str) -> str:
+    """ElementTree's spelling of an expat name: ``uri}local`` becomes ``{uri}local``."""
+    return "{" + name if "}" in name else name
+
+
+class _Container:
+    """An open ``<log>``, ``<trace>`` or ``<event>`` and what its children gave so far."""
+
+    __slots__ = ("attrs", "raw", "error", "events", "problem")
+
+    def __init__(self):
+        self.attrs: dict[str, AttrValue] = {}
+        self.raw: list[str] = []
+        self.error = None  # the first bad typed literal among its own children
+        self.events: list[Event] = []  # a trace's events, up to its first bad one
+        # a trace's first bad event (an error, or the name of the field it lacks),
+        # or the container nested in an event
+        self.problem = None
+
+
+class _Reader:
+    """expat handlers that build the log as the text is fed (see ``parse_xes``).
+
+    The handlers in place follow where the parser is: at container level, in a
+    typed attribute, in an opaque snippet or a skipped container, or right after
+    a snippet, whose tail text is still to come. Text is read only where it can
+    end up in a snippet. No handler raises for a bad container: the first one
+    is kept in ``error`` and raised after the parse, so a later malformed-XML
+    error still ranks first.
+    """
+
+    def __init__(self, parser):
+        self.parser = parser
+        self.root = None  # the local name of the root element
+        self.log = _Container()
+        self.open = [self.log]  # the log, then the open trace, then the open event
+        self.traces: list[Trace] = []
+        self.used_ids: set[str] = set()
+        self.notes: list[str] = []  # warnings of the traces read before any error
+        self.error = None  # the first bad container of the log
+        self.names: dict[str, str] = {}  # expat name -> local name
+        # one copy of each attribute key; sys.intern would drop and re-add the keys
+        # popped from every event, churning (and regrowing) the interpreter's table
+        self.keys: dict[str, str] = {}
+        self.typed = None  # (kind, attributes, name) of an open typed attribute element
+        self.typed_text: list[str] = []  # its text, for a child that makes it a snippet
+        self.keep_typed_text = self.typed_text.append
+        self.inner = 0  # depth inside an opaque snippet (builder set) or a skipped container
+        self.builder = None
+        self.closed = None  # the last snippet, while its tail text is read
+        self.tail: list[str] = []
+        parser.buffer_text = True
+        parser.StartElementHandler = self.start_root
+        parser.EndElementHandler = self.end
+        parser.SkippedEntityHandler = self.skipped_entity
+
+    def skipped_entity(self, name: str, is_parameter_entity: bool):
+        # an entity an external DTD may declare: a parse error, as ElementTree reports it
+        if not is_parameter_entity:
+            error = expat.ExpatError(f"undefined entity &{name};")
+            error.lineno, error.offset = self.parser.ErrorLineNumber, self.parser.ErrorColumnNumber
+            raise error
+
+    def _handlers(self, start, end, text=None):
+        parser = self.parser
+        parser.StartElementHandler, parser.EndElementHandler = start, end
+        parser.CharacterDataHandler = text
+
+    def start_root(self, name: str, attrib: dict[str, str]):
+        self.root = _local(name)
+        self.parser.StartElementHandler = self.start
+
+    def start(self, name: str, attrib: dict[str, str]):
+        if self.typed is not None:  # a typed attribute element with a child is a snippet
+            _, typed_attrib, typed_name = self.typed
+            self.typed = None
+            self._open_snippet(typed_name, typed_attrib)
+            if self.typed_text:
+                self.builder.data("".join(self.typed_text))
+            self.start_inner(name, attrib)
+            return
+        local = self.names.get(name)
+        if local is None:
+            local = self.names[name] = _local(name)
+        if local in _PARSERS and "key" in attrib and "value" in attrib:
+            self.typed = (local, attrib, name)
+            self.typed_text.clear()
+            self.parser.CharacterDataHandler = self.keep_typed_text
+        elif local == "trace" or local == "event":
+            self._open_container(local)
         else:
-            raw.append(ET.tostring(child, encoding="unicode").strip())
-    return attrs, raw, containers
+            self._open_snippet(name, attrib)
 
+    def end(self, name: str):
+        typed = self.typed
+        if typed is not None:
+            self.typed = None
+            self.parser.CharacterDataHandler = None
+            owner = self.open[-1]
+            if owner.error is None:
+                kind, attrib, _ = typed
+                key, value = attrib["key"], attrib["value"]
+                try:
+                    owner.attrs[self.keys.setdefault(key, key)] = _PARSERS[kind](value)
+                except ValueError:
+                    owner.error = XesFormatError(f"bad {kind} literal {value!r} for key {key!r}")
+            return
+        open_ = self.open
+        closing = open_.pop()
+        if len(open_) == 2:
+            self._end_event(closing, open_[-1])
+        elif len(open_) == 1:
+            self._end_trace(closing)
 
-def _trace(trace_xml: ET.Element, position: int, used_ids: set[str], notes: list[str]) -> Trace:
-    """A child container of ``<log>`` read as a trace; warnings go to ``notes``."""
-    if _local(trace_xml.tag) != "trace":
-        raise XesFormatError("<event> element outside of a <trace>")
-    trace_attrs, trace_raw, events_xml = _collect(trace_xml)
-    case_id = trace_attrs.pop("concept:name", None)
-    if case_id in (None, ""):
-        case_id = f"case_{position}"
-        while case_id in used_ids:
-            case_id += "_x"
-        notes.append(f"trace #{position} lacks concept:name; assigned {case_id!r}")
-    case_id = str(case_id)
-    if case_id in used_ids:
-        raise XesFormatError(f"trace #{position} repeats case id {case_id!r}")
-    used_ids.add(case_id)
+    def _open_container(self, local: str):
+        """Open a container, or skip it whole where no later check reads its contents."""
+        open_ = self.open
+        owner = open_[-1]
+        if len(open_) == 1:  # a child of the log
+            if self.error is None and local == "event":
+                self.error = XesFormatError("<event> element outside of a <trace>")
+            if self.error is None:
+                open_.append(_Container())
+                return
+        elif len(open_) == 2:  # a child of a trace
+            if owner.error is None and owner.problem is None:
+                if local == "event":
+                    open_.append(_Container())
+                    return
+                owner.problem = XesFormatError("<trace> nested inside a <trace>")
+        elif owner.problem is None:
+            owner.problem = XesFormatError("<trace>/<event> nested inside an <event>")
+        self.inner = 1
+        self._handlers(self.start_inner, self.end_inner)
 
-    events: list[Event] = []
-    for event_xml in events_xml:
-        if _local(event_xml.tag) != "event":
-            raise XesFormatError("<trace> nested inside a <trace>")
-        event_attrs, event_raw, nested = _collect(event_xml)
-        if nested:
-            raise XesFormatError("<trace>/<event> nested inside an <event>")
-        activity = event_attrs.pop("concept:name", None)
-        if activity in (None, ""):
-            raise XesFormatError(f"event without concept:name in case {case_id!r}")
-        timestamp = event_attrs.pop("time:timestamp", None)
-        if not isinstance(timestamp, datetime):
-            raise XesFormatError(f"event without time:timestamp in case {case_id!r}")
-        events.append(Event(intern(str(activity)), timestamp, event_attrs, tuple(event_raw)))
-    return Trace(case_id, tuple(events), trace_attrs, tuple(trace_raw))
+    def _open_snippet(self, name: str, attrib: dict[str, str]):
+        self.builder = builder = ET.TreeBuilder()
+        builder.start(_qname(name), {_qname(key): value for key, value in attrib.items()})
+        self.inner = 1
+        self._handlers(self.start_inner, self.end_inner, builder.data)
 
+    def start_inner(self, name: str, attrib: dict[str, str]):
+        self.inner += 1
+        if self.builder is not None:
+            self.builder.start(_qname(name), {_qname(key): value for key, value in attrib.items()})
 
-def _pull(text: str):
-    """The ``(event, element)`` pairs of a start/end pull parse of ``text``."""
-    parser = ET.XMLPullParser(("start", "end"))
-    for at in range(0, len(text), _CHUNK):
-        parser.feed(text[at:at + _CHUNK])
-        yield from parser.read_events()
-    parser.close()
+    def end_inner(self, name: str):
+        self.inner -= 1
+        builder = self.builder
+        if builder is not None:
+            builder.end(_qname(name))
+            if not self.inner:
+                self.closed = builder.close()
+                self.builder = None
+                self._handlers(self.start_after, self.end_after, self.tail.append)
+        elif not self.inner:
+            self._handlers(self.start, self.end)
+
+    def _end_snippet(self):
+        """Serialise the last snippet, with its tail, into its container's raw snippets."""
+        self.closed.tail = "".join(self.tail) or None
+        self.open[-1].raw.append(ET.tostring(self.closed, encoding="unicode").strip())
+        self.closed = None
+        self.tail.clear()
+        self._handlers(self.start, self.end)
+
+    def start_after(self, name: str, attrib: dict[str, str]):
+        self._end_snippet()
+        self.start(name, attrib)
+
+    def end_after(self, name: str):
+        self._end_snippet()
+        self.end(name)
+
+    @staticmethod
+    def _end_event(event: _Container, trace: _Container):
+        problem = event.error or event.problem
+        if problem is None:
+            attrs = event.attrs
+            activity = attrs.pop("concept:name", None)
+            timestamp = attrs.pop("time:timestamp", None)
+            if activity in (None, ""):
+                problem = "concept:name"
+            elif not isinstance(timestamp, datetime):
+                problem = "time:timestamp"
+            else:
+                trace.events.append(Event(intern(str(activity)), timestamp, attrs,
+                                          tuple(event.raw)))
+                return
+        trace.problem = problem
+
+    def _end_trace(self, trace: _Container):
+        if trace.error is not None:
+            self.error = trace.error
+            return
+        position = len(self.traces) + 1
+        used_ids = self.used_ids
+        case_id = trace.attrs.pop("concept:name", None)
+        if case_id in (None, ""):
+            case_id = f"case_{position}"
+            while case_id in used_ids:
+                case_id += "_x"
+            self.notes.append(f"trace #{position} lacks concept:name; assigned {case_id!r}")
+        case_id = str(case_id)
+        if case_id in used_ids:
+            self.error = XesFormatError(f"trace #{position} repeats case id {case_id!r}")
+            return
+        used_ids.add(case_id)
+        problem = trace.problem
+        if isinstance(problem, str):
+            self.error = XesFormatError(f"event without {problem} in case {case_id!r}")
+        elif problem is not None:
+            self.error = problem
+        else:
+            self.traces.append(Trace(case_id, tuple(trace.events), trace.attrs, tuple(trace.raw)))
 
 
 def parse_xes(text: str) -> EventLog:
@@ -110,37 +266,33 @@ def parse_xes(text: str) -> EventLog:
     in a reader that parses first: malformed XML, the root, the log's own
     attributes, the first bad container (after the warnings of the traces before it).
     """
-    root, depth, traces, used_ids, notes, error = None, 0, [], set(), [], None
+    parser = expat.ParserCreate(None, "}")
+    reader = _Reader(parser)
     try:
-        for kind, elem in _pull(text):
-            if kind == "start":
-                root = elem if root is None else root
-                depth += 1
-                continue
-            depth -= 1
-            if depth == 1 and _local(elem.tag) in ("trace", "event"):
-                del root[-1]  # the container closing is the log's last child
-                if error is None:
-                    try:
-                        traces.append(_trace(elem, len(traces) + 1, used_ids, notes))
-                    except XesFormatError as exc:
-                        error = exc
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise XesFormatError(f"malformed XML: {exc.msg.split(':')[0]}", line=line, column=column)
-    if _local(root.tag) != "log":
-        raise XesFormatError(f"expected <log> root element, found <{_local(root.tag)}>")
-
-    log_attrs, log_raw, _ = _collect(root)
-    log_name = log_attrs.pop("concept:name", "")
+        for at in range(0, len(text), _CHUNK):
+            parser.Parse(text[at:at + _CHUNK], False)
+        parser.Parse("", True)
+    except expat.ExpatError as exc:
+        raise XesFormatError(f"malformed XML: {str(exc).split(':')[0]}",
+                             line=exc.lineno, column=exc.offset)
+    finally:
+        # the parser holds the reader's handlers: without this cycle the parser, and with
+        # it whatever the reader holds, is freed on return, not at the next full collection
+        reader.parser = None
+    if reader.root != "log":
+        raise XesFormatError(f"expected <log> root element, found <{reader.root}>")
+    log = reader.log
+    if log.error is not None:
+        raise log.error
+    log_name = log.attrs.pop("concept:name", "")
     if not isinstance(log_name, str):
         log_name = str(log_name)
-    for note in notes:
+    for note in reader.notes:
         warnings.warn(note, XesWarning)
-    if error is not None:
-        raise error
-    return EventLog(tuple(traces), name=log_name, attributes=log_attrs,
-                    raw_extensions=tuple(log_raw))
+    if reader.error is not None:
+        raise reader.error
+    return EventLog(tuple(reader.traces), name=log_name, attributes=log.attrs,
+                    raw_extensions=tuple(log.raw))
 
 
 _ESCAPED = re.compile('[&<>"\n\r\t]')  # what quoteattr escapes, and '"', which it may single-quote

@@ -1,3 +1,4 @@
+import csv
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -169,6 +170,18 @@ def test_compare_waves_reordering_invariance():
     b = compare_waves(reordered, split)
     assert (a.first.case_count, a.second.case_count) == (b.first.case_count, b.second.case_count)
     assert a.first.mean_case_duration == b.first.mean_case_duration
+
+
+def test_dotted_chart_csv_quotes_cells_that_need_it():
+    log = EventLog((make_trace("Smith, J", ["A"], ards="yes, severe"),
+                    make_trace('say "hi"', ["A"], ards="line\nbreak"),
+                    make_trace("plain", ["A"], ards=True)))
+    chart = dotted_chart(log, sort="by_case_id")
+    text = dotted_chart_csv(chart)
+    assert "\n1,plain,2020-02-01T00:00:00+00:00,true\n" in text  # plain cells stay bare
+    rows = list(csv.reader(text.splitlines(keepends=True)))
+    assert rows[0] == ["case_index", "case_id", "timestamp", "color"]
+    assert [(r[1], r[3]) for r in rows[1:]] == [(r.case_id, r.color_key) for r in chart.rows]
 
 
 def test_emitters_deterministic_and_wellformed():

@@ -108,6 +108,17 @@ def test_type_map_coercion_and_errors():
             parse_csv(text.replace("12", ""), types)
 
 
+def test_bad_case_column_literal_names_the_first_row_that_has_it():
+    # rows 2-4 convert other texts of the column; row 6 repeats the bad one
+    rows = ["c1,A,2020-02-01T00:00:00+00:00,true", "c1,B,2020-02-01T01:00:00+00:00,true",
+            "c2,A,2020-02-01T00:00:00+00:00,False", "c3,A,2020-02-01T00:00:00+00:00,maybe",
+            "c4,A,2020-02-01T00:00:00+00:00,maybe"]
+    text = "case_id,activity,timestamp,case:ards\n" + "\n".join(rows) + "\n"
+    with pytest.raises(CsvFormatError, match=r"cannot parse 'maybe' as bool in column 'case:ards'"
+                                             r" \(row 5\)"):
+        parse_csv(text, {"case:ards": "bool"})
+
+
 def test_write_csv_single_trace_layout():
     log = EventLog((make_trace("c1", ["A", "B"]),))
     text = write_csv(log)

@@ -122,6 +122,13 @@ def test_dot_single_edge_frequency_label():
     assert edge_lines == ['  "A" -> "B" [label="3"];']
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    text = dfg_to_dot(discover_dfg(make_log(['say "hi"', "a\\b"])))
+    assert '  "say \\"hi\\"" [label="say \\"hi\\" (1)"];' in text.splitlines()
+    assert '  "a\\\\b" [label="a\\\\b (1)"];' in text.splitlines()
+    assert '  "say \\"hi\\"" -> "a\\\\b" [label="1"];' in text.splitlines()
+
+
 def test_dot_duration_annotation():
     dfg = discover_dfg(make_log(["A", "B"]))
     text = dfg_to_dot(dfg, annotate="mean_duration")

@@ -1,13 +1,18 @@
 import random
+import sys
+from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
 from careflow.analytics import DottedChartRow
+from careflow.csvio import parse_csv, write_csv
 from careflow.eventlog import (Event, EventLog, Trace, drop_activities, filter_by_time,
                                filter_complete, log_stats, variants)
-from helpers import T0, make_log, make_trace, random_log
+from careflow.timeutil import to_utc
+from careflow.xesio import parse_xes, write_xes
+from helpers import T0, make_log, make_trace, paper_logs, random_log
 
 
 def test_event_requires_activity():
@@ -18,6 +23,33 @@ def test_event_requires_activity():
 def test_event_normalizes_to_utc():
     naive = Event("A", datetime(2020, 3, 1, 12, 0))
     assert naive.timestamp.tzinfo == timezone.utc
+
+
+def test_event_copies_its_attributes_and_stays_frozen():
+    attrs = {"when": datetime(2020, 3, 1, 14, tzinfo=timezone(timedelta(hours=2)))}
+    event = Event("A", T0, attrs)
+    attrs["x"] = 1
+    assert event.attributes == {"when": datetime(2020, 3, 1, 12, tzinfo=timezone.utc)}
+    assert event.attributes["when"].tzinfo is timezone.utc
+    assert Event("A", T0).attributes == {} and Event("A", T0).raw_extensions == ()
+    assert replace(event, activity="B") == Event("B", T0, event.attributes)
+    with pytest.raises(FrozenInstanceError):
+        event.activity = "B"
+
+
+def test_to_utc_returns_a_utc_instant_itself():
+    assert to_utc(T0) is T0
+    assert to_utc(datetime(2020, 2, 1)) == T0
+    assert to_utc(datetime(2020, 2, 1, 2, tzinfo=timezone(timedelta(hours=2)))) == T0
+    assert to_utc(datetime(2020, 2, 1, 2, tzinfo=timezone(timedelta(hours=2)))).tzinfo is timezone.utc
+
+
+def test_parsed_events_hold_empty_attribute_dicts_of_the_smallest_size():
+    # a dict that held the popped activity and timestamp keeps its larger key table
+    clean, _ = paper_logs()
+    for log in (parse_xes(write_xes(clean)), parse_csv(write_csv(clean))):
+        sizes = {sys.getsizeof(e.attributes) for t in log for e in t.events}
+        assert sizes == {sys.getsizeof({})}
 
 
 def test_per_event_and_per_case_records_are_slotted():

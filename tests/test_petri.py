@@ -112,6 +112,16 @@ def test_pnml_roundtrip_simple_and_covas():
         assert back.final_marking == net.final_marking
 
 
+def test_net_dot_escapes_quotes_and_backslashes():
+    net = simple_net(places=('p "1"', "p2"), transitions=(Transition("a\\b", 'say "hi"'),),
+                     arcs=(('p "1"', "a\\b"), ("a\\b", "p2")),
+                     initial_marking=Marking({'p "1"': 1}))
+    lines = net_to_dot(net).splitlines()
+    assert '  "p \\"1\\"" [shape=circle label="p \\"1\\" (1)"];' in lines
+    assert '  "a\\\\b" [shape=box label="say \\"hi\\""];' in lines
+    assert '  "p \\"1\\"" -> "a\\\\b";' in lines
+
+
 def test_net_dot_is_deterministic():
     net = covas_model()
     assert net_to_dot(net) == net_to_dot(net)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import random
 from datetime import timedelta
@@ -166,6 +167,17 @@ def test_replay_csv_and_report():
     assert len(csv_text.strip().splitlines()) == 3
     report = deviation_report(result)
     assert "case c2" in report and "missing tokens" in report
+
+
+def test_replay_csv_quotes_cells_that_need_it():
+    log = EventLog((make_trace("Smith, J", FULL_TRACE), make_trace('say "hi"', ["End"]),
+                    make_trace("plain", ["End"])))
+    result = replay_log(covas_model(), log)
+    text = replay_csv(result)
+    rows = list(csv.reader(text.splitlines(keepends=True)))
+    assert [row[0] for row in rows] == ["case_id", "Smith, J", 'say "hi"', "plain"]
+    assert all(len(row) == 6 for row in rows)
+    assert text.splitlines()[3].startswith("plain,")
 
 
 def test_counters_match_bruteforce_oracle_on_random_pairs():

@@ -1,3 +1,4 @@
+import gc
 import random
 import warnings
 from datetime import timedelta
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from careflow.errors import CareflowError, XesFormatError
 from careflow.eventlog import Event, EventLog, Trace, log_stats
+from careflow import xesio
 from careflow.xesio import XesWarning, parse_xes, sniff_format, write_xes
 from helpers import T0, make_trace, oracle_parse_xes, paper_logs, random_log
 
@@ -29,6 +31,19 @@ def test_minimal_document():
     assert len(log) == 1
     assert log.traces[0].case_id == "c1"
     assert log.traces[0].activities() == ("A",)
+
+
+def test_reading_leaves_no_reference_cycle():
+    # a cycle would keep the reader, and the log it built, alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        parse_xes(MINIMAL)
+        with pytest.raises(XesFormatError):
+            parse_xes(MINIMAL.replace("</log>", "<x:y/></log>"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_malformed_xml_reports_location():
@@ -208,6 +223,11 @@ READER_CASES = {
         event='<list key="l"><string key="x" value="y"/>t1</list>\n  t2 <!-- c --> t3\n'),
     "typed-with-child": _doc(event='<string key="s" value="v">before<child a="1"/>x</string>tail'),
     "typed-with-text": _doc(event='<string key="s" value="v">just text</string>'),
+    "typed-with-child-and-text-at-log-and-trace": _doc(
+        log='<int key="n" value="1"><x/></int><date key="d" value="2020-01-01">t</date>',
+        trace='<boolean key="b" value="true">t<x>u</x>v</boolean>w<float key="f" value="1">t</float>'),
+    "typed-with-child-replaces-no-decoded-value": _doc(
+        event='<string key="s" value="1"/><string key="s" value="2">a<b/></string>'),
     "namespaces": _doc(
         root_attrs=' xmlns="http://www.xes-standard.org/" xmlns:x="urn:x"',
         event='<x:string key="k" value="v"/><x:foo x:a="1" b="2"><x:bar/></x:foo>'
@@ -264,3 +284,35 @@ def test_streaming_reader_matches_tree_reader_on_paper_logs():
 @given(xes_logs())
 def test_streaming_reader_matches_tree_reader_property(log):
     assert_readers_agree(write_xes(log))
+
+
+def test_typed_element_with_a_child_is_a_snippet_and_with_text_a_value():
+    log = parse_xes(_doc(event='<string key="s" value="v">before<child a="1"/>x</string>tail'
+                               '<int key="n" value="3">only text</int>'))
+    event = log.traces[0].events[0]
+    assert event.attributes == {"n": 3}
+    assert event.raw_extensions == ('<string key="s" value="v">before<child a="1" />x</string>tail',)
+
+
+def test_document_longer_than_a_chunk_with_a_label_across_the_boundary():
+    label = "Intubación, día 1"
+    head = '<log><trace><string key="concept:name" value="c1"/><event><string key="pad" value="'
+    middle = '"/><string key="concept:name" value="'
+    # the pad places the chunk boundary right after the label's "ó"
+    pad = "p" * (xesio._CHUNK - len(head) - len(middle) - label.index("ó") - 1)
+    text = (head + pad + middle + label + '"/><date key="time:timestamp" '
+            'value="2020-02-01T00:00:00+00:00"/></event></trace></log>')
+    assert text[xesio._CHUNK - 1:xesio._CHUNK + 1] == "ón"
+    event = parse_xes(text).traces[0].events[0]
+    assert (event.activity, event.attributes) == (label, {"pad": pad})
+    assert_readers_agree(text)
+
+
+def test_bad_log_attribute_outranks_an_earlier_bad_trace_and_its_warnings():
+    text = ('<log><trace/><trace><int key="n" value="x"/></trace>'
+            '<string key="ok" value="y"/><float key="f" value="z"/></log>')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the warning of trace #1 must not be emitted
+        with pytest.raises(XesFormatError, match="bad float literal 'z' for key 'f'"):
+            parse_xes(text)
+    assert_readers_agree(text)
