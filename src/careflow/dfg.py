@@ -96,7 +96,7 @@ def filter_dfg(dfg: Dfg, min_node_frequency: float = 0, min_edge_frequency: floa
     start/end maps are restricted to the surviving activities. The operation
     is idempotent at fixed thresholds and monotone in them.
     """
-    if min_node_frequency < 0 or min_edge_frequency < 0:
+    if not (min_node_frequency >= 0 and min_edge_frequency >= 0):  # NaN fails >= too
         raise ValueError("thresholds must be non-negative")
     node_cut = _threshold(min_node_frequency, max((s.frequency for s in dfg.nodes.values()), default=0))
     edge_cut = _threshold(min_edge_frequency, max((s.frequency for s in dfg.edges.values()), default=0))

@@ -74,7 +74,7 @@ class Event:
         set_field(self, "raw_extensions", raw_extensions)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Trace:
     """All events of one case, kept sorted by timestamp (stable for ties)."""
 
@@ -83,14 +83,24 @@ class Trace:
     attributes: dict[str, AttrValue] = field(default_factory=dict)
     raw_extensions: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not self.case_id:
+    def __init__(self, case_id: str, events: tuple[Event, ...] = (),
+                 attributes: dict[str, AttrValue] | None = None,
+                 raw_extensions: tuple[str, ...] = ()):
+        # written out like Event's: each field is set once, and order is checked in a loop
+        if not case_id:
             raise ValueError("trace case_id must be non-empty")
-        object.__setattr__(self, "attributes", _normalize_attrs(self.attributes))
-        events = tuple(self.events)
-        if any(events[i].timestamp > events[i + 1].timestamp for i in range(len(events) - 1)):
-            events = tuple(sorted(events, key=lambda e: e.timestamp))
-        object.__setattr__(self, "events", events)
+        events = tuple(events)
+        previous = events[0].timestamp if events else None
+        for event in events:
+            if event.timestamp < previous:
+                events = tuple(sorted(events, key=lambda e: e.timestamp))
+                break
+            previous = event.timestamp
+        set_field = object.__setattr__
+        set_field(self, "case_id", case_id)
+        set_field(self, "events", events)
+        set_field(self, "attributes", _normalize_attrs(attributes))
+        set_field(self, "raw_extensions", raw_extensions)
 
     @property
     def complete(self) -> bool:

@@ -140,10 +140,6 @@ class PetriNet:
         """Output places of a transition (postset)."""
         return self._outputs[tid]
 
-    def labeled(self, label: str) -> tuple[Transition, ...]:
-        """Transitions carrying the given activity label, in id order."""
-        return tuple(sorted((t for t in self.transitions if t.label == label), key=lambda t: t.id))
-
     @cached_property
     def compiled(self) -> CompiledNet:
         """The net's integer form, built on first use and kept with the net."""

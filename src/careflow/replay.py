@@ -32,10 +32,11 @@ other numbering would break it). ``max_expansions`` bounds each search and
 raises ReplayBudgetError. ``replay_log`` reuses work within one call and frees
 it on return: each variant, keyed by the activity sequence (unmapped events
 included) and whether the final marking is ignored, is searched once and its
-repeats copy the result under their own case id; and one successor memo, with
-one copy of each marking, serves every trace, as firing depends on the marking
-alone. The search pushes silent successors one at a time and spells paths as
-bytes, which keeps its heap small.
+repeats copy the result under their own case id; and one successor memo serves
+every trace, as firing depends on the marking alone. The memo numbers each marking
+once, and the search works on those numbers: its states, memo keys and heap entries
+are small ints, hashed and compared without reading a marking. The search pushes
+silent successors one at a time and spells paths as bytes, which keeps its heap small.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .petri import PetriNet
 
 _DONE = -1
 MAX_SILENT_RUN = 8
+_GAPS = MAX_SILENT_RUN + 1  # gaps 0..MAX_SILENT_RUN
 
 
 @dataclass(frozen=True)
@@ -99,31 +101,39 @@ def _final_gap(final: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, in
 
 
 class _Replayer:
-    """Replays traces on one net with one successor memo: ``moves`` maps (marking,
-    labeled transition) to (successor, missing tokens), ``silent_moves`` holds each
-    marking's silent moves sorted by missing tokens, ``markings`` one copy of each."""
+    """Replays traces on one net with one successor memo over interned markings:
+    ``vectors`` holds each marking once, numbered by ``ids``; ``moves`` maps
+    ``id * len(tids) + t`` of a labeled move to (successor id, missing tokens), and
+    ``silent_moves[id]`` holds the marking's silent moves sorted by missing tokens."""
 
     def __init__(self, net: PetriNet, max_expansions: int):
         self.net, self.cn = net, net.compiled
         self.max_expansions = max_expansions
         self.silents = tuple(t for t, label in enumerate(self.cn.labels) if label is None)
-        self.moves: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
-        self.silent_moves: dict[tuple[int, ...], tuple] = {}
-        self.markings: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.labeled: dict[str, tuple[int, ...]] = {}  # activity -> its indices, ascending
+        for t, label in enumerate(self.cn.labels):
+            if label is not None:
+                self.labeled[label] = self.labeled.get(label, ()) + (t,)
+        wide = len(self.cn.tids) > 256
+        self.step = [(t,) if wide else bytes((t,)) for t in range(len(self.cn.tids))]
+        self.root = () if wide else b""
+        self.moves: dict[int, tuple[int, int]] = {}
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.vectors: list[tuple[int, ...]] = []
+        self.silent_moves: list[tuple | None] = []
+        self.initial = self._id(self.cn.initial)
 
-    def _candidates(self, activity: str) -> tuple[int, ...]:
-        """Transition indices an event may fire, ascending; empty when unmapped."""
-        return tuple(self.cn.index[t.id] for t in self.net.labeled(activity))
+    def _id(self, vector: tuple[int, ...]) -> int:
+        marking = self.ids.get(vector)
+        if marking is None:
+            marking = self.ids[vector] = len(self.vectors)
+            self.vectors.append(vector)
+            self.silent_moves.append(None)
+        return marking
 
-    def _fire(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
-        succ, missing = self.cn.fire(vector, t)
-        return self.markings.setdefault(succ, succ), len(missing)
-
-    def _move(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
-        hit = self.moves.get((vector, t))
-        if hit is None:
-            hit = self.moves[vector, t] = self._fire(vector, t)
-        return hit
+    def _fire(self, marking: int, t: int) -> tuple[int, int]:
+        succ, missing = self.cn.fire(self.vectors[marking], t)
+        return self._id(succ), len(missing)
 
     def _search(self, case_id: str, events: list[tuple[int, ...]],
                 ignore_final_marking: bool) -> bytes | tuple[int, ...]:
@@ -131,62 +141,68 @@ class _Replayer:
 
         Heap entries (m, r, silents, path, event, marking, gap, siblings, k) sort in
         cost order; a path is bytes when indices fit in a byte, which sort like tuples.
+        Equal paths reach equal markings, so a marking's id never decides a tie.
         Of duplicate-label candidates the first enabled one fires, else the first.
         Sorted by (missing, index), a marking's silent moves cost no less than the one
         before, so popping ``siblings[k]`` pushes the next: the pop order is unchanged.
         """
-        cn = self.cn
-        pre, final = cn.pre, cn.final
-        move, silent_moves = self._move, self.silent_moves
+        cn, vectors, moves, silent_moves = self.cn, self.vectors, self.moves, self.silent_moves
+        pre, final, width, step = cn.pre, cn.final, len(cn.tids), self.step
         budget = self.max_expansions
         n = len(events)
+        # a state (event i, marking, gap) is the int marking * stride + i * _GAPS + gap
+        stride = (n + 1) * _GAPS
         push, pop = heapq.heappush, heapq.heappop
-        wide = len(cn.tids) > 256
-        step = [(t,) if wide else bytes((t,)) for t in range(len(cn.tids))]
-        heap = [(0, 0, 0, () if wide else b"", 0, cn.initial, 0, None, 0)]
-        settled: set[tuple[int, tuple[int, ...], int]] = set()
+        heap = [(0, 0, 0, self.root, 0, self.initial, 0, None, 0)]
+        settled: set[int] = set()
         expansions = 0
-
-        def push_silent(m, r, s, path, i, gap, silent, k):
-            """Push the first move of ``silent[k:]`` that leads to an unsettled state."""
-            for k in range(k, len(silent)):
-                t, succ, missing = silent[k]
-                if (i, succ, gap + 1) not in settled:
-                    push(heap, (m + missing, r, s + 1, path + step[t], i, succ, gap + 1, silent, k))
-                    return
-
         while heap:
-            m, r, s, path, i, vector, gap, siblings, k = pop(heap)
-            if siblings is not None:
-                push_silent(m - siblings[k][2], r, s - 1, path[:-1], i, gap - 1, siblings, k + 1)
-            state = (i, vector, gap)
+            m, r, s, path, i, marking, gap, siblings, k = pop(heap)
+            if i == _DONE:
+                return path
+            base = i * _GAPS + gap
+            if siblings is not None:  # push the next sibling that reaches an unsettled state
+                parent_m, parent_path = m - siblings[k][2], path[:-1]
+                for k in range(k + 1, len(siblings)):
+                    t, succ, missing = siblings[k]
+                    if succ * stride + base not in settled:
+                        push(heap, (parent_m + missing, r, s, parent_path + step[t], i, succ, gap,
+                                    siblings, k))
+                        break
+            state = marking * stride + base
             if state in settled:
                 continue
             settled.add(state)
-            if i == _DONE:
-                return path
             expansions += 1
             if expansions > budget:
                 raise ReplayBudgetError(case_id, budget)
             if i == n:
                 deficit = remaining = 0
                 if not ignore_final_marking:
-                    deficit, remaining, _ = _final_gap(final, vector)
-                push(heap, (m + deficit, r + remaining, s, path, _DONE, (), 0, None, 0))
+                    deficit, remaining, _ = _final_gap(final, vectors[marking])
+                push(heap, (m + deficit, r + remaining, s, path, _DONE, 0, 0, None, 0))
             else:
                 candidates = events[i]
                 t = candidates[0]
                 if len(candidates) > 1:
+                    vector = vectors[marking]
                     t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
-                succ, missing = move(vector, t)
-                if (i + 1, succ, 0) not in settled:
+                hit = moves.get(marking * width + t)
+                if hit is None:
+                    hit = moves[marking * width + t] = self._fire(marking, t)
+                succ, missing = hit
+                if succ * stride + (i + 1) * _GAPS not in settled:
                     push(heap, (m + missing, r, s, path + step[t], i + 1, succ, 0, None, 0))
             if gap < MAX_SILENT_RUN:
-                silent = silent_moves.get(vector)
+                silent = silent_moves[marking]
                 if silent is None:
-                    hits = ((t,) + self._fire(vector, t) for t in self.silents)  # ascending t
-                    silent = silent_moves[vector] = tuple(sorted(hits, key=lambda hit: hit[2]))
-                push_silent(m, r, s, path, i, gap, silent, 0)
+                    hits = [(t,) + self._fire(marking, t) for t in self.silents]  # ascending t
+                    silent = silent_moves[marking] = tuple(sorted(hits, key=lambda hit: hit[2]))
+                for k, (t, succ, missing) in enumerate(silent):
+                    if succ * stride + base + 1 not in settled:
+                        push(heap, (m + missing, r, s + 1, path + step[t], i, succ, gap + 1,
+                                    silent, k))
+                        break
         raise AssertionError("unreachable: the no-silents schedule always completes")
 
     def replay(self, trace: Trace, ignore_final_marking: bool) -> TraceReplayResult:
@@ -195,7 +211,7 @@ class _Replayer:
             raise ReplayConfigError("replay requires a non-empty initial marking")
         if not ignore_final_marking and not net.final_marking:
             raise ReplayConfigError("replay requires a non-empty final marking")
-        candidates = [self._candidates(e.activity) for e in events]
+        candidates = [self.labeled.get(e.activity, ()) for e in events]
         winner = self._search(trace.case_id, [c for c in candidates if c], ignore_final_marking)
 
         # Fire the winning schedule once more for the firing log; an unmapped

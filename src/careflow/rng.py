@@ -32,13 +32,15 @@ class Stream:
             state = _mix((state + _GOLDEN * ((part & _MASK) + 1)) & _MASK)
         self._state = state
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
-
     def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        """Uniform float in [0, 1): the top 53 bits of the stream's next output.
+
+        The step and ``_mix`` are written out: one Python call per draw, not three.
+        """
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + self.random() * (hi - lo)

@@ -13,6 +13,11 @@ the admission draw use three separate substreams per case: changing a delay
 parameter never reshuffles which path a case takes, which keeps calibration
 against aggregate targets well behaved.
 
+One ``simulate`` call plays every case on one step table: each marking it
+reaches is numbered and its conflict groups are built on the first visit, with
+each member's successor, label and delay draw worked out then. A step is then a
+draw and a lookup, and each (marking, transition) fires once per call.
+
 Configs are flat ``key = value`` text files (see ``parse_config``). The
 packaged ``covas_desk.config`` regenerates a desk-scale log whose headline
 statistics match the COVID ICU case study this toolkit reproduces; its delay
@@ -43,13 +48,6 @@ class DelaySpec:
 
     kind: str  # 'fixed' | 'uniform' | 'lognormal'
     params: tuple[float, ...]
-
-    def draw(self, rng: Stream, scale: float) -> float:
-        if self.kind == "fixed":
-            return self.params[0] * scale
-        if self.kind == "uniform":
-            return rng.uniform(self.params[0], self.params[1]) * scale
-        return rng.lognormal(self.params[0], self.params[1]) * scale
 
 
 @dataclass(frozen=True)
@@ -144,57 +142,105 @@ def _draw_admission(wave: WaveSpec, rng: Stream) -> datetime:
     return instant.replace(microsecond=0)
 
 
-def _conflict_groups(net: PetriNet, marking: tuple[int, ...],
-                     probs: dict[str, float]) -> list[tuple[tuple[int, ...], list[float]]]:
-    """Enabled transitions grouped by identical preset, groups sorted by preset;
-    each group is (transition indices in id order, pick weights)."""
-    cn = net.compiled
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for t in cn.enabled(marking):
-        groups.setdefault(tuple(sorted(net.inputs(cn.tids[t]))), []).append(t)
-    out = []
-    for key in sorted(groups):
-        group = groups[key]
-        configured = {t: probs[cn.tids[t]] for t in group if cn.tids[t] in probs}
-        mass = sum(configured.values())
-        free = [t for t in group if t not in configured]
-        # unconfigured members share what is left; over-full groups are normalized by the draw
-        rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
-        out.append((tuple(group), [configured.get(t, rest) for t in group]))
-    return out
+_FIXED, _UNIFORM, _LOGNORMAL, _UNDEFINED = range(4)
 
 
-def _delay_for(label: str, config: SimConfig) -> DelaySpec:
+def _delay(label: str | None, config: SimConfig) -> tuple | None:
+    """A label's delay draw in hours as (kind, a, b): ``a``, ``a + u * b`` or
+    ``exp(a + b * z)``, with a uniform's width and a lognormal's log-space mean worked
+    out once; an undefined delay carries the error that its first draw raises."""
+    if label is None:
+        return None
     spec = config.delays.get(label) or config.delays.get("default")
     if spec is None:
-        raise ConfigError(f"no delay configured for activity {label!r} and no default")
-    return spec
+        return _UNDEFINED, ConfigError(f"no delay configured for activity {label!r} "
+                                       "and no default"), None
+    p = spec.params
+    if spec.kind == "fixed":
+        return _FIXED, p[0], None
+    if spec.kind == "uniform":
+        return _UNIFORM, p[0], p[1] - p[0]
+    if p[0] <= 0:
+        return _UNDEFINED, ValueError("lognormal mean must be positive"), None
+    return _LOGNORMAL, math.log(p[0]) - 0.5 * p[1] * p[1], p[1]
 
 
-def _play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng: Stream,
-               delay_rng: Stream, admission: datetime, groups_at: dict) -> list[Event]:
-    """One case's events; ``groups_at`` memoises ``_conflict_groups`` by marking."""
-    cn = net.compiled
-    marking = cn.initial
+class _StepTable:
+    """The markings one ``simulate`` call reaches, numbered as found, and their
+    conflict groups, built on first visit: enabled transitions grouped by identical
+    preset, groups sorted by preset, each (members in id order, pick weights) and
+    each member (successor number, label, ``_delay``)."""
+
+    def __init__(self, net: PetriNet, config: SimConfig):
+        self.net, self.config = net, config
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.vectors: list[tuple[int, ...]] = []
+        self.groups: list[list | None] = []
+        self.initial, self.final = self._id(net.compiled.initial), self._id(net.compiled.final)
+
+    def _id(self, vector: tuple[int, ...]) -> int:
+        marking = self.ids.get(vector)
+        if marking is None:
+            marking = self.ids[vector] = len(self.vectors)
+            self.vectors.append(vector)
+            self.groups.append(None)
+        return marking
+
+    def build(self, marking: int) -> list:
+        net, cn, probs = self.net, self.net.compiled, self.config.branch_probabilities
+        vector = self.vectors[marking]
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for t in cn.enabled(vector):
+            groups.setdefault(tuple(sorted(net.inputs(cn.tids[t]))), []).append(t)
+        out = []
+        for key in sorted(groups):
+            group = groups[key]
+            configured = {t: probs[cn.tids[t]] for t in group if cn.tids[t] in probs}
+            mass = sum(configured.values())
+            free = [t for t in group if t not in configured]
+            # unconfigured members share what is left; over-full groups are normalized by the draw
+            rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
+            members = tuple((self._id(cn.fire(vector, t, strict=True)[0]), cn.labels[t],
+                             _delay(cn.labels[t], self.config)) for t in group)
+            out.append((members, [configured.get(t, rest) for t in group]))
+        self.groups[marking] = out
+        return out
+
+
+def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: Stream,
+               admission: datetime) -> list[Event]:
+    """One case's events, played on the step table."""
+    groups_at, final, scale = table.groups, table.final, wave.delay_scale
+    marking = table.initial
     clock = admission
     prev_ts: datetime | None = None
     events: list[Event] = []
     for _ in range(_MAX_STEPS_PER_CASE):
-        if marking == cn.final:
+        if marking == final:
             return events
-        groups = groups_at.get(marking)
+        groups = groups_at[marking]
         if groups is None:
-            groups = groups_at[marking] = _conflict_groups(net, marking,
-                                                           config.branch_probabilities)
+            groups = table.build(marking)
         if not groups:
-            raise SimulationDeadlockError(repr(dict(cn.marking(marking).key())))
-        group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
-        t = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
-        marking, _ = cn.fire(marking, t, strict=True)
-        label = cn.labels[t]
+            vector = table.vectors[marking]
+            raise SimulationDeadlockError(repr(dict(table.net.compiled.marking(vector).key())))
+        members, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
+        marking, label, delay = (members[path_rng.pick_weighted(weights)] if len(members) > 1
+                                 else members[0])
         if label is not None:
-            clock += timedelta(hours=_delay_for(label, config).draw(delay_rng, wave.delay_scale))
-            ts = clock.replace(microsecond=0)
+            kind, a, b = delay
+            if kind == _LOGNORMAL:
+                hours = math.exp(a + b * delay_rng.normal())
+            elif kind == _FIXED:
+                hours = a
+            elif kind == _UNIFORM:
+                hours = a + delay_rng.random() * b
+            else:
+                raise a
+            # timedelta(hours=...) and clock.replace(microsecond=0), spelled positionally,
+            # which gives the same instants without parsing keyword arguments per event
+            clock += timedelta(0, 0, 0, 0, 0, hours * scale)
+            ts = clock - timedelta(0, 0, clock.microsecond)
             if prev_ts is not None and ts <= prev_ts:
                 ts = prev_ts + timedelta(seconds=1)  # keep timestamps strictly increasing
             prev_ts = ts
@@ -208,14 +254,14 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     plan = _case_plan(config)
     width = len(str(len(plan)))
     traces: list[Trace] = []
-    groups_at: dict = {}
+    table = _StepTable(net, config)
     for case_index, (wave_index, ongoing) in enumerate(plan):
         path_rng = Stream(config.seed, case_index, 0)
         delay_rng = Stream(config.seed, case_index, 1)
         admission_rng = Stream(config.seed, case_index, 2)
         wave = config.waves[wave_index]
         admission = _draw_admission(wave, admission_rng)
-        events = _play_case(net, config, wave, path_rng, delay_rng, admission, groups_at)
+        events = _play_case(table, wave, path_rng, delay_rng, admission)
         ards = path_rng.bernoulli(config.ards_probability)
         if ongoing and len(events) >= 2:
             keep = 1 + path_rng.randint(len(events) - 1)  # uniform proper prefix

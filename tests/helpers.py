@@ -9,10 +9,12 @@ from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 from careflow.covas import covas_model
-from careflow.errors import XesFormatError
+from careflow.errors import ConfigError, SimulationDeadlockError, XesFormatError
 from careflow.eventlog import _PARSERS, AttrValue, Event, EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
-from careflow.simulate import inject_noise, parse_config, simulate
+from careflow.rng import Stream
+from careflow.simulate import (SimConfig, WaveSpec, _case_plan, _draw_admission, inject_noise,
+                               parse_config, simulate)
 from careflow.xesio import XesWarning, _local
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
@@ -108,12 +110,16 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
     recursion over markings, independent of the replayer's search.
     """
     silents = sorted(t.id for t in net.transitions if t.silent)
-    mapped = [a for a in activities if net.labeled(a)]
+
+    def labeled(activity: str) -> list[Transition]:
+        return sorted((t for t in net.transitions if t.label == activity), key=lambda t: t.id)
+
+    mapped = [a for a in activities if labeled(a)]
     n_unmapped = len(activities) - len(mapped)
     final = net.final_marking
 
     def resolve(activity: str, marking: dict[str, int]) -> str:
-        candidates = net.labeled(activity)
+        candidates = labeled(activity)
         if len(candidates) == 1:
             return candidates[0].id
         for trans in candidates:
@@ -172,6 +178,84 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
     if not ignore_final:
         consumed += final.total()
     return produced, consumed, m + n_unmapped, r + n_unmapped
+
+
+# --- step-by-step simulator oracle -------------------------------------------------
+
+def _oracle_groups(net: PetriNet, marking: tuple[int, ...],
+                   probs: dict[str, float]) -> list[tuple[tuple[int, ...], list[float]]]:
+    cn = net.compiled
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for t in cn.enabled(marking):
+        groups.setdefault(tuple(sorted(net.inputs(cn.tids[t]))), []).append(t)
+    out = []
+    for key in sorted(groups):
+        group = groups[key]
+        configured = {t: probs[cn.tids[t]] for t in group if cn.tids[t] in probs}
+        mass = sum(configured.values())
+        free = [t for t in group if t not in configured]
+        rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
+        out.append((tuple(group), [configured.get(t, rest) for t in group]))
+    return out
+
+
+def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng: Stream,
+                      delay_rng: Stream, admission: datetime) -> list[Event]:
+    cn = net.compiled
+    marking = cn.initial
+    clock = admission
+    prev_ts: datetime | None = None
+    events: list[Event] = []
+    for _ in range(10_000):
+        if marking == cn.final:
+            return events
+        groups = _oracle_groups(net, marking, config.branch_probabilities)
+        if not groups:
+            raise SimulationDeadlockError(repr(dict(cn.marking(marking).key())))
+        group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
+        t = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
+        marking, _ = cn.fire(marking, t, strict=True)
+        label = cn.labels[t]
+        if label is not None:
+            spec = config.delays.get(label) or config.delays.get("default")
+            if spec is None:
+                raise ConfigError(f"no delay configured for activity {label!r} and no default")
+            if spec.kind == "fixed":
+                hours = spec.params[0] * wave.delay_scale
+            elif spec.kind == "uniform":
+                hours = delay_rng.uniform(spec.params[0], spec.params[1]) * wave.delay_scale
+            else:
+                hours = delay_rng.lognormal(spec.params[0], spec.params[1]) * wave.delay_scale
+            clock += timedelta(hours=hours)
+            ts = clock.replace(microsecond=0)
+            if prev_ts is not None and ts <= prev_ts:
+                ts = prev_ts + timedelta(seconds=1)
+            prev_ts = ts
+            events.append(Event(label, ts))
+    raise SimulationDeadlockError("case did not reach the final marking within 10000 steps")
+
+
+def oracle_simulate(config: SimConfig, net: PetriNet) -> EventLog:
+    """The simulator as it was before its step table: conflict groups are rebuilt and
+    every transition fired at each step, and each delay is drawn through ``Stream``'s
+    own ``uniform`` and ``lognormal``. Kept as the reference ``simulate`` must equal."""
+    plan = _case_plan(config)
+    width = len(str(len(plan)))
+    traces: list[Trace] = []
+    for case_index, (wave_index, ongoing) in enumerate(plan):
+        path_rng = Stream(config.seed, case_index, 0)
+        delay_rng = Stream(config.seed, case_index, 1)
+        wave = config.waves[wave_index]
+        admission = _draw_admission(wave, Stream(config.seed, case_index, 2))
+        events = _oracle_play_case(net, config, wave, path_rng, delay_rng, admission)
+        ards = path_rng.bernoulli(config.ards_probability)
+        complete = True
+        if ongoing and len(events) >= 2:
+            events = events[:1 + path_rng.randint(len(events) - 1)]
+            complete = False
+        traces.append(Trace(f"case_{case_index + 1:0{width}d}", tuple(events),
+                            {"ards": ards, "complete": complete}))
+    return EventLog(tuple(traces), name=config.name)
 
 
 def paper_logs() -> tuple[EventLog, EventLog]:

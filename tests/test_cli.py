@@ -146,6 +146,13 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--min-edge", "--min-node"])
+def test_dfg_nan_threshold_is_an_input_error(flag, tmp_path, capsys):
+    (tmp_path / "log.xes").write_text(write_xes(make_log(["A", "B"])), encoding="utf-8")
+    assert cli.main(["dfg", str(tmp_path / "log.xes"), flag, "nan"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_occupancy_json_with_out_writes_the_file(tmp_path, capsys):
     log = make_log(["startVentilation", "endVentilation"])
     (tmp_path / "log.xes").write_text(write_xes(log), encoding="utf-8")

@@ -65,6 +65,14 @@ def test_filter_zero_thresholds_is_identity():
     assert filter_dfg(dfg, 0, 0) == dfg
 
 
+@pytest.mark.parametrize("bad", [-1, -0.5, float("nan")], ids=["negative", "negative-fraction", "nan"])
+def test_filter_rejects_thresholds_that_are_not_non_negative(bad):
+    dfg = discover_dfg(make_log(["A", "B"]))
+    for thresholds in ({"min_node_frequency": bad}, {"min_edge_frequency": bad}):
+        with pytest.raises(ValueError, match="non-negative"):
+            filter_dfg(dfg, **thresholds)
+
+
 def test_filter_above_max_removes_all_edges():
     dfg = discover_dfg(make_log(["A", "B"], ["A", "B"]))
     filtered = filter_dfg(dfg, min_edge_frequency=99)

@@ -66,6 +66,38 @@ def test_trace_sorts_events_stably():
     assert trace.activities() == ("A", "B", "X")  # tie keeps input order B before X
 
 
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from("ABC")), max_size=12))
+def test_trace_orders_events_like_a_stable_sort(stamps):
+    events = [Event(label, T0 + timedelta(hours=hour)) for hour, label in stamps]
+    trace = Trace("c1", events)
+    assert trace.events == tuple(sorted(events, key=lambda e: e.timestamp))
+    assert type(trace.events) is tuple
+    if events == sorted(events, key=lambda e: e.timestamp):
+        assert trace.events == tuple(events)
+
+
+def test_trace_is_a_frozen_slotted_record():
+    attrs = {"when": datetime(2020, 3, 1, 14, tzinfo=timezone(timedelta(hours=2)))}
+    early, late = Event("A", T0), Event("B", T0 + timedelta(hours=1))
+    trace = Trace("c1", (early, late), attrs, ("<x/>",))
+    attrs["n"] = 1
+    assert trace.attributes == {"when": datetime(2020, 3, 1, 12, tzinfo=timezone.utc)}
+    assert Trace("c1") == Trace(case_id="c1", events=(), attributes={}, raw_extensions=())
+    assert Trace("c1").attributes == {} and Trace("c1").attributes is not Trace("c1").attributes
+    assert trace != replace(trace, raw_extensions=())
+    assert repr(Trace("c1", (), {"n": 1})) == (
+        "Trace(case_id='c1', events=(), attributes={'n': 1}, raw_extensions=())")
+    assert replace(trace, case_id="c2") == Trace("c2", (early, late), trace.attributes, ("<x/>",))
+    assert replace(trace, events=(late, early)).events == (early, late)
+    assert Trace.__slots__ == ("case_id", "events", "attributes", "raw_extensions")
+    with pytest.raises(FrozenInstanceError):
+        trace.case_id = "c2"
+    with pytest.raises(ValueError, match="case_id"):
+        Trace("")
+    with pytest.raises(ValueError, match="case_id"):
+        Trace("", (early,), {"ards": True})
+
+
 def test_duplicate_case_ids_rejected():
     with pytest.raises(ValueError):
         EventLog((make_trace("c1", ["A"]), make_trace("c1", ["B"])))

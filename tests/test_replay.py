@@ -211,6 +211,41 @@ def test_replay_log_equals_per_trace_replay_on_noisy_log():
     assert list(result.per_trace) == expected  # firing logs included
 
 
+def test_replay_log_equals_per_trace_replay_on_random_nets():
+    # replay_log numbers markings once for the whole log; a trace must read every
+    # marking number as the marking it stands for, whichever trace found it first
+    rnd = random.Random(909)
+    compared = 0
+    while compared < 40:
+        net = random_net(rnd)
+        log = EventLog(tuple(make_trace(f"c{k}", random_activities(rnd, net) or ["A0"],
+                                        complete=rnd.random() < 0.7) for k in range(8)))
+        try:
+            expected = [replay_trace(net, trace, ignore_final_marking=not trace.complete,
+                                     max_expansions=20_000) for trace in log]
+        except ReplayBudgetError:
+            continue
+        assert list(replay_log(net, log, max_expansions=20_000).per_trace) == expected
+        compared += 1
+
+
+def test_states_before_the_first_and_after_the_last_event_stay_apart():
+    # The search numbers markings as it meets them and keys a state by (event, marking,
+    # silent run). Before the one event, s0 and s1 lead from {q0} to {q0, q3} and {q2};
+    # the best schedule, T0 then s0, reaches {q0, q3} again after the event, a state
+    # that must stay apart from those two, which are settled first.
+    net = PetriNet(("q0", "q1", "q2", "q3"),
+                   (Transition("T0", "A0"), Transition("s0", None), Transition("s1", None)),
+                   (("q1", "T0"), ("q2", "T0"), ("q3", "T0"), ("T0", "q2"), ("q2", "s0"),
+                    ("q3", "s0"), ("s0", "q3"), ("q3", "s1"), ("q0", "s1"), ("q1", "s1"),
+                    ("s1", "q2")),
+                   Marking({"q0": 1}), Marking({"q3": 1}))
+    result = replay_trace(net, make_trace("c1", ["A0"]))
+    assert [step.transition_id for step in result.firing_log] == ["T0", "s0"]
+    assert (result.produced, result.consumed, result.missing, result.remaining) == \
+        oracle_replay(net, ["A0"]) == (3, 6, 4, 1)
+
+
 def test_variant_cache_keeps_complete_and_ongoing_apart():
     prefix = FULL_TRACE[:5]
     log = EventLog((make_trace("done", prefix, complete=True),

@@ -4,8 +4,9 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from careflow.covas import covas_model
+from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import ConfigError, SimulationDeadlockError
 from careflow.eventlog import EventLog
 from careflow.petri import Marking, PetriNet, Transition
@@ -13,7 +14,7 @@ from careflow.replay import replay_log
 from careflow.simulate import (DelaySpec, NoiseSpec, SimConfig, WaveSpec, inject_noise,
                                parse_config, simulate, write_config)
 from careflow.xesio import write_xes
-from helpers import make_log, make_trace, paper_logs
+from helpers import make_log, make_trace, oracle_simulate, paper_logs
 
 WAVE = WaveSpec(window_start=datetime(2020, 2, 1, tzinfo=timezone.utc),
                 window_end=datetime(2020, 6, 30, tzinfo=timezone.utc),
@@ -208,3 +209,81 @@ def test_packaged_config_log_is_pinned():
     clean, _ = paper_logs()
     digest = hashlib.sha256(write_xes(clean).encode()).hexdigest()
     assert digest == "b4a25c762c839b213c4875c51d62d627ffecaaf8c0d0c084f5f8b9dd45b15b0f"
+
+
+def loop_net() -> PetriNet:
+    """A silent loop back to A, an exit to the final place, and a dead end at D."""
+    return PetriNet(("p1", "p2", "p3", "p4"),
+                    (Transition("A", "A"), Transition("B", "B"), Transition("D", "D"),
+                     Transition("s", None)),
+                    (("p1", "A"), ("A", "p2"), ("p2", "s"), ("s", "p1"), ("p2", "B"),
+                     ("B", "p3"), ("p2", "D"), ("D", "p4")),
+                    Marking({"p1": 1}), Marking({"p3": 1}))
+
+
+DELAY_SPECS = st.one_of(
+    st.builds(lambda hours: DelaySpec("fixed", (hours,)), st.floats(0, 500)),
+    st.builds(lambda low, width: DelaySpec("uniform", (low, low + width)),
+              st.floats(0, 200), st.floats(0, 200)),
+    st.builds(lambda mean, sigma: DelaySpec("lognormal", (mean, sigma)),
+              st.floats(0.01, 400), st.floats(0, 1.5)),
+)
+PROBABILITIES = st.dictionaries(st.sampled_from(ACTIVITIES + ("s", "B", "D")),
+                                st.floats(0, 1), max_size=6)
+
+
+def _outcome(run, cfg, net):
+    try:
+        return run(cfg, net)
+    except (ConfigError, SimulationDeadlockError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), case_count=st.integers(1, 30),
+       delays=st.dictionaries(st.sampled_from(ACTIVITIES + ("A", "B")), DELAY_SPECS, max_size=5),
+       default=DELAY_SPECS, scales=st.tuples(st.floats(0, 3), st.floats(0, 3)),
+       ongoing=st.floats(0, 0.9), ards=st.floats(0, 1), probs=PROBABILITIES,
+       mode=st.booleans(), loop=st.booleans())
+def test_simulate_equals_the_step_by_step_oracle(seed, case_count, delays, default, scales,
+                                                 ongoing, ards, probs, mode, loop):
+    # the step table, the inlined generator and the per-activity delay draws change no
+    # event; a config without a default delay, or a case that takes the loop net's dead
+    # end, must fail the same way
+    if seed % 4:
+        delays = {**delays, "default": default}
+    if loop:  # B keeps a share, so no case loops for ten thousand steps
+        probs = {**probs, "s": min(probs.get("s", 0.5), 0.9), "B": max(probs.get("B", 0.1), 0.1)}
+        if seed % 3:
+            probs["D"] = 0.0
+    waves = (WaveSpec(WAVE.window_start, WAVE.window_end, 0.6,
+                      datetime(2020, 3, 20, tzinfo=timezone.utc) if mode else None,
+                      60.0 if mode else 0.0, scales[0]),
+             WaveSpec(datetime(2020, 7, 1, tzinfo=timezone.utc),
+                      datetime(2020, 12, 15, tzinfo=timezone.utc), 0.4, delay_scale=scales[1]))
+    cfg = config(seed=seed, case_count=case_count, delays=delays, waves=waves,
+                 ongoing_fraction=ongoing, ards_probability=ards, branch_probabilities=probs)
+    net = loop_net() if loop else covas_model()
+    assert _outcome(simulate, cfg, net) == _outcome(oracle_simulate, cfg, net)
+
+
+@pytest.mark.parametrize("delays", [{"Start": DelaySpec("fixed", (0.0,))},
+                                    {"default": DelaySpec("lognormal", (0.0, 0.5))},
+                                    {"Start": DelaySpec("fixed", (0.0,)),
+                                     "default": DelaySpec("lognormal", (-1.0, 0.5))}],
+                         ids=["no-default", "zero-mean", "negative-mean"])
+def test_undefined_delays_fail_at_their_first_draw_like_the_oracle(delays):
+    cfg = config(delays=delays)
+    failure = _outcome(oracle_simulate, cfg, covas_model())
+    assert isinstance(failure, tuple) and _outcome(simulate, cfg, covas_model()) == failure
+
+
+@pytest.mark.parametrize("spec", [None, DelaySpec("lognormal", (0.0, 0.5))],
+                         ids=["missing", "zero-mean"])
+def test_an_activity_never_taken_needs_no_delay(spec):
+    # startSymptoms is enabled in every case but never chosen, so it draws no delay
+    delays = {a: DelaySpec("fixed", (1.0,)) for a in ACTIVITIES if a != "startSymptoms"}
+    if spec is not None:
+        delays["startSymptoms"] = spec
+    cfg = config(delays=delays, branch_probabilities={"startSymptoms": 0.0})
+    assert simulate(cfg, covas_model()) == oracle_simulate(cfg, covas_model())
