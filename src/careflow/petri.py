@@ -1,17 +1,16 @@
 """Labeled Petri nets with silent transitions and token-game semantics.
 
-Nets and markings are immutable; ``fire`` returns a fresh marking. Arc
-multiplicities are fixed at 1 (ordinary arcs only). A net is well-formed by
-construction: ``PetriNet`` raises PetriNetError for a repeated id or arc, an
-arc that does not join a known place and a known transition, and a marking on
-an unknown place.
+Nets and markings are immutable. Arc multiplicities are fixed at 1 (ordinary
+arcs only). A net is well-formed by construction: ``PetriNet`` raises
+PetriNetError for a repeated id or arc, an arc that does not join a known place
+and a known transition, and a marking on an unknown place.
 
 The token game is played once, by ``CompiledNet`` (``PetriNet.compiled``):
 places become indices, markings tuples of token counts, and transitions are
 numbered in sorted-id order, so index sequences sort like id sequences. Its
 ``fire`` creates missing tokens and reports them, or in strict mode raises
-NotEnabledError; ``fire``, ``enabled``, ``reachable_markings``, replay and
-the simulator all go through it.
+NotEnabledError; ``reachable_markings``, replay and the simulator all go
+through it.
 """
 
 from __future__ import annotations
@@ -122,15 +121,8 @@ class PetriNet:
             unknown = marking.places() - place_set
             if unknown:
                 raise PetriNetError(f"{kind} marking references unknown places: {sorted(unknown)}")
-        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_inputs", inputs)
         object.__setattr__(self, "_outputs", outputs)
-
-    def transition(self, tid: str) -> Transition:
-        try:
-            return self._by_id[tid]
-        except KeyError:
-            raise PetriNetError(f"unknown transition {tid!r}")
 
     def inputs(self, tid: str) -> tuple[str, ...]:
         """Input places of a transition (preset)."""
@@ -192,32 +184,6 @@ class CompiledNet:
         for p in self.post[t]:
             counts[p] += 1
         return tuple(counts), tuple(missing)
-
-
-def _check_marking(net: PetriNet, marking: Marking):
-    unknown = marking.places() - set(net.places)
-    if unknown:
-        raise PetriNetError(f"marking references unknown places: {sorted(unknown)}")
-
-
-def enabled(net: PetriNet, marking: Marking) -> set[str]:
-    """Ids of transitions whose input places hold enough tokens."""
-    _check_marking(net, marking)
-    cn = net.compiled
-    return {cn.tids[t] for t in cn.enabled(cn.vector(marking))}
-
-
-def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
-    """Fire a transition, returning the successor marking.
-
-    Raises NotEnabledError (carrying the missing input places) when the
-    transition is not enabled; the input marking is never modified.
-    """
-    _check_marking(net, marking)
-    net.transition(tid)
-    cn = net.compiled
-    succ, _ = cn.fire(cn.vector(marking), cn.index[tid], strict=True)
-    return cn.marking(succ)
 
 
 def reachable_markings(net: PetriNet) -> set[tuple[tuple[str, int], ...]]:

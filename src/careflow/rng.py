@@ -62,13 +62,6 @@ class Stream:
         u2 = self.random()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def lognormal(self, mean: float, sigma: float) -> float:
-        """Lognormal draw parameterized by its mean and log-space sigma."""
-        if mean <= 0:
-            raise ValueError("lognormal mean must be positive")
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return math.exp(mu + sigma * self.normal())
-
     def truncated_normal(self, center: float, spread: float, lo: float, hi: float) -> float:
         """Normal(center, spread) clipped to [lo, hi] by rejection.
 

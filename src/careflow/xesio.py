@@ -8,11 +8,20 @@ snippet and written back verbatim, so foreign logs survive a round trip.
 How a typed value is spelled is decided by the attribute codec in
 ``eventlog`` (``_PARSERS`` and ``_attr_text``), which CSV shares.
 
-The reader runs on expat's start, end and text handlers and builds no element
-for the log's own structure: a typed attribute is decoded from the attribute
-dict of its start tag, and each event and trace is built when its end tag is
-read. Only an opaque snippet, or a typed element that turns out to hold a
-child, is built as an ElementTree subtree and serialised when it closes.
+``parse_xes`` first tries a canonical reader, which takes only the layout
+``write_xes`` emits for events that carry just an activity and a timestamp. It
+matches each trace with one regex and its events with one ``findall`` (linear
+in the text), and builds the same records as the expat reader. It declines any
+other document: a value holding markup or a character XML normalises or
+forbids, a trace without a case id or with a repeated one, an empty activity, a
+bad typed literal, text after ``</log>``. ``parse_xes`` then reads the whole
+text with expat, so every warning and error comes from the expat reader.
+
+The expat reader runs on expat's start, end and text handlers and builds no
+element for the log's own structure: a typed attribute is decoded from the
+attribute dict of its start tag, and each event and trace is built when its
+end tag is read. Only an opaque snippet, or a typed element that turns out to
+hold a child, is built as an ElementTree subtree and serialised when it closes.
 """
 
 from __future__ import annotations
@@ -258,6 +267,52 @@ class _Reader:
             self.traces.append(Trace(case_id, tuple(trace.events), trace.attrs, tuple(trace.raw)))
 
 
+# write_xes's own layout: a key or value free of markup, of what XML normalises
+# (tab, LF, CR) and of what it forbids (C0 controls, U+FFFE, U+FFFF, surrogates)
+_TEXT = '[^&<"\\x00-\\x1f\\ud800-\\udfff\\ufffe\\uffff]*'
+_KINDS = "|".join(_PARSERS)
+_LINE = f'<(?:{_KINDS}) key="{_TEXT}" value="{_TEXT}"/>\n'
+_CANONICAL_LOG = re.compile(
+    f'<\\?xml version="1\\.0" encoding="UTF-8"\\?>\n<log xes\\.version="1\\.0">\n(?:  {_LINE})*')
+_CANONICAL_TRACE = re.compile(
+    f'  <trace>\n((?:    {_LINE})*)((?:    <event>\n      <string key="concept:name" '
+    f'value="{_TEXT}"/>\n      <date key="time:timestamp" value="{_TEXT}"/>\n    </event>\n)*)'
+    '  </trace>\n')
+_CANONICAL_TYPED = re.compile(f'<({_KINDS}) key="({_TEXT})" value="({_TEXT})"/>')
+_CANONICAL_EVENT = re.compile(
+    f'"concept:name" value="({_TEXT})"/>\n      <date key="time:timestamp" value="({_TEXT})"/>')
+
+
+def _read_canonical(text: str) -> EventLog | None:
+    """The log of a document in the canonical layout, or None for expat to read it."""
+    head = _CANONICAL_LOG.match(text)
+    if head is None:
+        return None
+    keys: dict[str, str] = {}  # one copy of each attribute key, as the expat reader keeps
+
+    def typed(start: int, end: int) -> dict[str, AttrValue]:
+        return {keys.setdefault(key, key): _PARSERS[kind](value)
+                for kind, key, value in _CANONICAL_TYPED.findall(text, start, end)}
+
+    date = _PARSERS["date"]
+    traces: list[Trace] = []
+    at = head.end()
+    try:
+        log_attrs = typed(0, at)
+        while (trace := _CANONICAL_TRACE.match(text, at)) is not None:
+            attrs = typed(*trace.span(1))
+            events = tuple([Event(intern(activity), date(timestamp)) for activity, timestamp
+                            in _CANONICAL_EVENT.findall(text, *trace.span(2))])
+            traces.append(Trace(str(attrs.pop("concept:name", "")), events, attrs))
+            at = trace.end()
+        if text[at:] != "</log>\n":
+            return None
+        return EventLog(tuple(traces), name=str(log_attrs.pop("concept:name", "")),
+                        attributes=log_attrs)
+    except ValueError:  # a bad literal, an empty activity or case id, a repeated case id
+        return None
+
+
 def parse_xes(text: str) -> EventLog:
     """Parse an XES document into an event log.
 
@@ -266,6 +321,9 @@ def parse_xes(text: str) -> EventLog:
     in a reader that parses first: malformed XML, the root, the log's own
     attributes, the first bad container (after the warnings of the traces before it).
     """
+    log = _read_canonical(text)
+    if log is not None:
+        return log
     parser = expat.ParserCreate(None, "}")
     reader = _Reader(parser)
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 import xml.etree.ElementTree as ET
@@ -9,7 +10,7 @@ from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 from careflow.covas import covas_model
-from careflow.errors import ConfigError, SimulationDeadlockError, XesFormatError
+from careflow.errors import ConfigError, PetriNetError, SimulationDeadlockError, XesFormatError
 from careflow.eventlog import _PARSERS, AttrValue, Event, EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
 from careflow.rng import Stream
@@ -97,6 +98,35 @@ def random_activities(rnd: random.Random, net: PetriNet, max_events: int = 6) ->
     return out
 
 
+# --- the token game by transition id -------------------------------------------------
+
+def _check_marking(net: PetriNet, marking: Marking):
+    unknown = marking.places() - set(net.places)
+    if unknown:
+        raise PetriNetError(f"marking references unknown places: {sorted(unknown)}")
+
+
+def enabled(net: PetriNet, marking: Marking) -> set[str]:
+    """Ids of transitions whose input places hold enough tokens."""
+    _check_marking(net, marking)
+    cn = net.compiled
+    return {cn.tids[t] for t in cn.enabled(cn.vector(marking))}
+
+
+def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
+    """Fire a transition, returning the successor marking.
+
+    Raises NotEnabledError (carrying the missing input places) when the
+    transition is not enabled; the input marking is never modified.
+    """
+    _check_marking(net, marking)
+    cn = net.compiled
+    if tid not in cn.index:
+        raise PetriNetError(f"unknown transition {tid!r}")
+    succ, _ = cn.fire(cn.vector(marking), cn.index[tid], strict=True)
+    return cn.marking(succ)
+
+
 # --- independent replay oracle -------------------------------------------------
 
 def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = False,
@@ -182,6 +212,14 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
 
 # --- step-by-step simulator oracle -------------------------------------------------
 
+def lognormal(stream: Stream, mean: float, sigma: float) -> float:
+    """Lognormal draw parameterized by its mean and log-space sigma."""
+    if mean <= 0:
+        raise ValueError("lognormal mean must be positive")
+    mu = math.log(mean) - 0.5 * sigma * sigma
+    return math.exp(mu + sigma * stream.normal())
+
+
 def _oracle_groups(net: PetriNet, marking: tuple[int, ...],
                    probs: dict[str, float]) -> list[tuple[tuple[int, ...], list[float]]]:
     cn = net.compiled
@@ -225,7 +263,7 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
             elif spec.kind == "uniform":
                 hours = delay_rng.uniform(spec.params[0], spec.params[1]) * wave.delay_scale
             else:
-                hours = delay_rng.lognormal(spec.params[0], spec.params[1]) * wave.delay_scale
+                hours = lognormal(delay_rng, spec.params[0], spec.params[1]) * wave.delay_scale
             clock += timedelta(hours=hours)
             ts = clock.replace(microsecond=0)
             if prev_ts is not None and ts <= prev_ts:
@@ -238,7 +276,8 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
 def oracle_simulate(config: SimConfig, net: PetriNet) -> EventLog:
     """The simulator as it was before its step table: conflict groups are rebuilt and
     every transition fired at each step, and each delay is drawn through ``Stream``'s
-    own ``uniform`` and ``lognormal``. Kept as the reference ``simulate`` must equal."""
+    own ``uniform`` and the ``lognormal`` above. Kept as the reference ``simulate``
+    must equal."""
     plan = _case_plan(config)
     width = len(str(len(plan)))
     traces: list[Trace] = []

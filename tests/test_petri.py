@@ -5,9 +5,9 @@ import pytest
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import NotEnabledError, PetriNetError
-from careflow.petri import (Marking, PetriNet, Transition, enabled, fire, net_to_dot,
-                            parse_pnml, reachable_markings, write_pnml)
-from helpers import random_net
+from careflow.petri import (Marking, PetriNet, Transition, net_to_dot, parse_pnml,
+                            reachable_markings, write_pnml)
+from helpers import enabled, fire, random_net
 
 
 def simple_net(**changes):

@@ -1,11 +1,14 @@
 import gc
 import random
+import re
+import time
 import warnings
 from datetime import timedelta
+from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from careflow.errors import CareflowError, XesFormatError
 from careflow.eventlog import Event, EventLog, Trace, log_stats
@@ -136,31 +139,38 @@ def test_sniff_format():
 
 _name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, include_characters="\t\n\r"),
                 min_size=1, max_size=12)
-# write_xes rejects these as attribute keys (test_writer_rejects_reserved_keys)
-_key = _name.filter(lambda key: key not in ("concept:name", "time:timestamp"))
-_value = st.one_of(
-    _name,
-    st.integers(-10**6, 10**6),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.booleans(),
-    st.datetimes(min_value=T0.replace(tzinfo=None),
-                 max_value=T0.replace(tzinfo=None) + timedelta(days=400)),
-)
+# names write_xes spells without escapes, which the canonical reader takes
+_plain_name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                    exclude_characters='&<>"'), min_size=1, max_size=12)
+
+
+def _values(names):
+    return st.one_of(
+        names,
+        st.integers(-10**6, 10**6),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.booleans(),
+        st.datetimes(min_value=T0.replace(tzinfo=None),
+                     max_value=T0.replace(tzinfo=None) + timedelta(days=400)),
+    )
 
 
 @st.composite
-def xes_logs(draw):
+def xes_logs(draw, names=_name, max_event_attrs=2):
+    # write_xes rejects these as attribute keys (test_writer_rejects_reserved_keys)
+    keys = names.filter(lambda key: key not in ("concept:name", "time:timestamp"))
+    values = _values(names)
     traces = []
     for index in range(draw(st.integers(0, 4))):
         events = []
         ts = T0
         for _ in range(draw(st.integers(0, 4))):
             ts = ts + timedelta(minutes=draw(st.integers(1, 500)))
-            attrs = draw(st.dictionaries(_key, _value, max_size=2))
-            events.append(Event(draw(_name), ts, attrs))
+            attrs = draw(st.dictionaries(keys, values, max_size=max_event_attrs))
+            events.append(Event(draw(names), ts, attrs))
         traces.append(Trace(f"case{index}", tuple(events),
-                            draw(st.dictionaries(_key, _value, max_size=2))))
-    return EventLog(tuple(traces), name=draw(_name))
+                            draw(st.dictionaries(keys, values, max_size=2))))
+    return EventLog(tuple(traces), name=draw(names))
 
 
 @given(xes_logs())
@@ -315,4 +325,86 @@ def test_bad_log_attribute_outranks_an_earlier_bad_trace_and_its_warnings():
         warnings.simplefilter("error")  # the warning of trace #1 must not be emitted
         with pytest.raises(XesFormatError, match="bad float literal 'z' for key 'f'"):
             parse_xes(text)
+    assert_readers_agree(text)
+
+
+# --- the canonical reader against the expat reader and the tree oracle -------------
+
+def _parse_with_expat(text: str) -> EventLog:
+    """``parse_xes`` with the canonical reader declining every document."""
+    with mock.patch.object(xesio, "_read_canonical", lambda text: None):
+        return parse_xes(text)
+
+
+def test_canonical_reader_takes_the_paper_logs():
+    # a drift in its regexes that declines every document would lose the fast path silently
+    for log in paper_logs():
+        text = write_xes(log)
+        fast = xesio._read_canonical(text)
+        assert fast is not None
+        assert fast == _parse_with_expat(text) == log
+
+
+def test_canonical_reader_declines_a_long_cut_document_in_linear_time():
+    events = tuple(Event("A", T0 + timedelta(seconds=i)) for i in range(8000))
+    text = write_xes(EventLog((Trace("c1", events),)))
+    assert len(text) > 1_000_000
+    for cut in (text[:-len("</log>\n")], text.replace("  </trace>\n", "")):
+        started = time.perf_counter()
+        assert xesio._read_canonical(cut) is None
+        assert time.perf_counter() - started < 0.5
+
+
+# (pattern, replacement) pairs: one match of the pattern in a written log is replaced
+_MUTATIONS = [
+    (r"\A", ""),  # unchanged
+    ("\n", "\n<!-- c -->"),
+    ("\n", "\n<?pi x?>"),
+    ("\n", "\n<![CDATA[<&]]>"),
+    ("\n", '\n<foo a="1"/>'),
+    ("\n", '\n<x:e xmlns:x="urn:x"/>'),
+    ("\n", "\r\n"),
+    (r"\?>\n", '?>\n<!DOCTYPE log [<!ENTITY e "v">]>\n'),
+    (r"\A", "\ufeff"),
+    (r"\Z", "x"),
+    (r"\Z", "<x/>"),
+    (r"\Z", "\n"),
+    ('value="', 'value="&#65;'),
+    ('value="', 'value="&amp;'),
+    ('value="', 'value="&lt;'),
+    ('value="([^"]*)"', "value='\\1'"),
+    ("<string key=", "<strings key="),
+    ('(      <string key="concept:name" value="[^"]*"/>\n)(      <date [^\n]*\n)', "\\2\\1"),
+    ("<event>\n", '<event>\n      <int key="n" value="1"/>\n'),
+    ("<trace>\n", '<trace>\n    <int key="n" value="x"/>\n'),
+    ('key="time:timestamp" value="', 'key="time:timestamp" value="x'),
+    ('<string key="concept:name" value="case', '<string key="concept:nam" value="case'),
+    ('<string key="concept:name" value="case1"', '<string key="concept:name" value="case0"'),
+    ('<string key="concept:name" value="case1"', '<int key="concept:name" value="1"'),
+    ('(      <string key="concept:name" value=")[^"]*(")', "\\1\\2"),  # empty activity
+] + [('value="', f'value="{char}') for char in
+     ["\x01", "\x1f", "\t", "\n", "\r", "\ufffe", "\uffff", "\ud800", "\udfff",
+      # characters XML allows, which the canonical reader must read as expat does
+      ">", "'", "\x7f", "\x85", "\u2028", "\ufdd0", "\U0001f600", "é"]]
+
+
+@st.composite
+def mutated_logs(draw):
+    """write_xes of a random log, some with attribute-free events, and one mutation."""
+    text = write_xes(draw(st.one_of(xes_logs(), xes_logs(_plain_name, max_event_attrs=0))))
+    pattern, replacement = draw(st.sampled_from(_MUTATIONS))
+    found = list(re.finditer(pattern, text))
+    if not found:
+        return text
+    match = found[draw(st.integers(0, len(found) - 1))]
+    return text[:match.start()] + match.expand(replacement) + text[match.end():]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_logs())
+def test_canonical_reader_declines_or_reads_as_the_oracle(text):
+    expected = _outcome(oracle_parse_xes, text)
+    fast = xesio._read_canonical(text)
+    assert fast is None or (fast, []) == expected
+    assert _outcome(_parse_with_expat, text) == expected
     assert_readers_agree(text)
