@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .csvio import _quoted
-from .eventlog import EventLog, _mean_case_duration, filter_by_time, filter_complete
+from .eventlog import (EventLog, _mean_case_duration, _without_cycle_collection, filter_by_time,
+                       filter_complete)
 from .timeutil import format_timestamp
 
 
@@ -53,6 +54,7 @@ def _color_value(value) -> str:
     return str(value)
 
 
+@_without_cycle_collection
 def dotted_chart(log: EventLog, color_attribute: str = "ards",
                  sort: str = "by_first_event") -> DottedChartData:
     """One row per event, with a case index assigned after sorting cases.

@@ -18,7 +18,8 @@ import io
 from sys import intern
 
 from .errors import CsvFormatError
-from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
+from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
+                       _without_cycle_collection)
 from .timeutil import format_timestamp, parse_timestamp
 
 CASE_PREFIX = "case:"
@@ -53,6 +54,7 @@ def _cell(parse, raw: str, types: dict[str, str], column: str, row: int) -> Attr
                              row=row)
 
 
+@_without_cycle_collection
 def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
     """Parse CSV text into an event log; ``types`` maps extra columns to kinds.
 

@@ -7,6 +7,8 @@ log holds one per row and per case, are slotted: they carry no ``__dict__``.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
@@ -49,6 +51,28 @@ def _normalize_attrs(attrs: dict[str, AttrValue] | None) -> dict[str, AttrValue]
     if not attrs:
         return {}  # most events carry none; skips the comprehension's own call
     return {k: to_utc(v) if isinstance(v, datetime) else v for k, v in attrs.items()}
+
+
+def _without_cycle_collection(build):
+    """``build`` with the cyclic garbage collector paused while it runs.
+
+    For the functions that allocate one record per event. What they build must
+    hold no reference cycle, so that reference counting frees all of it and a
+    pause defers collection without leaking. Left running, the collector would
+    count each record towards its thresholds and traverse every record built so
+    far in each full pass. The pause is process-wide while ``build`` runs; where
+    the caller had already disabled the collector, it is left disabled.
+    """
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -9,8 +9,7 @@ The token game is played once, by ``CompiledNet`` (``PetriNet.compiled``):
 places become indices, markings tuples of token counts, and transitions are
 numbered in sorted-id order, so index sequences sort like id sequences. Its
 ``fire`` creates missing tokens and reports them, or in strict mode raises
-NotEnabledError; ``reachable_markings``, replay and the simulator all go
-through it.
+NotEnabledError; replay and the simulator both go through it.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import NotEnabledError, PetriNetError, PnmlFormatError
 from .xesio import _local
-
-# reachable_markings gives up beyond this many markings, so an unbounded net fails fast.
-STATE_LIMIT = 100_000
 
 
 class Marking:
@@ -184,24 +180,6 @@ class CompiledNet:
         for p in self.post[t]:
             counts[p] += 1
         return tuple(counts), tuple(missing)
-
-
-def reachable_markings(net: PetriNet) -> set[tuple[tuple[str, int], ...]]:
-    """Exhaustive token-game state space from the initial marking, at most
-    ``STATE_LIMIT`` markings; a larger one raises PetriNetError."""
-    cn = net.compiled
-    seen = {cn.initial}
-    frontier = [cn.initial]
-    while frontier:
-        vector = frontier.pop()
-        for t in cn.enabled(vector):
-            succ, _ = cn.fire(vector, t)
-            if succ not in seen:
-                if len(seen) >= STATE_LIMIT:
-                    raise PetriNetError(f"state space exceeds {STATE_LIMIT} markings")
-                seen.add(succ)
-                frontier.append(succ)
-    return {cn.marking(vector).key() for vector in seen}
 
 
 # --- PNML-style serialization -------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
 from .errors import ConfigError, SimulationDeadlockError
-from .eventlog import Event, EventLog, Trace
+from .eventlog import Event, EventLog, Trace, _without_cycle_collection
 from .petri import PetriNet
 from .rng import Stream
 from .timeutil import format_timestamp, parse_split_instant
@@ -249,6 +249,7 @@ def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: S
                                   f"within {_MAX_STEPS_PER_CASE} steps")
 
 
+@_without_cycle_collection
 def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     """Generate an event log; identical (config, net) give identical logs."""
     plan = _case_plan(config)
@@ -275,6 +276,7 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     return EventLog(tuple(traces), name=config.name)
 
 
+@_without_cycle_collection
 def inject_noise(log: EventLog, spec: NoiseSpec) -> EventLog:
     """Independently drop middle events with the configured probability.
 

@@ -35,7 +35,9 @@ from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
 from .errors import CareflowError, XesFormatError
-from .eventlog import _PARSERS, AttrValue, Event, EventLog, Trace, _attr_text
+from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
+                       _without_cycle_collection)
+from .timeutil import format_timestamp
 
 # characters fed to expat at a time: one UTF-8 copy of the whole text would be held
 # at once, and smaller chunks cost more calls for no saving
@@ -313,6 +315,7 @@ def _read_canonical(text: str) -> EventLog | None:
         return None
 
 
+@_without_cycle_collection
 def parse_xes(text: str) -> EventLog:
     """Parse an XES document into an event log.
 
@@ -397,6 +400,11 @@ def write_xes(log: EventLog) -> str:
         _emit_attrs(lines, "    ", trace_attrs, trace.raw_extensions)
         in_trace = f"an event of case {trace.case_id!r}"
         for event in trace.events:
+            if not event.attributes and not event.raw_extensions:  # what _emit_attrs spells
+                lines.append(f'    <event>\n      <string key="concept:name" value='
+                             f'{_quote(event.activity)}/>\n      <date key="time:timestamp" '
+                             f'value="{format_timestamp(event.timestamp)}"/>\n    </event>')
+                continue
             lines.append("    <event>")
             event_attrs = _free(event.attributes, in_trace, "concept:name", "time:timestamp")
             event_attrs["concept:name"] = event.activity

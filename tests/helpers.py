@@ -127,6 +127,28 @@ def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
     return cn.marking(succ)
 
 
+# reachable_markings gives up beyond this many markings, so an unbounded net fails fast.
+STATE_LIMIT = 100_000
+
+
+def reachable_markings(net: PetriNet) -> set[tuple[tuple[str, int], ...]]:
+    """Exhaustive token-game state space from the initial marking, at most
+    ``STATE_LIMIT`` markings; a larger one raises PetriNetError."""
+    cn = net.compiled
+    seen = {cn.initial}
+    frontier = [cn.initial]
+    while frontier:
+        vector = frontier.pop()
+        for t in cn.enabled(vector):
+            succ, _ = cn.fire(vector, t)
+            if succ not in seen:
+                if len(seen) >= STATE_LIMIT:
+                    raise PetriNetError(f"state space exceeds {STATE_LIMIT} markings")
+                seen.add(succ)
+                frontier.append(succ)
+    return {cn.marking(vector).key() for vector in seen}
+
+
 # --- independent replay oracle -------------------------------------------------
 
 def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = False,

@@ -5,9 +5,8 @@ import pytest
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import NotEnabledError, PetriNetError
-from careflow.petri import (Marking, PetriNet, Transition, net_to_dot, parse_pnml,
-                            reachable_markings, write_pnml)
-from helpers import enabled, fire, random_net
+from careflow.petri import Marking, PetriNet, Transition, net_to_dot, parse_pnml, write_pnml
+from helpers import enabled, fire, random_net, reachable_markings
 
 
 def simple_net(**changes):
