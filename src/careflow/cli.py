@@ -9,6 +9,7 @@ logs, bad configs).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -336,10 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: a parser is cyclic garbage, which
+    only a full collection frees. Parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse --help or usage error
         code = exc.code if isinstance(exc.code, int) else 1

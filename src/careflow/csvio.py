@@ -14,7 +14,6 @@ shares, so a value reads the same in both formats.
 from __future__ import annotations
 
 import csv
-import io
 from sys import intern
 
 from .errors import CsvFormatError
@@ -128,29 +127,36 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
                           for case_id, (events, attrs) in cases.items()))
 
 
+def _cells(attrs: dict[str, AttrValue], keys: list[str]) -> str:
+    """The cells of ``keys`` in ``attrs``, each after a comma, empty where a key is absent."""
+    return "".join("," + _quoted(_attr_text(attrs[k])[1]) if k in attrs else "," for k in keys)
+
+
 def write_csv(log: EventLog) -> str:
     """Serialize a log to CSV, deterministically.
 
     Traces keep input order; attribute columns are sorted by name. Trace
-    attributes are emitted under ``case:``-prefixed columns.
+    attributes are emitted under ``case:``-prefixed columns. Rows end in CRLF
+    and are quoted as ``csv.writer`` quotes them.
     """
     event_keys = sorted({k for t in log for e in t.events for k in e.attributes})
     trace_keys = sorted({k for t in log for k in t.attributes})
     header = [*CORE, *event_keys, *(CASE_PREFIX + k for k in trace_keys)]
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
+    no_event_cells = "," * len(event_keys)
+    labels: dict[str, str] = {}  # each activity quoted once
+    lines = [",".join(map(_quoted, header))]
     for trace in log:
-        case_cells = [_attr_text(trace.attributes[k])[1] if k in trace.attributes else ""
-                      for k in trace_keys]
+        case_id = _quoted(trace.case_id)
+        case_cells = _cells(trace.attributes, trace_keys)
         for event in trace.events:
-            row = [trace.case_id, event.activity, format_timestamp(event.timestamp)]
-            row += [_attr_text(event.attributes[k])[1] if k in event.attributes else ""
-                    for k in event_keys]
-            row += case_cells
-            writer.writerow(row)
-    return buf.getvalue()
+            label = labels.get(event.activity)
+            if label is None:
+                label = labels[event.activity] = _quoted(event.activity)
+            event_cells = _cells(event.attributes, event_keys) if event.attributes else no_event_cells
+            lines.append(f"{case_id},{label},{format_timestamp(event.timestamp)}"
+                         f"{event_cells}{case_cells}")
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def roundtrip_mapping(log: EventLog) -> dict[str, str]:

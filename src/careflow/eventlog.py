@@ -3,6 +3,7 @@
 Values are immutable after construction; every operation returns new objects,
 so per-trace work can safely run concurrently. Events and traces, of which a
 log holds one per row and per case, are slotted: they carry no ``__dict__``.
+Records without attributes share one read-only empty dict.
 """
 
 from __future__ import annotations
@@ -46,10 +47,30 @@ def _attr_text(value: AttrValue) -> tuple[str, str]:
     return "string", str(value)
 
 
+class _NoAttributes(dict):
+    """The empty attributes of every record that has none. A dict, so that it reprs,
+    compares and serializes as ``{}``; any change raises TypeError."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a record's attributes are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = setdefault = pop = popitem = clear = _read_only
+
+    def __reduce__(self):
+        return "_NO_ATTRIBUTES"  # pickle and copy give back the shared object
+
+
+_NO_ATTRIBUTES = _NoAttributes()
+
+
 def _normalize_attrs(attrs: dict[str, AttrValue] | None) -> dict[str, AttrValue]:
-    """A copy with instant-valued attributes normalized to UTC like event timestamps."""
+    """A copy with instant-valued attributes normalized to UTC like event timestamps;
+    the shared ``_NO_ATTRIBUTES`` for none."""
     if not attrs:
-        return {}  # most events carry none; skips the comprehension's own call
+        return _NO_ATTRIBUTES  # most records carry none; one 64 B dict less each
     return {k: to_utc(v) if isinstance(v, datetime) else v for k, v in attrs.items()}
 
 

@@ -148,20 +148,22 @@ _FIXED, _UNIFORM, _LOGNORMAL, _UNDEFINED = range(4)
 def _delay(label: str | None, config: SimConfig) -> tuple | None:
     """A label's delay draw in hours as (kind, a, b): ``a``, ``a + u * b`` or
     ``exp(a + b * z)``, with a uniform's width and a lognormal's log-space mean worked
-    out once; an undefined delay carries the error that its first draw raises."""
+    out once; an undefined delay carries the error type and message that its first
+    draw raises (a fresh error: one kept in the table would, once raised, hold the
+    frames that hold the table in a reference cycle)."""
     if label is None:
         return None
     spec = config.delays.get(label) or config.delays.get("default")
     if spec is None:
-        return _UNDEFINED, ConfigError(f"no delay configured for activity {label!r} "
-                                       "and no default"), None
+        return _UNDEFINED, ConfigError, (f"no delay configured for activity {label!r} "
+                                         "and no default")
     p = spec.params
     if spec.kind == "fixed":
         return _FIXED, p[0], None
     if spec.kind == "uniform":
         return _UNIFORM, p[0], p[1] - p[0]
     if p[0] <= 0:
-        return _UNDEFINED, ValueError("lognormal mean must be positive"), None
+        return _UNDEFINED, ValueError, "lognormal mean must be positive"
     return _LOGNORMAL, math.log(p[0]) - 0.5 * p[1] * p[1], p[1]
 
 
@@ -236,7 +238,7 @@ def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: S
             elif kind == _UNIFORM:
                 hours = a + delay_rng.random() * b
             else:
-                raise a
+                raise a(b)
             # timedelta(hours=...) and clock.replace(microsecond=0), spelled positionally,
             # which gives the same instants without parsing keyword arguments per event
             clock += timedelta(0, 0, 0, 0, 0, hours * scale)

@@ -1,3 +1,4 @@
+import gc
 import json
 from datetime import timedelta
 from functools import partial
@@ -7,7 +8,7 @@ import pytest
 from careflow import cli
 from careflow.csvio import parse_csv, write_csv
 from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
-from careflow.eventlog import EventLog
+from careflow.eventlog import EventLog, drop_activities
 from careflow.petri import parse_pnml, write_pnml
 from careflow.replay import replay_log
 from careflow.simulate import parse_config
@@ -144,6 +145,34 @@ def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, t
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_parses_each_call_afresh_and_leaves_no_garbage(tmp_path, capsys):
+    # main builds its parser once per process; a parser per call would be cyclic garbage
+    log = make_log(["A", "B"], ["A", "C"])
+    source = tmp_path / "in.xes"
+    source.write_text(write_xes(log), encoding="utf-8")
+    dropped, kept = tmp_path / "dropped.xes", tmp_path / "kept.xes"
+    assert cli.main(["convert", str(source), str(dropped), "--drop-activity", "B"]) == 0
+    assert cli.main(["convert", str(source), str(kept)]) == 0
+    assert parse_xes(dropped.read_text(encoding="utf-8")) == drop_activities(log, {"B"})
+    assert parse_xes(kept.read_text(encoding="utf-8")) == log
+    capsys.readouterr()
+    assert cli.main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: careflow")
+    assert cli.main(["stats", "--help"]) == 0
+    assert cli.main(["no-such-command"]) == 1
+    # argparse's help formatter and json's indenting encoder make cycles of their own
+    calls = [["stats", str(source)], ["convert", str(source), str(kept)],
+             ["convert", str(source), str(dropped), "--drop-activity", "B"],
+             ["stats", str(tmp_path / "missing.xes")]]
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [cli.main(argv) for argv in calls]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert codes == [0, 0, 0, 2]
 
 
 @pytest.mark.parametrize("flag", ["--min-edge", "--min-node"])

@@ -6,9 +6,10 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from careflow.csvio import _lines, parse_csv, roundtrip_mapping, write_csv
+from careflow.csvio import CASE_PREFIX, CORE, _lines, parse_csv, roundtrip_mapping, write_csv
 from careflow.errors import CsvFormatError
-from careflow.eventlog import Event, EventLog, Trace
+from careflow.eventlog import Event, EventLog, Trace, _attr_text
+from careflow.timeutil import format_timestamp
 from careflow.xesio import parse_xes, write_xes
 from helpers import T0, make_trace, paper_logs
 
@@ -150,6 +151,43 @@ def test_roundtrip_quoting():
     log = EventLog((trace,))
     back = parse_csv(write_csv(log), roundtrip_mapping(log))
     assert back == log
+
+
+def _write_with_csv_writer(log: EventLog) -> str:
+    """The reference for ``write_csv``: the same rows, written by ``csv.writer``."""
+    event_keys = sorted({k for t in log for e in t.events for k in e.attributes})
+    trace_keys = sorted({k for t in log for k in t.attributes})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow([*CORE, *event_keys, *(CASE_PREFIX + k for k in trace_keys)])
+    for trace in log:
+        for event in trace.events:
+            writer.writerow([trace.case_id, event.activity, format_timestamp(event.timestamp),
+                             *(_attr_text(event.attributes[k])[1] if k in event.attributes
+                               else "" for k in event_keys),
+                             *(_attr_text(trace.attributes[k])[1] if k in trace.attributes
+                               else "" for k in trace_keys)])
+    return buf.getvalue()
+
+
+QUOTABLE = ',"\r\n a'
+ATTRIBUTES = st.dictionaries(st.text(QUOTABLE, max_size=3),
+                             st.one_of(st.text(QUOTABLE, max_size=3), st.integers(), st.booleans()),
+                             max_size=2)
+QUOTABLE_LOGS = st.lists(
+    st.tuples(st.text(QUOTABLE, min_size=1, max_size=3),
+              st.lists(st.tuples(st.text(QUOTABLE, min_size=1, max_size=3), st.integers(0, 99),
+                                 ATTRIBUTES), max_size=3),
+              ATTRIBUTES),
+    max_size=3, unique_by=lambda case: case[0],
+).map(lambda cases: EventLog(tuple(
+    Trace(case_id, tuple(Event(label, T0 + timedelta(hours=h), attrs) for label, h, attrs in events),
+          attrs) for case_id, events, attrs in cases)))
+
+
+@given(QUOTABLE_LOGS)
+def test_write_csv_writes_what_csv_writer_writes(log):
+    assert write_csv(log) == _write_with_csv_writer(log)
 
 
 def test_each_kind_reads_and_writes_alike_in_xes_and_csv():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -275,7 +276,16 @@ def test_simulate_equals_the_step_by_step_oracle(seed, case_count, delays, defau
 def test_undefined_delays_fail_at_their_first_draw_like_the_oracle(delays):
     cfg = config(delays=delays)
     failure = _outcome(oracle_simulate, cfg, covas_model())
-    assert isinstance(failure, tuple) and _outcome(simulate, cfg, covas_model()) == failure
+    # and leave no reference cycle, which an error kept in the step table makes once raised
+    net = covas_model()
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = _outcome(simulate, cfg, net)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert isinstance(failure, tuple) and outcome == failure
 
 
 @pytest.mark.parametrize("spec", [None, DelaySpec("lognormal", (0.0, 0.5))],
