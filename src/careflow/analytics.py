@@ -189,27 +189,37 @@ def dotted_chart_csv(data: DottedChartData) -> str:
     return "\n".join(lines)
 
 
+def _svg_frame(width: int, height: int, pad: int) -> list[str]:
+    """The opening lines of a chart: the ``<svg>`` tag, a white background, the plot border."""
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+            'fill="none" stroke="#333333"/>']
+
+
+_SVG_CHUNK = 4096  # circles joined at a time: a string per row would coexist with the result
+
+
 def dotted_chart_svg(data: DottedChartData) -> str:
     """Self-contained SVG: x = time, y = case index, one circle per event."""
     width, height, pad = 1000, 600, 40
     rows = data.rows
+    lines = _svg_frame(width, height, pad)
     if rows:
         t_min = min(r.timestamp for r in rows)
         t_max = max(r.timestamp for r in rows)
         span = (t_max - t_min).total_seconds() or 1.0
         max_index = max(r.case_index for r in rows)
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
-             'fill="none" stroke="#333333"/>']
-    if rows:
         assigned: dict[str, str] = {}
-        for row in rows:
-            x = pad + (row.timestamp - t_min).total_seconds() / span * (width - 2 * pad)
-            y = height - pad - (row.case_index / max(max_index, 1)) * (height - 2 * pad)
-            color = _color_for(row.color_key, assigned)
-            lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>')
+        for start in range(0, len(rows), _SVG_CHUNK):
+            chunk = []
+            for row in rows[start:start + _SVG_CHUNK]:
+                x = pad + (row.timestamp - t_min).total_seconds() / span * (width - 2 * pad)
+                y = height - pad - (row.case_index / max(max_index, 1)) * (height - 2 * pad)
+                color = _color_for(row.color_key, assigned)
+                chunk.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>')
+            lines.append("\n".join(chunk))
         lines.append(f'<text x="{pad}" y="{height - pad + 16}" font-size="11" fill="#333333">'
                      f'{format_timestamp(t_min)}</text>')
         lines.append(f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
@@ -232,11 +242,7 @@ def occupancy_svg(series: OccupancySeries) -> str:
     """Step plot of the concurrency series."""
     width, height, pad = 1000, 400, 40
     points = series.breakpoints
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
-             'fill="none" stroke="#333333"/>']
+    lines = _svg_frame(width, height, pad)
     if points:
         t_min = points[0][0]
         t_max = points[-1][0]

@@ -18,7 +18,7 @@ from sys import intern
 
 from .errors import CsvFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
-                       _without_cycle_collection)
+                       _normalize_attrs, _without_cycle_collection)
 from .timeutil import format_timestamp, parse_timestamp
 
 CASE_PREFIX = "case:"
@@ -123,8 +123,15 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
                 value = seen[raw] = _cell(parse, raw, types, col, row_no)
             case[1][key] = value
         case[0].append(Event(activity, ts, attrs))
-    return EventLog(tuple(Trace(case_id, tuple(events), attrs)
-                          for case_id, (events, attrs) in cases.items()))
+    # one read-only dict per set of case values told apart by identity (the seen memos keep
+    # each alive and give equal texts one object), so 1, True, 1.0 and -0.0, 0.0 stay apart
+    shared: dict[tuple[tuple[str, int], ...], dict[str, AttrValue]] = {}
+    traces = []
+    for case_id, (events, attrs) in cases.items():
+        key = tuple([(k, id(v)) for k, v in attrs.items()])
+        attrs = shared.get(key) or shared.setdefault(key, _normalize_attrs(attrs))
+        traces.append(Trace(case_id, tuple(events), attrs))
+    return EventLog(tuple(traces))
 
 
 def _cells(attrs: dict[str, AttrValue], keys: list[str]) -> str:

@@ -3,7 +3,9 @@
 Values are immutable after construction; every operation returns new objects,
 so per-trace work can safely run concurrently. Events and traces, of which a
 log holds one per row and per case, are slotted: they carry no ``__dict__``.
-Records without attributes share one read-only empty dict.
+Every record's attribute dict is read-only: records without attributes share
+one empty dict, and each builder of a log (``simulate``, ``parse_xes``,
+``parse_csv``) shares one dict among the traces whose attributes are equal.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def _attr_text(value: AttrValue) -> tuple[str, str]:
     return "string", str(value)
 
 
-class _NoAttributes(dict):
-    """The empty attributes of every record that has none. A dict, so that it reprs,
-    compares and serializes as ``{}``; any change raises TypeError."""
+class _ReadOnlyAttributes(dict):
+    """A record's attributes. A dict, so that they repr, compare and serialize as
+    one; any change raises TypeError, so records may share them."""
 
     __slots__ = ()
 
@@ -59,19 +61,22 @@ class _NoAttributes(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     update = setdefault = pop = popitem = clear = _read_only
 
-    def __reduce__(self):
-        return "_NO_ATTRIBUTES"  # pickle and copy give back the shared object
+    def __reduce__(self):  # pickle and copy give back the shared empty dict, or a read-only one
+        return (_ReadOnlyAttributes, (dict(self),)) if self else "_NO_ATTRIBUTES"
 
 
-_NO_ATTRIBUTES = _NoAttributes()
+_NO_ATTRIBUTES = _ReadOnlyAttributes()
 
 
 def _normalize_attrs(attrs: dict[str, AttrValue] | None) -> dict[str, AttrValue]:
-    """A copy with instant-valued attributes normalized to UTC like event timestamps;
-    the shared ``_NO_ATTRIBUTES`` for none."""
+    """A read-only copy with instant-valued attributes normalized to UTC like event
+    timestamps; the shared ``_NO_ATTRIBUTES`` for none, and read-only ones as they are."""
     if not attrs:
         return _NO_ATTRIBUTES  # most records carry none; one 64 B dict less each
-    return {k: to_utc(v) if isinstance(v, datetime) else v for k, v in attrs.items()}
+    if type(attrs) is _ReadOnlyAttributes:
+        return attrs  # normalized when made, so records built from records share them
+    return _ReadOnlyAttributes({k: to_utc(v) if isinstance(v, datetime) else v
+                                for k, v in attrs.items()})
 
 
 def _without_cycle_collection(build):

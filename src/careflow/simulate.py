@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
 from .errors import ConfigError, SimulationDeadlockError
-from .eventlog import Event, EventLog, Trace, _without_cycle_collection
+from .eventlog import Event, EventLog, Trace, _normalize_attrs, _without_cycle_collection
 from .petri import PetriNet
 from .rng import Stream
 from .timeutil import format_timestamp, parse_split_instant
@@ -258,6 +258,8 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     width = len(str(len(plan)))
     traces: list[Trace] = []
     table = _StepTable(net, config)
+    shared = {(ards, complete): _normalize_attrs({"ards": ards, "complete": complete})
+              for ards in (False, True) for complete in (False, True)}  # one dict per set
     for case_index, (wave_index, ongoing) in enumerate(plan):
         path_rng = Stream(config.seed, case_index, 0)
         delay_rng = Stream(config.seed, case_index, 1)
@@ -273,8 +275,7 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
         else:
             complete = True
         case_id = f"case_{case_index + 1:0{width}d}"
-        traces.append(Trace(case_id, tuple(events),
-                            {"ards": ards, "complete": complete}))
+        traces.append(Trace(case_id, tuple(events), shared[ards, complete]))
     return EventLog(tuple(traces), name=config.name)
 
 

@@ -36,7 +36,7 @@ from xml.sax.saxutils import quoteattr
 
 from .errors import CareflowError, XesFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
-                       _without_cycle_collection)
+                       _normalize_attrs, _without_cycle_collection)
 from .timeutil import format_timestamp
 
 # characters fed to expat at a time: one UTF-8 copy of the whole text would be held
@@ -292,20 +292,25 @@ def _read_canonical(text: str) -> EventLog | None:
         return None
     keys: dict[str, str] = {}  # one copy of each attribute key, as the expat reader keeps
 
-    def typed(start: int, end: int) -> dict[str, AttrValue]:
-        return {keys.setdefault(key, key): _PARSERS[kind](value)
-                for kind, key, value in _CANONICAL_TYPED.findall(text, start, end)}
+    def typed(items: list | tuple) -> dict[str, AttrValue]:
+        return {keys.setdefault(key, key): _PARSERS[kind](value) for kind, key, value in items}
 
     date = _PARSERS["date"]
     traces: list[Trace] = []
+    # a trace's attributes other than its case id, decoded once per distinct set of
+    # (kind, key, value) texts: equal values of other kinds or signs stay apart
+    shared: dict[tuple[tuple[str, str, str], ...], dict[str, AttrValue]] = {}
     at = head.end()
     try:
-        log_attrs = typed(0, at)
+        log_attrs = typed(_CANONICAL_TYPED.findall(text, 0, at))
         while (trace := _CANONICAL_TRACE.match(text, at)) is not None:
-            attrs = typed(*trace.span(1))
+            items = _CANONICAL_TYPED.findall(text, *trace.span(1))
+            names = typed([item for item in items if item[1] == "concept:name"])
+            rest = tuple(item for item in items if item[1] != "concept:name")
+            attrs = shared.get(rest) or shared.setdefault(rest, _normalize_attrs(typed(rest)))
             events = tuple([Event(intern(activity), date(timestamp)) for activity, timestamp
                             in _CANONICAL_EVENT.findall(text, *trace.span(2))])
-            traces.append(Trace(str(attrs.pop("concept:name", "")), events, attrs))
+            traces.append(Trace(str(names.get("concept:name", "")), events, attrs))
             at = trace.end()
         if text[at:] != "</log>\n":
             return None

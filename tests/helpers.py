@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 
+from careflow.analytics import DottedChartData, _color_for
 from careflow.covas import covas_model
 from careflow.errors import ConfigError, PetriNetError, SimulationDeadlockError, XesFormatError
 from careflow.eventlog import _PARSERS, AttrValue, Event, EventLog, Trace
@@ -16,6 +17,7 @@ from careflow.petri import Marking, PetriNet, Transition
 from careflow.rng import Stream
 from careflow.simulate import (SimConfig, WaveSpec, _case_plan, _draw_admission, inject_noise,
                                parse_config, simulate)
+from careflow.timeutil import format_timestamp
 from careflow.xesio import XesWarning, _local
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
@@ -408,3 +410,36 @@ def oracle_parse_xes(text: str) -> EventLog:
 
     return EventLog(tuple(traces), name=log_name, attributes=log_attrs,
                     raw_extensions=tuple(log_raw))
+
+
+# --- dotted chart SVG oracle --------------------------------------------------
+
+def oracle_dotted_chart_svg(data: DottedChartData) -> str:
+    """``dotted_chart_svg`` as it was before it joined its circles in chunks: one string
+    per row, joined once. Kept as the reference the chunked emitter must equal."""
+    width, height, pad = 1000, 600, 40
+    rows = data.rows
+    if rows:
+        t_min = min(r.timestamp for r in rows)
+        t_max = max(r.timestamp for r in rows)
+        span = (t_max - t_min).total_seconds() or 1.0
+        max_index = max(r.case_index for r in rows)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>',
+             f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+             'fill="none" stroke="#333333"/>']
+    if rows:
+        assigned: dict[str, str] = {}
+        for row in rows:
+            x = pad + (row.timestamp - t_min).total_seconds() / span * (width - 2 * pad)
+            y = height - pad - (row.case_index / max(max_index, 1)) * (height - 2 * pad)
+            color = _color_for(row.color_key, assigned)
+            lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>')
+        lines.append(f'<text x="{pad}" y="{height - pad + 16}" font-size="11" fill="#333333">'
+                     f'{format_timestamp(t_min)}</text>')
+        lines.append(f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
+                     f'fill="#333333" text-anchor="end">{format_timestamp(t_max)}</text>')
+    lines.append("</svg>")
+    lines.append("")
+    return "\n".join(lines)

@@ -1,12 +1,17 @@
 import csv
+import hashlib
 import random
 from datetime import datetime, timedelta, timezone
 
-from careflow.analytics import (compare_waves, dotted_chart, dotted_chart_csv,
-                                dotted_chart_svg, occupancy, occupancy_csv,
+import pytest
+from hypothesis import given, strategies as st
+
+from careflow import analytics
+from careflow.analytics import (DottedChartData, DottedChartRow, compare_waves, dotted_chart,
+                                dotted_chart_csv, dotted_chart_svg, occupancy, occupancy_csv,
                                 occupancy_daily_max, occupancy_svg)
 from careflow.eventlog import Event, EventLog, Trace
-from helpers import T0, make_log, make_trace
+from helpers import T0, make_log, make_trace, oracle_dotted_chart_svg, paper_logs
 
 
 def interval_trace(case_id, start, end=None, start_act="startVentilation", end_act="endVentilation"):
@@ -200,3 +205,41 @@ def test_emitters_deterministic_and_wellformed():
     import xml.etree.ElementTree as ET
     ET.fromstring(dotted_chart_svg(chart))
     ET.fromstring(occupancy_svg(series))
+
+
+def test_occupancy_svg_of_the_paper_log_is_pinned():
+    # recorded before dotted_chart_svg and occupancy_svg shared their frame
+    clean, _ = paper_logs()
+    text = occupancy_svg(occupancy(clean, "startVentilation", "endVentilation"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6b983e454c4d17b03b0ed80775770369cdd275ec393670a91799d72544a62d54")
+
+
+def random_chart(count: int, seed: int) -> DottedChartData:
+    rnd = random.Random(seed)
+    colors = ("true", "false", "unknown", "a", "b", "c", "d", "e", "f", "g")
+    return DottedChartData(tuple(
+        DottedChartRow(i // 7, f"c{i // 7}", T0 + timedelta(seconds=rnd.randrange(10**7)),
+                       rnd.choice(colors)) for i in range(count)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+def test_dotted_chart_svg_matches_one_join_at_chunk_edges(count):
+    assert analytics._SVG_CHUNK == 4096
+    data = random_chart(count, count)
+    assert dotted_chart_svg(data) == oracle_dotted_chart_svg(data)
+
+
+chart_rows = st.builds(DottedChartRow, st.integers(0, 40), st.sampled_from(["c1", "c2"]),
+                       st.integers(0, 10**8).map(lambda s: T0 + timedelta(seconds=s)),
+                       st.sampled_from(["true", "false", "unknown", "x", "y", "1"]))
+
+
+@given(st.lists(chart_rows, max_size=30), st.integers(1, 8))
+def test_dotted_chart_svg_matches_one_join(drawn, chunk):
+    data = DottedChartData(tuple(drawn))
+    expected = oracle_dotted_chart_svg(data)
+    assert dotted_chart_svg(data) == expected
+    with pytest.MonkeyPatch.context() as patch:  # chunks small enough to cross their edges
+        patch.setattr(analytics, "_SVG_CHUNK", chunk)
+        assert dotted_chart_svg(data) == expected

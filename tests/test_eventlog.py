@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import random
 import sys
@@ -61,6 +62,14 @@ def test_parsed_events_hold_empty_attribute_dicts_of_the_smallest_size():
     assert sys.getsizeof(_NO_ATTRIBUTES) == sys.getsizeof({})
 
 
+MUTATORS = {
+    "setitem": lambda d: d.__setitem__("k", 1), "delitem": lambda d: d.__delitem__("k"),
+    "update": lambda d: d.update(k=1), "setdefault": lambda d: d.setdefault("k", 1),
+    "pop": lambda d: d.pop("k", None), "popitem": lambda d: d.popitem(),
+    "clear": lambda d: d.clear(), "ior": lambda d: d.__ior__({"k": 1}),
+}
+
+
 def test_records_without_attributes_share_one_read_only_empty_dict():
     clean, noisy = paper_logs()
     event = Event("A", T0, {})
@@ -72,13 +81,7 @@ def test_records_without_attributes_share_one_read_only_empty_dict():
     for log in (clean, noisy):  # simulate and inject_noise
         assert log.attributes is _NO_ATTRIBUTES
         assert all(e.attributes is _NO_ATTRIBUTES for t in log for e in t.events)
-    changes = {
-        "setitem": lambda d: d.__setitem__("k", 1), "delitem": lambda d: d.__delitem__("k"),
-        "update": lambda d: d.update(k=1), "setdefault": lambda d: d.setdefault("k", 1),
-        "pop": lambda d: d.pop("k", None), "popitem": lambda d: d.popitem(),
-        "clear": lambda d: d.clear(), "ior": lambda d: d.__ior__({"k": 1}),
-    }
-    for name, change in changes.items():
+    for name, change in MUTATORS.items():
         with pytest.raises(TypeError, match="read-only"):
             change(event.attributes)
         assert _NO_ATTRIBUTES == {}, name
@@ -94,8 +97,9 @@ def test_the_shared_empty_dict_survives_copies_and_serializes_as_empty():
                            "raw_extensions=())")
 
 
-def test_parsed_logs_retain_under_185_bytes_per_event():
-    # 145-158 B with the shared empty dict, 209-222 B with a dict per event (3.11)
+def test_parsed_logs_retain_under_150_bytes_per_event():
+    # 130-140 B with one dict per trace attribute set, 145-154 B with a dict per trace,
+    # 209-222 B with a dict per event (3.11)
     clean, _ = paper_logs()
     xes, csv, types = write_xes(clean), write_csv(clean), roundtrip_mapping(clean)
     for build in (lambda: parse_xes(xes), lambda: parse_csv(csv, types)):
@@ -107,7 +111,67 @@ def test_parsed_logs_retain_under_185_bytes_per_event():
         finally:
             tracemalloc.stop()
         assert log.traces == clean.traces
-        assert retained / log.event_count < 185
+        assert retained / log.event_count < 150
+
+
+def test_each_builder_shares_one_read_only_dict_per_attribute_set():
+    clean, noisy = paper_logs()
+    xes = write_xes(clean)
+    assert xesio._read_canonical(xes) is not None
+    for log in (clean, parse_xes(xes), parse_csv(write_csv(clean), roundtrip_mapping(clean))):
+        assert len(log) == 216 and [t.attributes for t in log] == [t.attributes for t in clean]
+        assert len({id(t.attributes) for t in log}) == 4
+        assert {tuple(t.attributes.items()) for t in log} == {
+            (("ards", ards), ("complete", complete)) for ards in (False, True)
+            for complete in (False, True)}
+    # sharing is local to one call: no cache outlives it
+    assert parse_xes(xes).traces[0].attributes is not parse_xes(xes).traces[0].attributes
+    for derived in (noisy, drop_activities(clean, {"startVentilation"}), filter_complete(clean),
+                    filter_by_time(clean, T0 + timedelta(days=90), "before")):
+        source = {t.case_id: t.attributes for t in clean}
+        assert derived.traces and all(t.attributes is source[t.case_id] for t in derived)
+
+
+def test_non_empty_attributes_are_read_only():
+    attrs = {"ards": True, "k": 1}
+    for record in (Event("A", T0, attrs), Trace("c1", (), attrs), EventLog(attributes=attrs)):
+        for name, change in MUTATORS.items():
+            with pytest.raises(TypeError, match="read-only"):
+                change(record.attributes)
+            assert record.attributes == attrs and list(record.attributes) == ["ards", "k"], name
+
+
+def test_read_only_attributes_copy_and_serialize_as_plain_dicts_did():
+    trace = Trace("c1", (Event("A", T0),), {"ards": True, "n": 1})
+    for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace), copy.copy(trace)):
+        assert copied == trace and copied.attributes == {"ards": True, "n": 1}
+        assert type(copied.attributes) is type(trace.attributes)
+        with pytest.raises(TypeError, match="read-only"):
+            copied.attributes["n"] = 2
+    assert asdict(trace)["attributes"] == {"ards": True, "n": 1}
+    assert json.dumps(trace.attributes) == '{"ards": true, "n": 1}'
+    assert repr(trace) == (f"Trace(case_id='c1', events=(Event(activity='A', timestamp={T0!r}, "
+                           "attributes={}, raw_extensions=()),), attributes={'ards': True, "
+                           "'n': 1}, raw_extensions=())")
+
+
+def test_shared_attributes_keep_equal_values_of_other_kinds_and_signs_apart():
+    def kinds(log):
+        return [(type(v).__name__, math.copysign(1.0, v)) for v in (t.attributes["x"] for t in log)]
+
+    csv_text = "case_id,activity,timestamp,case:x\r\n" + "".join(
+        f"c{i},A,2020-02-01T00:00:00+00:00,{x}\r\n" for i, x in enumerate(["0.0", "-0.0", "0.0"]))
+    log = parse_csv(csv_text, {"case:x": "float"})
+    assert kinds(log) == [("float", 1.0), ("float", -1.0), ("float", 1.0)]
+    assert log.traces[0].attributes is log.traces[2].attributes
+    values = [1, True, 1.0, 0.0, -0.0, 1]
+    xes = write_xes(EventLog(tuple(Trace(f"c{i}", (Event("A", T0),), {"x": x})
+                                   for i, x in enumerate(values))))
+    assert xesio._read_canonical(xes) is not None
+    log = parse_xes(xes)
+    assert kinds(log) == [("int", 1.0), ("bool", 1.0), ("float", 1.0), ("float", 1.0),
+                          ("float", -1.0), ("int", 1.0)]
+    assert len({id(t.attributes) for t in log}) == 5
 
 
 def test_per_event_and_per_case_records_are_slotted():
