@@ -61,6 +61,7 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
     per distinct case id, in order of first appearance; ``Trace`` sorts its
     events by timestamp (stable for ties). Empty input gives an empty log. A
     leading byte order mark (U+FEFF), which spreadsheet tools write, is skipped.
+    Short rows are padded; a non-empty cell past the header's columns is an error.
     """
     types = types or {}
     parsers = {}
@@ -92,12 +93,15 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
             extra.append((idx[col], col, parsers.get(col, str),
                           col[len(CASE_PREFIX):] if is_case else col, {} if is_case else None))
 
+    width = len(header)
     cases: dict[str, tuple[list[Event], dict[str, AttrValue]]] = {}
     for row_no, row in enumerate(reader, start=2):
         if not any(row):
             continue
-        if len(row) < len(header):
-            row = row + [""] * (len(header) - len(row))
+        if len(row) < width:
+            row = row + [""] * (width - len(row))
+        elif len(row) > width and any(row[width:]):
+            raise CsvFormatError(f"a cell beyond the header's {width} columns", row=row_no)
         case_id = row[case_at]
         activity = intern(row[activity_at])  # one copy of each label
         ts_raw = row[timestamp_at]

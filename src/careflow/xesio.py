@@ -11,17 +11,15 @@ How a typed value is spelled is decided by the attribute codec in
 ``parse_xes`` first tries a canonical reader, which takes only the layout
 ``write_xes`` emits for events that carry just an activity and a timestamp. It
 matches each trace with one regex and its events with one ``findall`` (linear
-in the text), and builds the same records as the expat reader. It declines any
-other document: a value holding markup or a character XML normalises or
+in the text), and builds the same records as the fallback reader. It declines
+any other document: a value holding markup or a character XML normalises or
 forbids, a trace without a case id or with a repeated one, an empty activity, a
 bad typed literal, text after ``</log>``. ``parse_xes`` then reads the whole
-text with expat, so every warning and error comes from the expat reader.
+text with the fallback, so every warning and error comes from the fallback.
 
-The expat reader runs on expat's start, end and text handlers and builds no
-element for the log's own structure: a typed attribute is decoded from the
-attribute dict of its start tag, and each event and trace is built when its
-end tag is read. Only an opaque snippet, or a typed element that turns out to
-hold a child, is built as an ElementTree subtree and serialised when it closes.
+The fallback streams through ElementTree's pull parser: each ``<trace>`` is read
+when it closes and then removed from the tree, so the tree holds the log's own
+children and the traces of one chunk of text, never the whole document.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime
 from sys import intern
-from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
 from .errors import CareflowError, XesFormatError
@@ -39,8 +36,9 @@ from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
 from .timeutil import format_timestamp
 
-# characters fed to expat at a time: one UTF-8 copy of the whole text would be held
-# at once, and smaller chunks cost more calls for no saving
+# characters fed to the pull parser at a time: it encodes each feed to UTF-8, and holds
+# every trace the feed closes until they are read, so one feed of the whole text would
+# hold a copy of it and a tree of it at once
 _CHUNK = 1 << 16
 
 
@@ -52,221 +50,73 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _qname(name: str) -> str:
-    """ElementTree's spelling of an expat name: ``uri}local`` becomes ``{uri}local``."""
-    return "{" + name if "}" in name else name
+def _collect(elem: ET.Element, keys: dict[str, str]
+             ) -> tuple[dict[str, AttrValue], list[str], list[ET.Element]]:
+    """Split children into typed attributes, opaque snippets, and containers.
 
-
-class _Container:
-    """An open ``<log>``, ``<trace>`` or ``<event>`` and what its children gave so far."""
-
-    __slots__ = ("attrs", "raw", "error", "events", "problem")
-
-    def __init__(self):
-        self.attrs: dict[str, AttrValue] = {}
-        self.raw: list[str] = []
-        self.error = None  # the first bad typed literal among its own children
-        self.events: list[Event] = []  # a trace's events, up to its first bad one
-        # a trace's first bad event (an error, or the name of the field it lacks),
-        # or the container nested in an event
-        self.problem = None
-
-
-class _Reader:
-    """expat handlers that build the log as the text is fed (see ``parse_xes``).
-
-    The handlers in place follow where the parser is: at container level, in a
-    typed attribute, in an opaque snippet or a skipped container, or right after
-    a snippet, whose tail text is still to come. Text is read only where it can
-    end up in a snippet. No handler raises for a bad container: the first one
-    is kept in ``error`` and raised after the parse, so a later malformed-XML
-    error still ranks first.
+    ``keys`` holds one copy of each attribute key: sys.intern would drop and re-add
+    the keys popped from every event, churning the interpreter's table.
     """
-
-    def __init__(self, parser):
-        self.parser = parser
-        self.root = None  # the local name of the root element
-        self.log = _Container()
-        self.open = [self.log]  # the log, then the open trace, then the open event
-        self.traces: list[Trace] = []
-        self.used_ids: set[str] = set()
-        self.notes: list[str] = []  # warnings of the traces read before any error
-        self.error = None  # the first bad container of the log
-        self.names: dict[str, str] = {}  # expat name -> local name
-        # one copy of each attribute key; sys.intern would drop and re-add the keys
-        # popped from every event, churning (and regrowing) the interpreter's table
-        self.keys: dict[str, str] = {}
-        self.typed = None  # (kind, attributes, name) of an open typed attribute element
-        self.typed_text: list[str] = []  # its text, for a child that makes it a snippet
-        self.keep_typed_text = self.typed_text.append
-        self.inner = 0  # depth inside an opaque snippet (builder set) or a skipped container
-        self.builder = None
-        self.closed = None  # the last snippet, while its tail text is read
-        self.tail: list[str] = []
-        parser.buffer_text = True
-        parser.StartElementHandler = self.start_root
-        parser.EndElementHandler = self.end
-        parser.SkippedEntityHandler = self.skipped_entity
-
-    def skipped_entity(self, name: str, is_parameter_entity: bool):
-        # an entity an external DTD may declare: a parse error, as ElementTree reports it
-        if not is_parameter_entity:
-            error = expat.ExpatError(f"undefined entity &{name};")
-            error.lineno, error.offset = self.parser.ErrorLineNumber, self.parser.ErrorColumnNumber
-            raise error
-
-    def _handlers(self, start, end, text=None):
-        parser = self.parser
-        parser.StartElementHandler, parser.EndElementHandler = start, end
-        parser.CharacterDataHandler = text
-
-    def start_root(self, name: str, attrib: dict[str, str]):
-        self.root = _local(name)
-        self.parser.StartElementHandler = self.start
-
-    def start(self, name: str, attrib: dict[str, str]):
-        if self.typed is not None:  # a typed attribute element with a child is a snippet
-            _, typed_attrib, typed_name = self.typed
-            self.typed = None
-            self._open_snippet(typed_name, typed_attrib)
-            if self.typed_text:
-                self.builder.data("".join(self.typed_text))
-            self.start_inner(name, attrib)
-            return
-        local = self.names.get(name)
-        if local is None:
-            local = self.names[name] = _local(name)
-        if local in _PARSERS and "key" in attrib and "value" in attrib:
-            self.typed = (local, attrib, name)
-            self.typed_text.clear()
-            self.parser.CharacterDataHandler = self.keep_typed_text
-        elif local == "trace" or local == "event":
-            self._open_container(local)
+    attrs: dict[str, AttrValue] = {}
+    raw: list[str] = []
+    containers: list[ET.Element] = []
+    for child in elem:
+        tag = _local(child.tag)
+        if tag == "trace" or tag == "event":
+            containers.append(child)
+            continue
+        key, value = child.get("key"), child.get("value")
+        if tag in _PARSERS and key is not None and value is not None and len(child) == 0:
+            try:
+                attrs[keys.setdefault(key, key)] = _PARSERS[tag](value)
+            except ValueError:
+                raise XesFormatError(f"bad {tag} literal {value!r} for key {key!r}")
         else:
-            self._open_snippet(name, attrib)
+            raw.append(ET.tostring(child, encoding="unicode").strip())
+    return attrs, raw, containers
 
-    def end(self, name: str):
-        typed = self.typed
-        if typed is not None:
-            self.typed = None
-            self.parser.CharacterDataHandler = None
-            owner = self.open[-1]
-            if owner.error is None:
-                kind, attrib, _ = typed
-                key, value = attrib["key"], attrib["value"]
-                try:
-                    owner.attrs[self.keys.setdefault(key, key)] = _PARSERS[kind](value)
-                except ValueError:
-                    owner.error = XesFormatError(f"bad {kind} literal {value!r} for key {key!r}")
-            return
-        open_ = self.open
-        closing = open_.pop()
-        if len(open_) == 2:
-            self._end_event(closing, open_[-1])
-        elif len(open_) == 1:
-            self._end_trace(closing)
 
-    def _open_container(self, local: str):
-        """Open a container, or skip it whole where no later check reads its contents."""
-        open_ = self.open
-        owner = open_[-1]
-        if len(open_) == 1:  # a child of the log
-            if self.error is None and local == "event":
-                self.error = XesFormatError("<event> element outside of a <trace>")
-            if self.error is None:
-                open_.append(_Container())
-                return
-        elif len(open_) == 2:  # a child of a trace
-            if owner.error is None and owner.problem is None:
-                if local == "event":
-                    open_.append(_Container())
-                    return
-                owner.problem = XesFormatError("<trace> nested inside a <trace>")
-        elif owner.problem is None:
-            owner.problem = XesFormatError("<trace>/<event> nested inside an <event>")
-        self.inner = 1
-        self._handlers(self.start_inner, self.end_inner)
+def _trace(trace_xml: ET.Element, position: int, used_ids: set[str], notes: list[str],
+           keys: dict[str, str]) -> Trace:
+    """A child container of ``<log>`` read as a trace; warnings go to ``notes``."""
+    if _local(trace_xml.tag) != "trace":
+        raise XesFormatError("<event> element outside of a <trace>")
+    trace_attrs, trace_raw, events_xml = _collect(trace_xml, keys)
+    case_id = trace_attrs.pop("concept:name", None)
+    if case_id in (None, ""):
+        case_id = f"case_{position}"
+        while case_id in used_ids:
+            case_id += "_x"
+        notes.append(f"trace #{position} lacks concept:name; assigned {case_id!r}")
+    case_id = str(case_id)
+    if case_id in used_ids:
+        raise XesFormatError(f"trace #{position} repeats case id {case_id!r}")
+    used_ids.add(case_id)
+    events: list[Event] = []
+    for event_xml in events_xml:
+        if _local(event_xml.tag) != "event":
+            raise XesFormatError("<trace> nested inside a <trace>")
+        event_attrs, event_raw, nested = _collect(event_xml, keys)
+        if nested:
+            raise XesFormatError("<trace>/<event> nested inside an <event>")
+        activity = event_attrs.pop("concept:name", None)
+        if activity in (None, ""):
+            raise XesFormatError(f"event without concept:name in case {case_id!r}")
+        timestamp = event_attrs.pop("time:timestamp", None)
+        if not isinstance(timestamp, datetime):
+            raise XesFormatError(f"event without time:timestamp in case {case_id!r}")
+        events.append(Event(intern(str(activity)), timestamp, event_attrs, tuple(event_raw)))
+    return Trace(case_id, tuple(events), trace_attrs, tuple(trace_raw))
 
-    def _open_snippet(self, name: str, attrib: dict[str, str]):
-        self.builder = builder = ET.TreeBuilder()
-        builder.start(_qname(name), {_qname(key): value for key, value in attrib.items()})
-        self.inner = 1
-        self._handlers(self.start_inner, self.end_inner, builder.data)
 
-    def start_inner(self, name: str, attrib: dict[str, str]):
-        self.inner += 1
-        if self.builder is not None:
-            self.builder.start(_qname(name), {_qname(key): value for key, value in attrib.items()})
-
-    def end_inner(self, name: str):
-        self.inner -= 1
-        builder = self.builder
-        if builder is not None:
-            builder.end(_qname(name))
-            if not self.inner:
-                self.closed = builder.close()
-                self.builder = None
-                self._handlers(self.start_after, self.end_after, self.tail.append)
-        elif not self.inner:
-            self._handlers(self.start, self.end)
-
-    def _end_snippet(self):
-        """Serialise the last snippet, with its tail, into its container's raw snippets."""
-        self.closed.tail = "".join(self.tail) or None
-        self.open[-1].raw.append(ET.tostring(self.closed, encoding="unicode").strip())
-        self.closed = None
-        self.tail.clear()
-        self._handlers(self.start, self.end)
-
-    def start_after(self, name: str, attrib: dict[str, str]):
-        self._end_snippet()
-        self.start(name, attrib)
-
-    def end_after(self, name: str):
-        self._end_snippet()
-        self.end(name)
-
-    @staticmethod
-    def _end_event(event: _Container, trace: _Container):
-        problem = event.error or event.problem
-        if problem is None:
-            attrs = event.attrs
-            activity = attrs.pop("concept:name", None)
-            timestamp = attrs.pop("time:timestamp", None)
-            if activity in (None, ""):
-                problem = "concept:name"
-            elif not isinstance(timestamp, datetime):
-                problem = "time:timestamp"
-            else:
-                trace.events.append(Event(intern(str(activity)), timestamp, attrs,
-                                          tuple(event.raw)))
-                return
-        trace.problem = problem
-
-    def _end_trace(self, trace: _Container):
-        if trace.error is not None:
-            self.error = trace.error
-            return
-        position = len(self.traces) + 1
-        used_ids = self.used_ids
-        case_id = trace.attrs.pop("concept:name", None)
-        if case_id in (None, ""):
-            case_id = f"case_{position}"
-            while case_id in used_ids:
-                case_id += "_x"
-            self.notes.append(f"trace #{position} lacks concept:name; assigned {case_id!r}")
-        case_id = str(case_id)
-        if case_id in used_ids:
-            self.error = XesFormatError(f"trace #{position} repeats case id {case_id!r}")
-            return
-        used_ids.add(case_id)
-        problem = trace.problem
-        if isinstance(problem, str):
-            self.error = XesFormatError(f"event without {problem} in case {case_id!r}")
-        elif problem is not None:
-            self.error = problem
-        else:
-            self.traces.append(Trace(case_id, tuple(trace.events), trace.attrs, tuple(trace.raw)))
+def _pull(text: str):
+    """The ``(event, element)`` pairs of a start/end pull parse of ``text``."""
+    parser = ET.XMLPullParser(("start", "end"))
+    for at in range(0, len(text), _CHUNK):
+        parser.feed(text[at:at + _CHUNK])
+        yield from parser.read_events()
+    parser.close()
+    yield from parser.read_events()  # what a parser that defers reparsing held back
 
 
 # write_xes's own layout: a key or value free of markup, of what XML normalises
@@ -332,33 +182,35 @@ def parse_xes(text: str) -> EventLog:
     log = _read_canonical(text)
     if log is not None:
         return log
-    parser = expat.ParserCreate(None, "}")
-    reader = _Reader(parser)
+    root, depth, traces, used_ids, notes, keys, error = None, 0, [], set(), [], {}, None
     try:
-        for at in range(0, len(text), _CHUNK):
-            parser.Parse(text[at:at + _CHUNK], False)
-        parser.Parse("", True)
-    except expat.ExpatError as exc:
-        raise XesFormatError(f"malformed XML: {str(exc).split(':')[0]}",
-                             line=exc.lineno, column=exc.offset)
-    finally:
-        # the parser holds the reader's handlers: without this cycle the parser, and with
-        # it whatever the reader holds, is freed on return, not at the next full collection
-        reader.parser = None
-    if reader.root != "log":
-        raise XesFormatError(f"expected <log> root element, found <{reader.root}>")
-    log = reader.log
-    if log.error is not None:
-        raise log.error
-    log_name = log.attrs.pop("concept:name", "")
-    if not isinstance(log_name, str):
-        log_name = str(log_name)
-    for note in reader.notes:
+        for kind, elem in _pull(text):
+            if kind == "start":
+                root = elem if root is None else root
+                depth += 1
+                continue
+            depth -= 1
+            if depth == 1 and _local(elem.tag) in ("trace", "event"):
+                root.remove(elem)  # later children of the log may have been read already
+                if error is None:
+                    try:
+                        traces.append(_trace(elem, len(traces) + 1, used_ids, notes, keys))
+                    except XesFormatError as exc:
+                        error = exc
+    except ET.ParseError as exc:
+        exc.__traceback__ = None  # it holds the frame that holds it: a reference cycle
+        line, column = exc.position
+        raise XesFormatError(f"malformed XML: {exc.msg.split(':')[0]}", line=line, column=column)
+    if _local(root.tag) != "log":
+        raise XesFormatError(f"expected <log> root element, found <{_local(root.tag)}>")
+    log_attrs, log_raw, _ = _collect(root, keys)
+    log_name = str(log_attrs.pop("concept:name", ""))
+    for note in notes:
         warnings.warn(note, XesWarning)
-    if reader.error is not None:
-        raise reader.error
-    return EventLog(tuple(reader.traces), name=log_name, attributes=log.attrs,
-                    raw_extensions=tuple(log.raw))
+    if error is not None:
+        raise error
+    return EventLog(tuple(traces), name=log_name, attributes=log_attrs,
+                    raw_extensions=tuple(log_raw))
 
 
 _ESCAPED = re.compile('[&<>"\n\r\t]')  # what quoteattr escapes, and '"', which it may single-quote

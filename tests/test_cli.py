@@ -139,6 +139,13 @@ def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, t
     assert location in capsys.readouterr().err
 
 
+def test_convert_rejects_a_cell_beyond_the_header(tmp_path, capsys):
+    (tmp_path / "in.csv").write_text(CSV.replace("00:00\n", "00:00,extra\n"), encoding="utf-8")
+    assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes")]) == 2
+    assert "(row 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out.xes").exists()
+
+
 @pytest.mark.parametrize("argv", [["no-such-command"], ["waves", "log.xes"],
                                   ["variants", "log.xes", "--top", "-1"]],
                          ids=["unknown-command", "missing-split", "negative-top"])

@@ -80,6 +80,14 @@ def test_bad_timestamp_reports_row():
         parse_csv(text)
 
 
+def test_short_rows_are_padded_and_extra_cells_must_be_empty():
+    short = parse_csv("case_id,activity,timestamp,ward\nc1,A,2020-02-01T00:00:00+00:00\n")
+    assert short.traces[0].events[0].attributes == {}
+    assert parse_csv(CSV.replace("00:00\n", "00:00,,\n")) == parse_csv(CSV)
+    with pytest.raises(CsvFormatError, match=r"beyond the header's 3 columns \(row 3\)"):
+        parse_csv(CSV.replace("01:00:00+00:00\n", "01:00:00+00:00,,extra\n"))
+
+
 def test_unmapped_columns_become_attributes():
     text = ("case_id,activity,timestamp,ward\n"
             "c1,A,2020-02-01T00:00:00+00:00,icu\n")

@@ -51,10 +51,10 @@ def test_to_utc_returns_a_utc_instant_itself():
 
 
 def test_parsed_events_hold_empty_attribute_dicts_of_the_smallest_size():
-    # the one shared empty dict, on the canonical and the expat path alike
+    # the one shared empty dict, on the canonical and the fallback path alike
     clean, _ = paper_logs()
     xes = write_xes(clean)
-    declined = xes.replace("\n", "\n\n", 1)  # one blank line more: read by expat
+    declined = xes.replace("\n", "\n\n", 1)  # one blank line more: read by the fallback
     assert xesio._read_canonical(xes) is not None and xesio._read_canonical(declined) is None
     for log in (parse_xes(xes), parse_xes(declined), parse_csv(write_csv(clean))):
         assert log.attributes is _NO_ATTRIBUTES

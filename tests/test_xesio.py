@@ -2,6 +2,7 @@ import random
 import re
 import time
 import warnings
+import xml.etree.ElementTree as ET
 from datetime import timedelta
 from unittest import mock
 from xml.sax.saxutils import quoteattr
@@ -261,6 +262,10 @@ READER_CASES = {
     "comments-and-pis": _doc(prolog='<?xml version="1.0"?><?pi head?><!-- head -->',
                              event='<?p inner?><!-- c --><foo/><?p?>x<!--y-->z<![CDATA[<&]]>'),
     "bom": "\ufeff" + _doc(prolog='<?xml version="1.0" encoding="UTF-8"?>'),
+    # read in the same feed as the traces, so it is in the tree before they are removed
+    "log-attribute-after-the-traces": _doc().replace(
+        "</log>", '<trace><string key="concept:name" value="c2"/></trace>'
+                  '<string key="k" value="v"/></log>'),
     "bad-literals-in-order": _doc(trace='<float key="f" value="y"/>').replace(
         "</log>", '<int key="n" value="x"/><int key="m" value="z"/></log>'),
     "bad-literal-then-malformed": '<log><int key="n" value="x"/><trace></log>',
@@ -326,6 +331,27 @@ def test_document_longer_than_a_chunk_with_a_label_across_the_boundary():
     assert_readers_agree(text)
 
 
+class _ParsingAtClose(ET.XMLPullParser):
+    """A pull parser that holds every feed until ``close``, as one deferring reparses may."""
+
+    def __init__(self, events):
+        super().__init__(events)
+        self.held = []
+
+    def feed(self, data):
+        self.held.append(data)
+
+    def close(self):
+        super().feed("".join(self.held))
+        super().close()
+
+
+@pytest.mark.parametrize("name", ["opaque-children-and-tails", "log-attribute-after-the-traces"])
+def test_events_the_parser_yields_only_at_close_are_read(name):
+    with mock.patch.object(ET, "XMLPullParser", _ParsingAtClose):
+        assert_readers_agree(READER_CASES[name])
+
+
 def test_bad_log_attribute_outranks_an_earlier_bad_trace_and_its_warnings():
     text = ('<log><trace/><trace><int key="n" value="x"/></trace>'
             '<string key="ok" value="y"/><float key="f" value="z"/></log>')
@@ -336,9 +362,9 @@ def test_bad_log_attribute_outranks_an_earlier_bad_trace_and_its_warnings():
     assert_readers_agree(text)
 
 
-# --- the canonical reader against the expat reader and the tree oracle -------------
+# --- the canonical reader against the fallback reader and the tree oracle ----------
 
-def _parse_with_expat(text: str) -> EventLog:
+def _parse_with_fallback(text: str) -> EventLog:
     """``parse_xes`` with the canonical reader declining every document."""
     with mock.patch.object(xesio, "_read_canonical", lambda text: None):
         return parse_xes(text)
@@ -350,7 +376,7 @@ def test_canonical_reader_takes_the_paper_logs():
         text = write_xes(log)
         fast = xesio._read_canonical(text)
         assert fast is not None
-        assert fast == _parse_with_expat(text) == log
+        assert fast == _parse_with_fallback(text) == log
 
 
 def test_canonical_reader_declines_a_long_cut_document_in_linear_time():
@@ -392,7 +418,7 @@ _MUTATIONS = [
     ('(      <string key="concept:name" value=")[^"]*(")', "\\1\\2"),  # empty activity
 ] + [('value="', f'value="{char}') for char in
      ["\x01", "\x1f", "\t", "\n", "\r", "\ufffe", "\uffff", "\ud800", "\udfff",
-      # characters XML allows, which the canonical reader must read as expat does
+      # characters XML allows, which the canonical reader must read as an XML parser does
       ">", "'", "\x7f", "\x85", "\u2028", "\ufdd0", "\U0001f600", "é"]]
 
 
@@ -414,5 +440,5 @@ def test_canonical_reader_declines_or_reads_as_the_oracle(text):
     expected = _outcome(oracle_parse_xes, text)
     fast = xesio._read_canonical(text)
     assert fast is None or (fast, []) == expected
-    assert _outcome(_parse_with_expat, text) == expected
+    assert _outcome(_parse_with_fallback, text) == expected
     assert_readers_agree(text)
