@@ -99,6 +99,10 @@ def _fmt_mean(duration: timedelta | None) -> str:
     return format_duration(duration) if duration is not None else "n/a"
 
 
+def _seconds(duration: timedelta | None) -> float | None:
+    return duration.total_seconds() if duration is not None else None
+
+
 # --- subcommand implementations -------------------------------------------------
 
 def _cmd_stats(args) -> int:
@@ -111,8 +115,7 @@ def _cmd_stats(args) -> int:
             "variant_count": stats.variant_count,
             "complete_case_count": stats.complete_case_count,
             "mean_events_per_case": stats.mean_events_per_case,
-            "mean_case_duration_seconds":
-                stats.mean_case_duration.total_seconds() if stats.mean_case_duration else None,
+            "mean_case_duration_seconds": _seconds(stats.mean_case_duration),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -225,8 +228,7 @@ def _cmd_waves(args) -> int:
     if args.json:
         def wave_payload(w):
             return {"case_count": w.case_count, "event_count": w.event_count,
-                    "mean_case_duration_seconds":
-                        w.mean_case_duration.total_seconds() if w.mean_case_duration else None}
+                    "mean_case_duration_seconds": _seconds(w.mean_case_duration)}
         print(json.dumps({"split": format_timestamp(split),
                           "wave_1": wave_payload(cmp.first),
                           "wave_2": wave_payload(cmp.second)}, indent=2, sort_keys=True))

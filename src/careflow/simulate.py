@@ -27,14 +27,15 @@ parameters are calibration artifacts, not measured clinical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
 from .errors import ConfigError, SimulationDeadlockError
-from .eventlog import Event, EventLog, Trace, _normalize_attrs, _without_cycle_collection
+from .eventlog import (Event, EventLog, Trace, _attr_text, _normalize_attrs,
+                       _without_cycle_collection)
 from .petri import PetriNet
 from .rng import Stream
-from .timeutil import format_timestamp, parse_split_instant
+from .timeutil import parse_split_instant
 
 _MAX_STEPS_PER_CASE = 10_000
 _REQUIRED = object()  # parse_config: a key without a default
@@ -44,10 +45,20 @@ CONFIG_VERSION = 1
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Delay distribution for one activity; parameters are in hours."""
+    """Delay distribution for one activity, in hours: ``fixed hours``, ``uniform low high``
+    or ``lognormal mean sigma``; finite, none negative, a lognormal mean above 0, low <= high."""
 
-    kind: str  # 'fixed' | 'uniform' | 'lognormal'
+    kind: str
     params: tuple[float, ...]
+
+    def __post_init__(self):
+        p = self.params
+        if {"fixed": 1, "uniform": 2, "lognormal": 2}.get(self.kind) != len(p):
+            raise ConfigError(f"bad delay kind {self.kind!r} or parameter count {len(p)}")
+        if (not all(0 <= x < math.inf for x in p)  # NaN fails every comparison
+                or (self.kind == "lognormal" and p[0] == 0)
+                or (self.kind == "uniform" and p[0] > p[1])):
+            raise ConfigError(f"undefined or negative delay {self.kind} {p}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,19 @@ class WaveSpec:
     admission_mode: datetime | None = None
     admission_spread_hours: float = 0.0
     delay_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.window_end < self.window_start:
+            raise ConfigError("window_end is before window_start")
+        if not 0 <= self.delay_scale < math.inf:
+            raise ConfigError("delay_scale must be finite and >= 0")
+        if not 0 <= self.admission_spread_hours < math.inf:
+            raise ConfigError("admission_spread_hours must be finite and >= 0")
+        if self.admission_mode is None:
+            if self.admission_spread_hours:
+                raise ConfigError("admission_spread_hours without admission_mode")
+        elif not self.window_start <= self.admission_mode <= self.window_end:
+            raise ConfigError("admission_mode is outside the wave's window")
 
 
 @dataclass(frozen=True)
@@ -148,22 +172,19 @@ _FIXED, _UNIFORM, _LOGNORMAL, _UNDEFINED = range(4)
 def _delay(label: str | None, config: SimConfig) -> tuple | None:
     """A label's delay draw in hours as (kind, a, b): ``a``, ``a + u * b`` or
     ``exp(a + b * z)``, with a uniform's width and a lognormal's log-space mean worked
-    out once; an undefined delay carries the error type and message that its first
+    out once; a missing delay carries the message of the ConfigError that its first
     draw raises (a fresh error: one kept in the table would, once raised, hold the
     frames that hold the table in a reference cycle)."""
     if label is None:
         return None
     spec = config.delays.get(label) or config.delays.get("default")
     if spec is None:
-        return _UNDEFINED, ConfigError, (f"no delay configured for activity {label!r} "
-                                         "and no default")
+        return _UNDEFINED, f"no delay configured for activity {label!r} and no default", None
     p = spec.params
     if spec.kind == "fixed":
         return _FIXED, p[0], None
     if spec.kind == "uniform":
         return _UNIFORM, p[0], p[1] - p[0]
-    if p[0] <= 0:
-        return _UNDEFINED, ValueError, "lognormal mean must be positive"
     return _LOGNORMAL, math.log(p[0]) - 0.5 * p[1] * p[1], p[1]
 
 
@@ -238,7 +259,7 @@ def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: S
             elif kind == _UNIFORM:
                 hours = a + delay_rng.random() * b
             else:
-                raise a(b)
+                raise ConfigError(a)
             # timedelta(hours=...) and clock.replace(microsecond=0), spelled positionally,
             # which gives the same instants without parsing keyword arguments per event
             clock += timedelta(0, 0, 0, 0, 0, hours * scale)
@@ -302,15 +323,30 @@ def inject_noise(log: EventLog, spec: NoiseSpec) -> EventLog:
 
 # --- config file format ---------------------------------------------------------
 
+def _delay_spec(text: str) -> DelaySpec:
+    kind, *params = text.split() or [""]
+    return DelaySpec(kind, tuple(float(p) for p in params))
+
+
+# (key, parser, default) of the top-level keys and of the ``wave.<n>.`` keys, in the order
+# write_config spells them; each key names the field of SimConfig or WaveSpec it fills
+_CONFIG_KEYS = (("name", str, "simulated"), ("case_count", int, _REQUIRED),
+                ("seed", int, _REQUIRED), ("ongoing_fraction", float, 0.0),
+                ("ards_probability", float, 0.0))
+_WAVE_KEYS = (("window_start", parse_split_instant, _REQUIRED),
+              ("window_end", parse_split_instant, _REQUIRED), ("share", float, _REQUIRED),
+              ("admission_mode", parse_split_instant, None),
+              ("admission_spread_hours", float, 0.0), ("delay_scale", float, 1.0))
+
+
 def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
-    """Parse the flat key-value config format.
+    """Parse the flat key-value config format into records, which check themselves.
 
     Lines are ``key = value``; '#' starts a comment; wave fields use
     ``wave.<n>.<field>``; branch probabilities ``prob.<transition_id>``;
-    delays ``delay.<activity> = kind params...`` with kind ``fixed hours``,
-    ``uniform low high`` or ``lognormal mean sigma`` (finite, none negative,
-    a lognormal mean above 0); optional noise via ``noise.drop_probability``
-    and ``noise.seed``.
+    delays ``delay.<activity> = kind params...`` (see ``DelaySpec``);
+    optional noise via ``noise.drop_probability`` and ``noise.seed``. A record's
+    ConfigError is raised again with the line of its delay or the number of its wave.
     """
     entries: dict[str, tuple[str, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -333,110 +369,51 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
         raw, line_no = entries.pop(key)
         try:
             return conv(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}", line=line_no) from None
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {raw!r}", line=line_no)
 
     version = take("config_version", int)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config_version {version}")
-    name = take("name", str, "simulated")
-    case_count = take("case_count", int)
-    seed = take("seed", int)
-    ongoing_fraction = take("ongoing_fraction", float, 0.0)
-    ards_probability = take("ards_probability", float, 0.0)
+    fields = {key: take(key, conv, default) for key, conv, default in _CONFIG_KEYS}
     noise_p = take("noise.drop_probability", float, None)
     if noise_p is None and "noise.seed" in entries:
         raise ConfigError("noise.seed without noise.drop_probability", line=entries["noise.seed"][1])
-    noise_seed = take("noise.seed", int, None)
+    noise_seed = take("noise.seed", int, fields["seed"])
 
-    wave_indices = set()
-    for key, (_, line_no) in entries.items():
-        if key.startswith("wave."):
-            index = key.split(".")[1]
-            if not index.isdecimal():
-                raise ConfigError(f"bad wave number in key {key!r}", line=line_no)
-            wave_indices.add(int(index))
     waves = []
-    for index in sorted(wave_indices):
-        prefix = f"wave.{index}."
-        spread_key = prefix + "admission_spread_hours"
-        if spread_key in entries and prefix + "admission_mode" not in entries:
-            raise ConfigError(f"wave {index}: admission_spread_hours without admission_mode",
-                              line=entries[spread_key][1])
-        wave = WaveSpec(
-            window_start=take(prefix + "window_start", parse_split_instant),
-            window_end=take(prefix + "window_end", parse_split_instant),
-            share=take(prefix + "share", float),
-            admission_mode=take(prefix + "admission_mode", parse_split_instant, None),
-            admission_spread_hours=take(spread_key, float, 0.0),
-            delay_scale=take(prefix + "delay_scale", float, 1.0),
-        )
-        if wave.window_end < wave.window_start:
-            raise ConfigError(f"wave {index}: window_end is before window_start")
-        if not 0 <= wave.delay_scale < math.inf:
-            raise ConfigError(f"wave {index}: delay_scale must be finite and >= 0")
-        if not 0 <= wave.admission_spread_hours < math.inf:
-            raise ConfigError(f"wave {index}: admission_spread_hours must be finite and >= 0")
-        if wave.admission_mode is not None and not (
-                wave.window_start <= wave.admission_mode <= wave.window_end):
-            raise ConfigError(f"wave {index}: admission_mode is outside the wave's window")
-        waves.append(wave)
+    numbers = {key.split(".")[1] for key in entries if key.startswith("wave.")}
+    for index in sorted(int(number) for number in numbers if number.isdecimal()):
+        wave = {key: take(f"wave.{index}.{key}", conv, default) for key, conv, default in _WAVE_KEYS}
+        try:
+            waves.append(WaveSpec(**wave))
+        except ConfigError as exc:
+            raise ConfigError(f"wave {index}: {exc}") from None
 
-    probs: dict[str, float] = {}
-    delays: dict[str, DelaySpec] = {}
-    for key in list(entries):
-        value, line_no = entries[key]
-        if key.startswith("prob."):
-            probs[key[len("prob."):]] = take(key, float)
-        elif key.startswith("delay."):
-            parts = value.split()
-            kind = parts[0] if parts else ""
-            want = {"fixed": 1, "uniform": 2, "lognormal": 2}.get(kind)
-            if want is None or len(parts) != want + 1:
-                raise ConfigError(f"bad delay spec {value!r} (kind params...)", line=line_no)
-            try:
-                params = tuple(float(p) for p in parts[1:])
-            except ValueError:
-                raise ConfigError(f"bad delay parameters in {value!r}", line=line_no)
-            if (not all(0 <= p < math.inf for p in params)  # NaN fails every comparison
-                    or (kind == "lognormal" and params[0] == 0)
-                    or (kind == "uniform" and params[0] > params[1])):
-                raise ConfigError(f"undefined or negative delay {value!r}", line=line_no)
-            delays[key[len("delay."):]] = DelaySpec(kind, params)
-            del entries[key]
-    if entries:
+    probs = {key[len("prob."):]: take(key, float)
+             for key in list(entries) if key.startswith("prob.")}
+    delays = {key[len("delay."):]: take(key, _delay_spec)
+              for key in list(entries) if key.startswith("delay.")}
+    if entries:  # a key no table names, or a wave's key without a wave number
         stray, (_, line_no) = next(iter(entries.items()))
         raise ConfigError(f"unknown key {stray!r}", line=line_no)
 
-    config = SimConfig(case_count=case_count, seed=seed, waves=tuple(waves),
-                       branch_probabilities=probs, delays=delays,
-                       ongoing_fraction=ongoing_fraction,
-                       ards_probability=ards_probability, name=name)
-    noise = None
-    if noise_p is not None:
-        noise = NoiseSpec(noise_p, noise_seed if noise_seed is not None else seed)
-    return config, noise
+    config = SimConfig(waves=tuple(waves), branch_probabilities=probs, delays=delays, **fields)
+    return config, None if noise_p is None else NoiseSpec(noise_p, noise_seed)
 
 
 def write_config(config: SimConfig, noise: NoiseSpec | None = None) -> str:
-    """Serialize a config in the flat key-value format (sorted, deterministic)."""
-    lines = [f"config_version = {CONFIG_VERSION}",
-             f"name = {config.name}",
-             f"case_count = {config.case_count}",
-             f"seed = {config.seed}",
-             f"ongoing_fraction = {config.ongoing_fraction!r}",
-             f"ards_probability = {config.ards_probability!r}",
-             ""]
+    """Serialize a config in the flat key-value format (sorted, deterministic); a wave
+    field that holds its default is left out."""
+    lines = [f"config_version = {CONFIG_VERSION}"]
+    lines += [f"{key} = {_attr_text(getattr(config, key))[1]}" for key, _, _ in _CONFIG_KEYS]
     for index, wave in enumerate(config.waves, start=1):
-        lines.append(f"wave.{index}.window_start = {format_timestamp(wave.window_start)}")
-        lines.append(f"wave.{index}.window_end = {format_timestamp(wave.window_end)}")
-        lines.append(f"wave.{index}.share = {wave.share!r}")
-        if wave.admission_mode is not None:
-            lines.append(f"wave.{index}.admission_mode = {format_timestamp(wave.admission_mode)}")
-            lines.append(f"wave.{index}.admission_spread_hours = {wave.admission_spread_hours!r}")
-        if wave.delay_scale != 1.0:
-            lines.append(f"wave.{index}.delay_scale = {wave.delay_scale!r}")
         lines.append("")
+        lines += [f"wave.{index}.{key} = {_attr_text(value)[1]}" for key, _, default in _WAVE_KEYS
+                  if (value := getattr(wave, key)) != default]
+    lines.append("")
     for tid in sorted(config.branch_probabilities):
         lines.append(f"prob.{tid} = {config.branch_probabilities[tid]!r}")
     lines.append("")

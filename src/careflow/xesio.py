@@ -136,11 +136,11 @@ _CANONICAL_EVENT = re.compile(
 
 
 def _read_canonical(text: str) -> EventLog | None:
-    """The log of a document in the canonical layout, or None for expat to read it."""
+    """The log of a document in the canonical layout, or None for the fallback to read it."""
     head = _CANONICAL_LOG.match(text)
     if head is None:
         return None
-    keys: dict[str, str] = {}  # one copy of each attribute key, as the expat reader keeps
+    keys: dict[str, str] = {}  # one copy of each attribute key, as the fallback keeps
 
     def typed(items: list | tuple) -> dict[str, AttrValue]:
         return {keys.setdefault(key, key): _PARSERS[kind](value) for kind, key, value in items}
@@ -175,13 +175,18 @@ def parse_xes(text: str) -> EventLog:
     """Parse an XES document into an event log.
 
     Traces without a ``concept:name`` get a synthetic case id and a warning is
-    emitted; events must carry both an activity and a timestamp. Errors rank as
-    in a reader that parses first: malformed XML, the root, the log's own
-    attributes, the first bad container (after the warnings of the traces before it).
+    emitted; events must carry both an activity and a timestamp. Errors rank as in a
+    reader that encodes and parses the whole text first: a surrogate, malformed XML, the
+    root, the log's attributes, the first bad container (after the warnings before it).
     """
     log = _read_canonical(text)
     if log is not None:
         return log
+    surrogate = re.search("[\ud800-\udfff]", text)
+    if surrogate is not None:  # UTF-8 cannot encode it: fail as encoding the whole text would
+        at = surrogate.start()
+        raise XesFormatError(f"unencodable surrogate {surrogate.group()!r}",
+                             text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at) - 1)
     root, depth, traces, used_ids, notes, keys, error = None, 0, [], set(), [], {}, None
     try:
         for kind, elem in _pull(text):

@@ -51,6 +51,17 @@ def test_paper_numbers_from_packaged_config(tmp_path, monkeypatch, capsys):
     assert abs(replay["log_fitness"] - 0.98) <= 0.005
 
 
+def test_a_zero_mean_duration_is_zero_seconds_in_json(tmp_path, capsys):
+    # one complete case of one event lasts no time: a duration, not a missing one
+    path = tmp_path / "one.csv"
+    path.write_text("case_id,activity,timestamp\nc1,A,2020-02-01T00:00:00+00:00\n",
+                    encoding="utf-8")
+    assert run_json(capsys, "stats", str(path), "--json")["mean_case_duration_seconds"] == 0.0
+    waves = run_json(capsys, "waves", str(path), "--split", "2020-03-01", "--json")
+    assert waves["wave_1"]["mean_case_duration_seconds"] == 0.0
+    assert waves["wave_2"]["mean_case_duration_seconds"] is None  # no case at all
+
+
 def test_config_bare_name_falls_back_to_packaged(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # no covas_desk.config here
     assert cli.main(["simulate", "--config", "covas_desk.config", "--out", "log.csv"]) == 0

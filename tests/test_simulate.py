@@ -2,7 +2,8 @@ import gc
 import hashlib
 import math
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,11 +269,7 @@ def test_simulate_equals_the_step_by_step_oracle(seed, case_count, delays, defau
     assert _outcome(simulate, cfg, net) == _outcome(oracle_simulate, cfg, net)
 
 
-@pytest.mark.parametrize("delays", [{"Start": DelaySpec("fixed", (0.0,))},
-                                    {"default": DelaySpec("lognormal", (0.0, 0.5))},
-                                    {"Start": DelaySpec("fixed", (0.0,)),
-                                     "default": DelaySpec("lognormal", (-1.0, 0.5))}],
-                         ids=["no-default", "zero-mean", "negative-mean"])
+@pytest.mark.parametrize("delays", [{"Start": DelaySpec("fixed", (0.0,))}], ids=["no-default"])
 def test_undefined_delays_fail_at_their_first_draw_like_the_oracle(delays):
     cfg = config(delays=delays)
     failure = _outcome(oracle_simulate, cfg, covas_model())
@@ -288,12 +285,99 @@ def test_undefined_delays_fail_at_their_first_draw_like_the_oracle(delays):
     assert isinstance(failure, tuple) and outcome == failure
 
 
-@pytest.mark.parametrize("spec", [None, DelaySpec("lognormal", (0.0, 0.5))],
-                         ids=["missing", "zero-mean"])
-def test_an_activity_never_taken_needs_no_delay(spec):
+def test_an_activity_never_taken_needs_no_delay():
     # startSymptoms is enabled in every case but never chosen, so it draws no delay
     delays = {a: DelaySpec("fixed", (1.0,)) for a in ACTIVITIES if a != "startSymptoms"}
-    if spec is not None:
-        delays["startSymptoms"] = spec
     cfg = config(delays=delays, branch_probabilities={"startSymptoms": 0.0})
     assert simulate(cfg, covas_model()) == oracle_simulate(cfg, covas_model())
+
+
+START, END = WAVE.window_start, WAVE.window_end
+SECOND = timedelta(seconds=1)
+# id -> (a record that breaks one rule, the message it raises)
+RULE_BREAKERS = {
+    "window-order": (lambda: WaveSpec(END, START, 1.0), "window_end is before"),
+    "delay-scale-negative": (lambda: WaveSpec(START, END, 1.0, delay_scale=-1.0), "delay_scale"),
+    "delay-scale-nan": (lambda: WaveSpec(START, END, 1.0, delay_scale=math.nan), "delay_scale"),
+    "delay-scale-inf": (lambda: WaveSpec(START, END, 1.0, delay_scale=math.inf), "delay_scale"),
+    "spread-negative": (lambda: WaveSpec(START, END, 1.0, START, -5.0), "spread_hours must"),
+    "spread-nan": (lambda: WaveSpec(START, END, 1.0, START, math.nan), "spread_hours must"),
+    "spread-inf": (lambda: WaveSpec(START, END, 1.0, START, math.inf), "spread_hours must"),
+    "spread-without-mode": (lambda: WaveSpec(START, END, 1.0, admission_spread_hours=24.0),
+                            "without admission_mode"),
+    "mode-before-window": (lambda: WaveSpec(START, END, 1.0, START - SECOND), "outside"),
+    "mode-after-window": (lambda: WaveSpec(START, END, 1.0, END + SECOND), "outside"),
+    "unknown-kind": (lambda: DelaySpec("gamma", (1.0, 1.0)), "kind 'gamma'"),
+    "fixed-two-params": (lambda: DelaySpec("fixed", (1.0, 2.0)), "parameter count 2"),
+    "uniform-one-param": (lambda: DelaySpec("uniform", (1.0,)), "parameter count 1"),
+    "lognormal-no-params": (lambda: DelaySpec("lognormal", ()), "parameter count 0"),
+    "fixed-negative": (lambda: DelaySpec("fixed", (-30.0,)), "negative delay"),
+    "fixed-nan": (lambda: DelaySpec("fixed", (math.nan,)), "negative delay"),
+    "fixed-inf": (lambda: DelaySpec("fixed", (math.inf,)), "negative delay"),
+    "uniform-negative-low": (lambda: DelaySpec("uniform", (-1.0, 1.0)), "negative delay"),
+    "uniform-inf-high": (lambda: DelaySpec("uniform", (1.0, math.inf)), "negative delay"),
+    "lognormal-nan-sigma": (lambda: DelaySpec("lognormal", (24.0, math.nan)), "negative delay"),
+    "lognormal-negative-sigma": (lambda: DelaySpec("lognormal", (24.0, -0.5)), "negative delay"),
+    "lognormal-zero-mean": (lambda: DelaySpec("lognormal", (0.0, 0.5)), "negative delay"),
+    "lognormal-negative-mean": (lambda: DelaySpec("lognormal", (-1.0, 0.5)), "negative delay"),
+    "uniform-reversed": (lambda: DelaySpec("uniform", (9.0, 1.0)), "negative delay"),
+    # a reversed window with a negative delay scale, a reversed range and a negative delay
+    "all-at-once": (lambda: SimConfig(5, 1, (WaveSpec(datetime(2020, 1, 1, tzinfo=timezone.utc),
+                                                      datetime(2019, 1, 1, tzinfo=timezone.utc),
+                                                      1.0, delay_scale=-1.0),), {},
+                                      {"default": DelaySpec("uniform", (9.0, 1.0)),
+                                       "Start": DelaySpec("fixed", (-30.0,))}),
+                    "window_end is before"),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_BREAKERS)
+def test_a_spec_that_breaks_a_rule_cannot_be_built(rule):
+    build, message = RULE_BREAKERS[rule]
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_specs_on_the_edge_of_a_rule_are_valid():
+    WaveSpec(START, START, 1.0, START, 0.0, 0.0)
+    WaveSpec(START, END, 1.0, END, 0.0)
+    for kind, params in (("fixed", (0.0,)), ("uniform", (2.0, 2.0)), ("lognormal", (1e-9, 0.0))):
+        DelaySpec(kind, params)
+
+
+def test_packaged_config_round_trips_byte_identically():
+    text = (resources.files("careflow") / "data" / "covas_desk.config").read_text(encoding="utf-8")
+    assert write_config(*parse_config(text)) == text
+
+
+INSTANTS = st.datetimes(datetime(1990, 1, 1), datetime(2050, 1, 1), timezones=st.just(timezone.utc))
+LABELS = st.from_regex(r"[A-Za-z][A-Za-z0-9_:]*", fullmatch=True)
+
+
+@st.composite
+def wave_specs(draw, share: float) -> WaveSpec:
+    start = draw(INSTANTS)
+    end = start + draw(st.timedeltas(timedelta(0), timedelta(days=500)))
+    if draw(st.booleans()):
+        mode = start + draw(st.timedeltas(timedelta(0), end - start))
+        spread = draw(st.floats(0, 1e6))
+    else:
+        mode, spread = None, 0.0
+    return WaveSpec(start, end, share, mode, spread, draw(st.floats(0, 10)))
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    weights = draw(st.lists(st.floats(0.01, 1), min_size=1, max_size=3))
+    waves = tuple(draw(wave_specs(w / sum(weights))) for w in weights)
+    return SimConfig(draw(st.integers(1, 10**6)), draw(st.integers(0, 2**64 - 1)), waves,
+                     draw(st.dictionaries(LABELS, st.floats(0, 1), max_size=4)),
+                     draw(st.dictionaries(LABELS | st.just("default"), DELAY_SPECS, max_size=4)),
+                     draw(st.floats(0, 1, exclude_max=True)), draw(st.floats(0, 1)),
+                     draw(st.from_regex(r"[A-Za-z0-9_.:-]*", fullmatch=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sim_configs(), st.none() | st.builds(NoiseSpec, st.floats(0, 1), st.integers(0, 2**32)))
+def test_written_configs_parse_back(config, noise):
+    assert parse_config(write_config(config, noise)) == (config, noise)

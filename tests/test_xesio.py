@@ -223,8 +223,20 @@ def _outcome(reader, text: str):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def _oracle(text: str) -> EventLog:
+    """``oracle_parse_xes``, whose UnicodeEncodeError at offset k, from encoding the whole
+    text before it parses, is the XesFormatError ``parse_xes`` raises with k's line and
+    column in the document."""
+    try:
+        return oracle_parse_xes(text)
+    except UnicodeEncodeError as exc:
+        lines = text[:exc.start].split("\n")
+        raise XesFormatError(f"unencodable surrogate {text[exc.start]!r}",
+                             len(lines), len(lines[-1])) from None
+
+
 def assert_readers_agree(text: str):
-    assert _outcome(parse_xes, text) == _outcome(oracle_parse_xes, text)
+    assert _outcome(parse_xes, text) == _outcome(_oracle, text)
 
 
 _EVENT = ('<event><string key="concept:name" value="A"/>'
@@ -328,6 +340,19 @@ def test_document_longer_than_a_chunk_with_a_label_across_the_boundary():
     assert text[xesio._CHUNK - 1:xesio._CHUNK + 1] == "ón"
     event = parse_xes(text).traces[0].events[0]
     assert (event.activity, event.attributes) == (label, {"pad": pad})
+    assert_readers_agree(text)
+
+
+def test_a_surrogate_past_the_first_chunk_is_located_in_the_document():
+    log = EventLog(tuple(make_trace(f"c{i}", ["A", "B"]) for i in range(400)))
+    text = write_xes(log)
+    at = text.index('value="B"', xesio._CHUNK + 1000) + len('value="')
+    text = text[:at] + "\udc80" + text[at:]
+    with pytest.raises(XesFormatError, match="unencodable surrogate") as caught:
+        parse_xes(text)
+    line, column = caught.value.line, caught.value.column
+    assert line > 1000 and column == len('      <string key="concept:name" value="')
+    assert text.split("\n")[line - 1][column] == "\udc80"
     assert_readers_agree(text)
 
 
@@ -437,7 +462,7 @@ def mutated_logs(draw):
 @settings(max_examples=200, deadline=None)
 @given(mutated_logs())
 def test_canonical_reader_declines_or_reads_as_the_oracle(text):
-    expected = _outcome(oracle_parse_xes, text)
+    expected = _outcome(_oracle, text)
     fast = xesio._read_canonical(text)
     assert fast is None or (fast, []) == expected
     assert _outcome(_parse_with_fallback, text) == expected
