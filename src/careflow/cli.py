@@ -23,7 +23,7 @@ from .eventlog import EventLog, drop_activities, log_stats, variants
 from .petri import parse_pnml
 from .replay import deviation_report, replay_csv, replay_log
 from .simulate import inject_noise, parse_config, simulate
-from .timeutil import format_duration, format_timestamp, parse_split_instant
+from .timeutil import format_duration, format_timestamp, parse_timestamp
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +222,7 @@ def _cmd_occupancy(args) -> int:
 
 
 def _cmd_waves(args) -> int:
-    split = parse_split_instant(args.split)
+    split = parse_timestamp(args.split)
     cmp = analytics.compare_waves(_read_log(args.log), split,
                                   complete_only=not args.include_ongoing)
     if args.json:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass
 from datetime import timedelta
 
@@ -41,13 +42,8 @@ class Dfg:
 
 def _summary(gaps: list[timedelta]) -> DurationSummary:
     gaps = sorted(gaps)
-    n = len(gaps)
-    mean = sum(gaps, timedelta()) / n
-    if n % 2:
-        median = gaps[n // 2]
-    else:
-        median = (gaps[n // 2 - 1] + gaps[n // 2]) / 2
-    return DurationSummary(mean=mean, median=median, min=gaps[0], max=gaps[-1])
+    mean = sum(gaps, timedelta()) / len(gaps)
+    return DurationSummary(mean=mean, median=statistics.median(gaps), min=gaps[0], max=gaps[-1])
 
 
 def discover_dfg(log: EventLog) -> Dfg:
@@ -58,7 +54,6 @@ def discover_dfg(log: EventLog) -> Dfg:
     """
     node_freq: dict[str, int] = {}
     node_cases: dict[str, int] = {}
-    edge_freq: dict[tuple[str, str], int] = {}
     edge_gaps: dict[tuple[str, str], list[timedelta]] = {}
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
@@ -74,10 +69,9 @@ def discover_dfg(log: EventLog) -> Dfg:
             node_freq[event.activity] = node_freq.get(event.activity, 0) + 1
         for left, right in zip(events, events[1:]):
             pair = (left.activity, right.activity)
-            edge_freq[pair] = edge_freq.get(pair, 0) + 1
             edge_gaps.setdefault(pair, []).append(right.timestamp - left.timestamp)
     nodes = {a: NodeStats(node_freq[a], node_cases[a]) for a in node_freq}
-    edges = {pair: EdgeStats(edge_freq[pair], _summary(edge_gaps[pair])) for pair in edge_freq}
+    edges = {pair: EdgeStats(len(gaps), _summary(gaps)) for pair, gaps in edge_gaps.items()}
     return Dfg(nodes=nodes, edges=edges, start_activities=starts, end_activities=ends)
 
 

@@ -34,16 +34,6 @@ class PetriNetError(CareflowError):
     """Structural misuse of a Petri net (unknown place, marking mismatch)."""
 
 
-class NotEnabledError(PetriNetError):
-    """Raised when firing a transition whose input places lack tokens."""
-
-    def __init__(self, transition_id: str, missing_places: frozenset[str]):
-        self.transition_id = transition_id
-        self.missing_places = missing_places
-        missing = ", ".join(sorted(missing_places))
-        super().__init__(f"transition {transition_id!r} is not enabled; missing tokens in: {missing}")
-
-
 class ReplayConfigError(CareflowError):
     """Replay was asked to run against a net without initial or final marking."""
 

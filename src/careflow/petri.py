@@ -7,9 +7,10 @@ and a known transition, and a marking on an unknown place.
 
 The token game is played once, by ``CompiledNet`` (``PetriNet.compiled``):
 places become indices, markings tuples of token counts, and transitions are
-numbered in sorted-id order, so index sequences sort like id sequences. Its
-``fire`` creates missing tokens and reports them, or in strict mode raises
-NotEnabledError; replay and the simulator both go through it.
+numbered in sorted-id order, so index sequences sort like id sequences, and
+each transition's preset and postset are read off the arcs. Its ``fire``
+creates missing tokens and reports them; replay and the simulator both go
+through it, and the simulator takes a transition that misses none as enabled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import NotEnabledError, PetriNetError, PnmlFormatError
+from .errors import PetriNetError, PnmlFormatError
 from .xesio import _local
 
 
@@ -50,7 +51,7 @@ class Marking:
         return sum(self._counts.values())
 
     def key(self) -> tuple[tuple[str, int], ...]:
-        """Canonical hashable form, used by searches over marking space."""
+        """Canonical hashable form: (place, count) pairs sorted by place id."""
         return tuple(sorted(self._counts.items()))
 
     def __bool__(self) -> bool:
@@ -99,34 +100,18 @@ class PetriNet:
                 if item in seen:
                     raise PetriNetError(f"repeated {kind} {item!r}")
                 seen.add(item)
-        place_set = set(self.places)
-        by_id = {t.id: t for t in self.transitions}
-        if place_set & set(by_id):
+        place_set, tids = set(self.places), {t.id for t in self.transitions}
+        if place_set & tids:
             raise PetriNetError("place and transition ids must be disjoint")
-        inputs: dict[str, tuple[str, ...]] = {t.id: () for t in self.transitions}
-        outputs: dict[str, tuple[str, ...]] = {t.id: () for t in self.transitions}
         for source, target in self.arcs:
-            if source in place_set and target in by_id:
-                inputs[target] = inputs[target] + (source,)
-            elif source in by_id and target in place_set:
-                outputs[source] = outputs[source] + (target,)
-            else:
+            if not (source in place_set and target in tids
+                    or source in tids and target in place_set):
                 raise PetriNetError(f"arc {source!r} -> {target!r} must join a known place "
                                     "and a known transition")
         for kind, marking in (("initial", self.initial_marking), ("final", self.final_marking)):
             unknown = marking.places() - place_set
             if unknown:
                 raise PetriNetError(f"{kind} marking references unknown places: {sorted(unknown)}")
-        object.__setattr__(self, "_inputs", inputs)
-        object.__setattr__(self, "_outputs", outputs)
-
-    def inputs(self, tid: str) -> tuple[str, ...]:
-        """Input places of a transition (preset)."""
-        return self._inputs[tid]
-
-    def outputs(self, tid: str) -> tuple[str, ...]:
-        """Output places of a transition (postset)."""
-        return self._outputs[tid]
 
     @cached_property
     def compiled(self) -> CompiledNet:
@@ -144,8 +129,13 @@ class CompiledNet:
         self.tids = tuple(t.id for t in order)
         self.index = {tid: i for i, tid in enumerate(self.tids)}
         self.labels = tuple(t.label for t in order)
-        self.pre = tuple(tuple(self.place_index[p] for p in net.inputs(tid)) for tid in self.tids)
-        self.post = tuple(tuple(self.place_index[p] for p in net.outputs(tid)) for tid in self.tids)
+        pre, post = [[] for _ in self.tids], [[] for _ in self.tids]
+        for source, target in net.arcs:  # presets and postsets in arc order
+            if source in self.index:
+                post[self.index[source]].append(self.place_index[target])
+            else:
+                pre[self.index[target]].append(self.place_index[source])
+        self.pre, self.post = tuple(map(tuple, pre)), tuple(map(tuple, post))
         self.initial, self.final = self.vector(net.initial_marking), self.vector(net.final_marking)
 
     def vector(self, marking: Marking) -> tuple[int, ...]:
@@ -157,16 +147,10 @@ class CompiledNet:
     def marking(self, vector: tuple[int, ...]) -> Marking:
         return Marking({self.place_ids[i]: n for i, n in enumerate(vector) if n})
 
-    def enabled(self, vector: tuple[int, ...]) -> list[int]:
-        """Indices of transitions that fire without missing tokens, in id order."""
-        return [t for t in range(len(self.tids)) if not self.fire(vector, t)[1]]
-
-    def fire(self, vector: tuple[int, ...], t: int,
-             strict: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def fire(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Fire transition index ``t``: (successor, missing input place indices).
 
-        Missing input tokens are created on the fly and reported, or, when
-        ``strict``, NotEnabledError is raised. The input tuple is unchanged.
+        Missing input tokens are created on the fly and reported; the input tuple is unchanged.
         """
         counts = list(vector)
         missing = []
@@ -175,8 +159,6 @@ class CompiledNet:
                 counts[p] -= 1
             else:
                 missing.append(p)
-        if missing and strict:
-            raise NotEnabledError(self.tids[t], frozenset(self.place_ids[p] for p in missing))
         for p in self.post[t]:
             counts[p] += 1
         return tuple(counts), tuple(missing)

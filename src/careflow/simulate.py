@@ -35,7 +35,7 @@ from .eventlog import (Event, EventLog, Trace, _attr_text, _normalize_attrs,
                        _without_cycle_collection)
 from .petri import PetriNet
 from .rng import Stream
-from .timeutil import parse_split_instant
+from .timeutil import parse_timestamp
 
 _MAX_STEPS_PER_CASE = 10_000
 _REQUIRED = object()  # parse_config: a key without a default
@@ -79,6 +79,8 @@ class WaveSpec:
     delay_scale: float = 1.0
 
     def __post_init__(self):
+        if not 0 <= self.share <= 1:  # NaN fails every comparison
+            raise ConfigError(f"share must be in [0,1], got {self.share}")
         if self.window_end < self.window_start:
             raise ConfigError("window_end is before window_start")
         if not 0 <= self.delay_scale < math.inf:
@@ -210,11 +212,13 @@ class _StepTable:
         return marking
 
     def build(self, marking: int) -> list:
-        net, cn, probs = self.net, self.net.compiled, self.config.branch_probabilities
+        cn, probs = self.net.compiled, self.config.branch_probabilities
         vector = self.vectors[marking]
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for t in cn.enabled(vector):
-            groups.setdefault(tuple(sorted(net.inputs(cn.tids[t]))), []).append(t)
+        groups: dict[tuple[str, ...], dict[int, tuple[int, ...]]] = {}
+        for t in range(len(cn.tids)):  # enabled: fires without a missing token
+            succ, missing = cn.fire(vector, t)
+            if not missing:
+                groups.setdefault(tuple(sorted(cn.place_ids[p] for p in cn.pre[t])), {})[t] = succ
         out = []
         for key in sorted(groups):
             group = groups[key]
@@ -223,8 +227,8 @@ class _StepTable:
             free = [t for t in group if t not in configured]
             # unconfigured members share what is left; over-full groups are normalized by the draw
             rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
-            members = tuple((self._id(cn.fire(vector, t, strict=True)[0]), cn.labels[t],
-                             _delay(cn.labels[t], self.config)) for t in group)
+            members = tuple((self._id(succ), cn.labels[t], _delay(cn.labels[t], self.config))
+                            for t, succ in group.items())
             out.append((members, [configured.get(t, rest) for t in group]))
         self.groups[marking] = out
         return out
@@ -333,9 +337,9 @@ def _delay_spec(text: str) -> DelaySpec:
 _CONFIG_KEYS = (("name", str, "simulated"), ("case_count", int, _REQUIRED),
                 ("seed", int, _REQUIRED), ("ongoing_fraction", float, 0.0),
                 ("ards_probability", float, 0.0))
-_WAVE_KEYS = (("window_start", parse_split_instant, _REQUIRED),
-              ("window_end", parse_split_instant, _REQUIRED), ("share", float, _REQUIRED),
-              ("admission_mode", parse_split_instant, None),
+_WAVE_KEYS = (("window_start", parse_timestamp, _REQUIRED),
+              ("window_end", parse_timestamp, _REQUIRED), ("share", float, _REQUIRED),
+              ("admission_mode", parse_timestamp, None),
               ("admission_spread_hours", float, 0.0), ("delay_scale", float, 1.0))
 
 
@@ -404,23 +408,31 @@ def parse_config(text: str) -> tuple[SimConfig, NoiseSpec | None]:
     return config, None if noise_p is None else NoiseSpec(noise_p, noise_seed)
 
 
+def _spelled(what: str, text: str, banned: str = "#") -> str:
+    """``text``, or ConfigError if ``parse_config`` would read it back differently: a '#'
+    starts a comment, a key ends at '=', and a line is split at line breaks and stripped."""
+    if any(c in text for c in banned) or text.strip() != text or len(text.splitlines()) > 1:
+        raise ConfigError(f"cannot write {what} {text!r}: it would read back differently")
+    return text
+
+
 def write_config(config: SimConfig, noise: NoiseSpec | None = None) -> str:
     """Serialize a config in the flat key-value format (sorted, deterministic); a wave
-    field that holds its default is left out."""
+    field that holds its default is left out, and text that would not read back raises."""
     lines = [f"config_version = {CONFIG_VERSION}"]
-    lines += [f"{key} = {_attr_text(getattr(config, key))[1]}" for key, _, _ in _CONFIG_KEYS]
+    lines += [f"{key} = {_spelled(key, _attr_text(getattr(config, key))[1])}"
+              for key, _, _ in _CONFIG_KEYS]
     for index, wave in enumerate(config.waves, start=1):
         lines.append("")
         lines += [f"wave.{index}.{key} = {_attr_text(value)[1]}" for key, _, default in _WAVE_KEYS
                   if (value := getattr(wave, key)) != default]
     lines.append("")
-    for tid in sorted(config.branch_probabilities):
-        lines.append(f"prob.{tid} = {config.branch_probabilities[tid]!r}")
+    for tid, p in sorted(config.branch_probabilities.items()):
+        lines.append(f"prob.{_spelled('transition id', tid, '#=')} = {p!r}")
     lines.append("")
-    for label in sorted(config.delays):
-        spec = config.delays[label]
+    for label, spec in sorted(config.delays.items()):
         params = " ".join(repr(p) for p in spec.params)
-        lines.append(f"delay.{label} = {spec.kind} {params}")
+        lines.append(f"delay.{_spelled('activity label', label, '#=')} = {spec.kind} {params}")
     if noise is not None:
         lines.append("")
         lines.append(f"noise.drop_probability = {noise.event_drop_probability!r}")

@@ -45,9 +45,3 @@ def format_duration(td: timedelta) -> str:
     hours, minutes = divmod(rest, 60)
     return f"{sign}{days}d {hours:02d}h {minutes:02d}m"
 
-
-def parse_split_instant(text: str) -> datetime:
-    """Parse a wave split point; bare dates mean midnight UTC of that day."""
-    if len(text) == 10 and text.count("-") == 2:
-        return parse_timestamp(text + "T00:00:00+00:00")
-    return parse_timestamp(text)

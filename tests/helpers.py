@@ -108,11 +108,33 @@ def _check_marking(net: PetriNet, marking: Marking):
         raise PetriNetError(f"marking references unknown places: {sorted(unknown)}")
 
 
+class NotEnabledError(PetriNetError):
+    """Raised by ``fire`` for a transition whose input places lack tokens."""
+
+    def __init__(self, transition_id: str, missing_places: frozenset[str]):
+        self.transition_id = transition_id
+        self.missing_places = missing_places
+        missing = ", ".join(sorted(missing_places))
+        super().__init__(f"transition {transition_id!r} is not enabled; missing tokens in: {missing}")
+
+
+def pre_post(net: PetriNet) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """Each transition id's input places and output places, in arc order, read off the arcs."""
+    pre: dict[str, tuple[str, ...]] = {t.id: () for t in net.transitions}
+    post = dict(pre)
+    for source, target in net.arcs:
+        if target in pre:
+            pre[target] += (source,)
+        else:
+            post[source] += (target,)
+    return pre, post
+
+
 def enabled(net: PetriNet, marking: Marking) -> set[str]:
     """Ids of transitions whose input places hold enough tokens."""
     _check_marking(net, marking)
-    cn = net.compiled
-    return {cn.tids[t] for t in cn.enabled(cn.vector(marking))}
+    pre, _ = pre_post(net)
+    return {tid for tid, places in pre.items() if all(marking.get(p) for p in places)}
 
 
 def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
@@ -122,11 +144,18 @@ def fire(net: PetriNet, marking: Marking, tid: str) -> Marking:
     transition is not enabled; the input marking is never modified.
     """
     _check_marking(net, marking)
-    cn = net.compiled
-    if tid not in cn.index:
+    pre, post = pre_post(net)
+    if tid not in pre:
         raise PetriNetError(f"unknown transition {tid!r}")
-    succ, _ = cn.fire(cn.vector(marking), cn.index[tid], strict=True)
-    return cn.marking(succ)
+    missing = frozenset(p for p in pre[tid] if not marking.get(p))
+    if missing:
+        raise NotEnabledError(tid, missing)
+    counts = dict(marking.items())
+    for place in pre[tid]:
+        counts[place] -= 1
+    for place in post[tid]:
+        counts[place] = counts.get(place, 0) + 1
+    return Marking(counts)
 
 
 # reachable_markings gives up beyond this many markings, so an unbounded net fails fast.
@@ -141,9 +170,9 @@ def reachable_markings(net: PetriNet) -> set[tuple[tuple[str, int], ...]]:
     frontier = [cn.initial]
     while frontier:
         vector = frontier.pop()
-        for t in cn.enabled(vector):
-            succ, _ = cn.fire(vector, t)
-            if succ not in seen:
+        for t in range(len(cn.tids)):
+            succ, missing = cn.fire(vector, t)
+            if not missing and succ not in seen:
                 if len(seen) >= STATE_LIMIT:
                     raise PetriNetError(f"state space exceeds {STATE_LIMIT} markings")
                 seen.add(succ)
@@ -163,6 +192,7 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
     sequence), and returns (p, c, m, r) of the minimum. Implemented as plain
     recursion over markings, independent of the replayer's search.
     """
+    pre, post = pre_post(net)
     silents = sorted(t.id for t in net.transitions if t.silent)
 
     def labeled(activity: str) -> list[Transition]:
@@ -177,21 +207,21 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
         if len(candidates) == 1:
             return candidates[0].id
         for trans in candidates:
-            if all(marking.get(p, 0) >= 1 for p in net.inputs(trans.id)):
+            if all(marking.get(p, 0) >= 1 for p in pre[trans.id]):
                 return trans.id
         return candidates[0].id
 
     def force(marking: dict[str, int], tid: str) -> tuple[dict[str, int], int]:
         nxt = dict(marking)
         deficit = 0
-        for place in net.inputs(tid):
+        for place in pre[tid]:
             if nxt.get(place, 0) >= 1:
                 nxt[place] -= 1
                 if nxt[place] == 0:
                     del nxt[place]
             else:
                 deficit += 1
-        for place in net.outputs(tid):
+        for place in post[tid]:
             nxt[place] = nxt.get(place, 0) + 1
         return nxt, deficit
 
@@ -227,8 +257,8 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
 
     start_key = tuple(sorted(net.initial_marking.items()))
     (m, r, _), path = best(0, start_key, 0)
-    produced = net.initial_marking.total() + sum(len(net.outputs(t)) for t in path) + n_unmapped
-    consumed = sum(len(net.inputs(t)) for t in path) + n_unmapped
+    produced = net.initial_marking.total() + sum(len(post[t]) for t in path) + n_unmapped
+    consumed = sum(len(pre[t]) for t in path) + n_unmapped
     if not ignore_final:
         consumed += final.total()
     return produced, consumed, m + n_unmapped, r + n_unmapped
@@ -244,16 +274,16 @@ def lognormal(stream: Stream, mean: float, sigma: float) -> float:
     return math.exp(mu + sigma * stream.normal())
 
 
-def _oracle_groups(net: PetriNet, marking: tuple[int, ...],
-                   probs: dict[str, float]) -> list[tuple[tuple[int, ...], list[float]]]:
-    cn = net.compiled
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for t in cn.enabled(marking):
-        groups.setdefault(tuple(sorted(net.inputs(cn.tids[t]))), []).append(t)
+def _oracle_groups(net: PetriNet, marking: Marking,
+                   probs: dict[str, float]) -> list[tuple[tuple[str, ...], list[float]]]:
+    pre, _ = pre_post(net)
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for tid in sorted(enabled(net, marking)):
+        groups.setdefault(tuple(sorted(pre[tid])), []).append(tid)
     out = []
     for key in sorted(groups):
         group = groups[key]
-        configured = {t: probs[cn.tids[t]] for t in group if cn.tids[t] in probs}
+        configured = {t: probs[t] for t in group if t in probs}
         mass = sum(configured.values())
         free = [t for t in group if t not in configured]
         rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
@@ -263,21 +293,21 @@ def _oracle_groups(net: PetriNet, marking: tuple[int, ...],
 
 def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng: Stream,
                       delay_rng: Stream, admission: datetime) -> list[Event]:
-    cn = net.compiled
-    marking = cn.initial
+    labels = {t.id: t.label for t in net.transitions}
+    marking = net.initial_marking
     clock = admission
     prev_ts: datetime | None = None
     events: list[Event] = []
     for _ in range(10_000):
-        if marking == cn.final:
+        if marking == net.final_marking:
             return events
         groups = _oracle_groups(net, marking, config.branch_probabilities)
         if not groups:
-            raise SimulationDeadlockError(repr(dict(cn.marking(marking).key())))
+            raise SimulationDeadlockError(repr(dict(marking.key())))
         group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
-        t = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
-        marking, _ = cn.fire(marking, t, strict=True)
-        label = cn.labels[t]
+        tid = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
+        marking = fire(net, marking, tid)
+        label = labels[tid]
         if label is not None:
             spec = config.delays.get(label) or config.delays.get("default")
             if spec is None:
@@ -298,10 +328,10 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
 
 
 def oracle_simulate(config: SimConfig, net: PetriNet) -> EventLog:
-    """The simulator as it was before its step table: conflict groups are rebuilt and
-    every transition fired at each step, and each delay is drawn through ``Stream``'s
-    own ``uniform`` and the ``lognormal`` above. Kept as the reference ``simulate``
-    must equal."""
+    """The simulator as it was before its step table, on the id-level token game: conflict
+    groups are rebuilt at each step from presets read off the arcs, and each delay is
+    drawn through ``Stream``'s own ``uniform`` and the ``lognormal`` above. Kept as the
+    reference ``simulate`` must equal."""
     plan = _case_plan(config)
     width = len(str(len(plan)))
     traces: list[Trace] = []

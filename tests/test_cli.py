@@ -116,6 +116,7 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
      "wave.1.admission_spread_hours = -5\n", "wave 1"),
     ("config", CONFIG + "wave.1.admission_mode = 2021-01-15\n", "wave 1"),
     ("config", CONFIG + "wave.1.admission_spread_hours = 24\n", "wave 1"),
+    ("config", CONFIG.replace("share = 1", "share = nan"), "wave 1"),
     ("pnml", PNML.replace("<text>1</text></initialMarking>", "<text>one</text></initialMarking>"),
      "'p1'"),
     ("pnml", PNML.replace("<text>1</text></place>", "<text>1.5</text></place>"), "'p3'"),
@@ -133,10 +134,10 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
 ], ids=["noise-seed", "noise-drop", "wave-number", "wave-empty", "delay-undefined",
         "delay-negative", "delay-reversed-range", "wave-reversed-window",
         "wave-negative-delay-scale", "noise-seed-alone", "wave-negative-spread",
-        "wave-mode-outside-window", "wave-spread-without-mode", "initial-marking",
-        "final-marking", "arc-to-unknown-place", "final-marking-unknown-place", "empty-case",
-        "empty-activity", "instant-out-of-range-csv", "repeated-column", "duplicate-case",
-        "empty-event-name", "instant-out-of-range-xes"])
+        "wave-mode-outside-window", "wave-spread-without-mode", "wave-nan-share",
+        "initial-marking", "final-marking", "arc-to-unknown-place", "final-marking-unknown-place",
+        "empty-case", "empty-activity", "instant-out-of-range-csv", "repeated-column",
+        "duplicate-case", "empty-event-name", "instant-out-of-range-xes"])
 def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, tmp_path, capsys):
     parse, error = PARSERS[kind]
     with pytest.raises(error, match=location):

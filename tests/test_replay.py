@@ -307,6 +307,32 @@ def test_net_with_more_transitions_than_a_byte_indexes():
     assert result.fitness == 1.0
 
 
+def test_wide_choices_with_silent_skips_replay_like_the_oracle():
+    # 602 transitions: two 300-way labeled choices in sequence, each skippable by a
+    # silent transition, so the search spells paths as tuples while it weighs skips,
+    # forced firings and unmapped events
+    choices = (("a", "p0", "p1"), ("b", "p1", "p2"))
+    ids = [(f"{x}{k:03d}", f"{x.upper()}{k}", src, dst) for x, src, dst in choices
+           for k in range(1, 301)]
+    net = PetriNet(
+        places=("p0", "p1", "p2"),
+        transitions=tuple(Transition(tid, label) for tid, label, _, _ in ids)
+        + (Transition("s0", None), Transition("s1", None)),
+        arcs=tuple(arc for tid, _, src, dst in ids for arc in ((src, tid), (tid, dst)))
+        + (("p0", "s0"), ("s0", "p1"), ("p1", "s1"), ("s1", "p2")),
+        initial_marking=Marking({"p0": 1}),
+        final_marking=Marking({"p2": 1}),
+    )
+    assert len(net.transitions) == 602
+    for activities, fired in ((["A5", "B299"], ["a005", "b299"]), (["B7"], ["s0", "b007"]),
+                              (["A1", "A2", "B3"], ["a001", "a002", "b003"]),
+                              (["Zed", "A299"], [None, "a299", "s1"])):  # None: unmapped
+        result = replay_trace(net, make_trace("c1", activities))
+        assert (result.produced, result.consumed, result.missing, result.remaining) == \
+            oracle_replay(net, activities), activities
+        assert [step.transition_id for step in result.firing_log] == fired
+
+
 def test_ties_break_on_transition_ids_not_declaration_order():
     # s2 is declared before s1; both schedules cost (0, 0, 1), so tie 4 decides
     net = PetriNet(

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 
@@ -307,6 +308,9 @@ RULE_BREAKERS = {
                             "without admission_mode"),
     "mode-before-window": (lambda: WaveSpec(START, END, 1.0, START - SECOND), "outside"),
     "mode-after-window": (lambda: WaveSpec(START, END, 1.0, END + SECOND), "outside"),
+    "share-above-one": (lambda: WaveSpec(START, END, 1.5), "share must be in"),
+    "share-negative": (lambda: WaveSpec(START, END, -0.5), "share must be in"),
+    "share-nan": (lambda: WaveSpec(START, END, math.nan), "share must be in"),
     "unknown-kind": (lambda: DelaySpec("gamma", (1.0, 1.0)), "kind 'gamma'"),
     "fixed-two-params": (lambda: DelaySpec("fixed", (1.0, 2.0)), "parameter count 2"),
     "uniform-one-param": (lambda: DelaySpec("uniform", (1.0,)), "parameter count 1"),
@@ -341,6 +345,7 @@ def test_a_spec_that_breaks_a_rule_cannot_be_built(rule):
 def test_specs_on_the_edge_of_a_rule_are_valid():
     WaveSpec(START, START, 1.0, START, 0.0, 0.0)
     WaveSpec(START, END, 1.0, END, 0.0)
+    WaveSpec(START, END, 0.0)
     for kind, params in (("fixed", (0.0,)), ("uniform", (2.0, 2.0)), ("lognormal", (1e-9, 0.0))):
         DelaySpec(kind, params)
 
@@ -352,6 +357,10 @@ def test_packaged_config_round_trips_byte_identically():
 
 INSTANTS = st.datetimes(datetime(1990, 1, 1), datetime(2050, 1, 1), timezones=st.just(timezone.utc))
 LABELS = st.from_regex(r"[A-Za-z][A-Za-z0-9_:]*", fullmatch=True)
+# any text, text made mostly of what the config format reads specially, and one such
+# character between two letters
+TEXTS = (st.text() | st.text("#=:aZ.") | st.text(" \t\r\n\x0b\x85\u2028aZ")
+         | st.from_regex(r"a[\s#=]Z", fullmatch=True))
 
 
 @st.composite
@@ -371,13 +380,43 @@ def sim_configs(draw) -> SimConfig:
     weights = draw(st.lists(st.floats(0.01, 1), min_size=1, max_size=3))
     waves = tuple(draw(wave_specs(w / sum(weights))) for w in weights)
     return SimConfig(draw(st.integers(1, 10**6)), draw(st.integers(0, 2**64 - 1)), waves,
-                     draw(st.dictionaries(LABELS, st.floats(0, 1), max_size=4)),
-                     draw(st.dictionaries(LABELS | st.just("default"), DELAY_SPECS, max_size=4)),
+                     draw(st.dictionaries(LABELS | TEXTS, st.floats(0, 1), max_size=4)),
+                     draw(st.dictionaries(LABELS | TEXTS | st.just("default"), DELAY_SPECS,
+                                          max_size=4)),
                      draw(st.floats(0, 1, exclude_max=True)), draw(st.floats(0, 1)),
-                     draw(st.from_regex(r"[A-Za-z0-9_.:-]*", fullmatch=True)))
+                     draw(st.from_regex(r"[A-Za-z0-9_.:-]*", fullmatch=True) | TEXTS))
 
 
 @settings(max_examples=150, deadline=None)
 @given(sim_configs(), st.none() | st.builds(NoiseSpec, st.floats(0, 1), st.integers(0, 2**32)))
 def test_written_configs_parse_back(config, noise):
-    assert parse_config(write_config(config, noise)) == (config, noise)
+    try:
+        text = write_config(config, noise)
+    except ConfigError:
+        return  # text the parser would read back differently; see the test below
+    assert parse_config(text) == (config, noise)
+
+
+@pytest.mark.parametrize("name, tid, label, named", [
+    ("ward #3", "t", "A", "name 'ward #3'"),
+    ("ward", "x#y", "A", "transition id 'x#y'"),
+    ("ward", "t", "a=b", "activity label 'a=b'"),
+    ("ward", "t=1", "A", "transition id 't=1'"),
+    ("ward\u20283", "t", "A", "name 'ward\\u20283'"),
+    ("ward", "t", "A\x1cB", "activity label 'A\\x1cB'"),
+    (" ward", "t", "A", "name ' ward'"),
+    ("ward", "t", "A\n", "activity label 'A\\n'"),
+], ids=["name-hash", "tid-hash", "label-equals", "tid-equals", "name-line-separator",
+        "label-file-separator", "name-leading-space", "label-trailing-newline"])
+def test_write_config_refuses_text_it_would_read_back_differently(name, tid, label, named):
+    cfg = config(name=name, branch_probabilities={tid: 0.5},
+                 delays={label: DelaySpec("fixed", (1.0,))})
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        write_config(cfg)
+
+
+def test_written_text_may_hold_what_reads_back_the_same():
+    # '=' inside a value and inner spaces survive; only keys end at their first '='
+    cfg = config(name="ward = 3 (east)", branch_probabilities={"t 1": 0.5},
+                 delays={"A b:c": DelaySpec("fixed", (1.0,))})
+    assert parse_config(write_config(cfg)) == (cfg, None)
