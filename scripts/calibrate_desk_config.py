@@ -30,7 +30,7 @@ sys.path.insert(0, str(SRC))
 
 from careflow.analytics import occupancy
 from careflow.covas import covas_model
-from careflow.eventlog import filter_by_time, filter_complete
+from careflow.eventlog import filter_complete, split_by_time
 from careflow.replay import replay_log
 from careflow.simulate import (DelaySpec, NoiseSpec, SimConfig, WaveSpec, inject_noise,
                                simulate, write_config)
@@ -87,9 +87,7 @@ def base_config(seed: int) -> SimConfig:
 
 def measure(cfg: SimConfig):
     log = simulate(cfg, NET)
-    complete = filter_complete(log)
-    wave1 = filter_by_time(complete, SPLIT, "before")
-    wave2 = filter_by_time(complete, SPLIT, "on_or_after")
+    wave1, wave2 = split_by_time(filter_complete(log), SPLIT)
 
     def mean_hours(part):
         durs = [t.duration for t in part]

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .csvio import _quoted
-from .eventlog import (EventLog, _mean_case_duration, _without_cycle_collection, filter_by_time,
-                       filter_complete)
+from .eventlog import (EventLog, _mean_case_duration, _without_cycle_collection, filter_complete,
+                       split_by_time)
 from .timeutil import format_timestamp
 
 
@@ -122,32 +122,22 @@ def occupancy(log: EventLog, start_activity: str, end_activity: str) -> Occupanc
     for instant in sorted(deltas):
         count += deltas[instant]
         breakpoints.append((instant, count))
-    peak = None
-    for instant, count in breakpoints:
-        if peak is None or count > peak[1]:
-            peak = (instant, count)
+    peak = max(breakpoints, key=lambda point: point[1], default=None)  # the first of equal counts
     return OccupancySeries(tuple(breakpoints), peak, tuple(flagged))
 
 
 def occupancy_daily_max(series: OccupancySeries) -> tuple[tuple[datetime, int], ...]:
-    """Downsample to one (midnight UTC, max count that day) point per day."""
-    if not series.breakpoints:
-        return ()
+    """Downsample to one (midnight UTC, max count that day) point per day. A count covers
+    the days up to that of the instant before the next breakpoint: intervals are half open."""
+    points = series.breakpoints
     days: dict[datetime, int] = {}
-    current = 0
-    prev_instant = None
-    for instant, count in series.breakpoints:
+    for (instant, count), (following, _) in zip(points, points[1:] + points[-1:]):
+        last = max(instant, following - timedelta(microseconds=1))
         day = instant.replace(hour=0, minute=0, second=0, microsecond=0)
-        if prev_instant is not None:
-            cursor = prev_instant.replace(hour=0, minute=0, second=0, microsecond=0)
-            while cursor < day:  # days the running count carried through
-                cursor += timedelta(days=1)
-                if cursor < day:
-                    days[cursor] = max(days.get(cursor, 0), current)
-        days[day] = max(days.get(day, 0), count, current)
-        current = count
-        prev_instant = instant
-    return tuple(sorted(days.items()))
+        while day <= last:
+            days[day] = max(days.get(day, 0), count)
+            day += timedelta(days=1)
+    return tuple(days.items())
 
 
 def compare_waves(log: EventLog, split: datetime, complete_only: bool = True) -> WaveComparison:
@@ -156,14 +146,9 @@ def compare_waves(log: EventLog, split: datetime, complete_only: bool = True) ->
     Ongoing cases are excluded by default: their durations are censored, so
     per-wave counts and means are computed over complete cases.
     """
-    base = filter_complete(log) if complete_only else log
-
-    def wave(side: str) -> WaveStats:
-        part = filter_by_time(base, split, side)
-        return WaveStats(case_count=len(part), event_count=part.event_count,
-                         mean_case_duration=_mean_case_duration(part))
-
-    return WaveComparison(wave("before"), wave("on_or_after"))
+    sides = split_by_time(filter_complete(log) if complete_only else log, split)
+    return WaveComparison(*(WaveStats(len(part), part.event_count, _mean_case_duration(part))
+                            for part in sides))
 
 
 # --- CSV / SVG emitters -------------------------------------------------------

@@ -2,28 +2,23 @@
 
 
 class CareflowError(Exception):
-    """Base class for all data and configuration errors raised by careflow."""
+    """Base class for all data and configuration errors raised by careflow. A location
+    given ends the message: ``(row 3)``, ``(line 2)`` or ``(line 2, column 5)``."""
+
+    def __init__(self, message: str, *, row: int | None = None, line: int | None = None,
+                 column: int | None = None):
+        self.row, self.line, self.column = row, line, column
+        where = ", ".join(f"{name} {value}" for name, value in
+                          (("row", row), ("line", line), ("column", column)) if value is not None)
+        super().__init__(f"{message} ({where})" if where else message)
 
 
 class CsvFormatError(CareflowError):
     """Structural problem in a CSV event log (missing column, bad timestamp)."""
 
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"{message} (row {row})"
-        super().__init__(message)
-
 
 class XesFormatError(CareflowError):
     """Malformed XES input, or a log XES cannot spell; carries the parser's location if any."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
 
 
 class PnmlFormatError(CareflowError):
@@ -49,12 +44,6 @@ class ReplayBudgetError(CareflowError):
 
 class ConfigError(CareflowError):
     """Bad simulator configuration file."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
 
 
 class SimulationDeadlockError(CareflowError):

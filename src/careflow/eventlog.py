@@ -263,19 +263,14 @@ def _mean_case_duration(log: EventLog) -> timedelta | None:
     return sum(durations, timedelta()) / len(durations) if durations else None
 
 
-def filter_by_time(log: EventLog, split: datetime, side: str) -> EventLog:
-    """Keep whole traces by where their first event falls relative to split.
-
-    side 'before' keeps traces whose first event is strictly earlier than the
-    split; 'on_or_after' keeps the complement (including traces without any
-    event), so the two sides always partition the log. Traces are never cut.
-    """
-    if side not in ("before", "on_or_after"):
-        raise ValueError(f"side must be 'before' or 'on_or_after', got {side!r}")
+def split_by_time(log: EventLog, split: datetime) -> tuple[EventLog, EventLog]:
+    """The whole traces whose first event is strictly earlier than ``split``, and the rest
+    (traces without events too), each as a log with ``log``'s name and attributes."""
     split = to_utc(split)
-    before = side == "before"
-    kept = tuple(t for t in log if (t.start_time is not None and t.start_time < split) == before)
-    return replace(log, traces=kept)
+    before, after = [], []
+    for trace in log:
+        (before if trace.events and trace.start_time < split else after).append(trace)
+    return replace(log, traces=tuple(before)), replace(log, traces=tuple(after))
 
 
 def filter_complete(log: EventLog) -> EventLog:

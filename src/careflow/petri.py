@@ -245,7 +245,9 @@ def parse_pnml(text: str) -> PetriNet:
                 text_elem = next((c for c in name_elem.iter() if _local(c.tag) == "text"), None)
                 if text_elem is not None and text_elem.text:
                     label = text_elem.text
-            transitions.append(Transition(tid, label))
+            silent = any(_local(c.tag) == "toolspecific" and c.get("activity") == "$invisible$"
+                         for c in elem)  # how ProM and pm4py mark a silent transition
+            transitions.append(Transition(tid, None if silent else label))
         elif tag == "arc":
             source, target = elem.get("source"), elem.get("target")
             if source is None or target is None:

@@ -186,7 +186,8 @@ def parse_xes(text: str) -> EventLog:
     if surrogate is not None:  # UTF-8 cannot encode it: fail as encoding the whole text would
         at = surrogate.start()
         raise XesFormatError(f"unencodable surrogate {surrogate.group()!r}",
-                             text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at) - 1)
+                             line=text.count("\n", 0, at) + 1,
+                             column=at - text.rfind("\n", 0, at) - 1)
     root, depth, traces, used_ids, notes, keys, error = None, 0, [], set(), [], {}, None
     try:
         for kind, elem in _pull(text):
@@ -226,20 +227,20 @@ def _quote(text: str) -> str:
     return quoteattr(text) if _ESCAPED.search(text) else f'"{text}"'
 
 
-def _emit_attrs(lines: list[str], indent: str, attrs: dict[str, AttrValue], raw: tuple[str, ...]):
-    for key in sorted(attrs):
-        kind, text = _attr_text(attrs[key])
-        lines.append(f"{indent}<{kind} key={_quote(key)} value={_quote(text)}/>")
-    for snippet in raw:
-        lines.append(indent + snippet)
-
-
-def _free(attrs: dict[str, AttrValue], owner: str, *reserved: str) -> dict[str, AttrValue]:
-    """A copy of ``attrs``, which must not hold the keys XES spells ``owner``'s own fields with."""
-    for key in reserved:
+def _emit_attrs(lines: list[str], indent: str, owner: str, fields: dict[str, AttrValue | None],
+                attrs: dict[str, AttrValue], raw: tuple[str, ...]):
+    """Write ``owner``'s fields, keyed as XES reserves (None: not written), and its other
+    ``attrs``, which may not hold a reserved key, sorted by key; then its snippets."""
+    for key in fields:
         if key in attrs:
             raise XesFormatError(f"{owner} has an attribute {key!r}, a key XES reserves")
-    return dict(attrs)
+    for key in sorted([*attrs, *fields]):
+        value = attrs[key] if key in attrs else fields[key]
+        if value is not None:
+            kind, text = _attr_text(value)
+            lines.append(f"{indent}<{kind} key={_quote(key)} value={_quote(text)}/>")
+    for snippet in raw:
+        lines.append(indent + snippet)
 
 
 def write_xes(log: EventLog) -> str:
@@ -251,16 +252,12 @@ def write_xes(log: EventLog) -> str:
     trace or an event, an event's ``time:timestamp``) raises XesFormatError.
     """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', '<log xes.version="1.0">']
-    log_attrs = _free(log.attributes, "the log", "concept:name")
-    if log.name:
-        log_attrs["concept:name"] = log.name
-    _emit_attrs(lines, "  ", log_attrs, log.raw_extensions)
+    _emit_attrs(lines, "  ", "the log", {"concept:name": log.name or None}, log.attributes,
+                log.raw_extensions)
     for trace in log:
         lines.append("  <trace>")
-        trace_attrs = _free(trace.attributes, f"case {trace.case_id!r}", "concept:name")
-        trace_attrs["concept:name"] = trace.case_id
-        _emit_attrs(lines, "    ", trace_attrs, trace.raw_extensions)
-        in_trace = f"an event of case {trace.case_id!r}"
+        _emit_attrs(lines, "    ", f"case {trace.case_id!r}", {"concept:name": trace.case_id},
+                    trace.attributes, trace.raw_extensions)
         for event in trace.events:
             if not event.attributes and not event.raw_extensions:  # what _emit_attrs spells
                 lines.append(f'    <event>\n      <string key="concept:name" value='
@@ -268,10 +265,9 @@ def write_xes(log: EventLog) -> str:
                              f'value="{format_timestamp(event.timestamp)}"/>\n    </event>')
                 continue
             lines.append("    <event>")
-            event_attrs = _free(event.attributes, in_trace, "concept:name", "time:timestamp")
-            event_attrs["concept:name"] = event.activity
-            event_attrs["time:timestamp"] = event.timestamp
-            _emit_attrs(lines, "      ", event_attrs, event.raw_extensions)
+            _emit_attrs(lines, "      ", f"an event of case {trace.case_id!r}",
+                        {"concept:name": event.activity, "time:timestamp": event.timestamp},
+                        event.attributes, event.raw_extensions)
             lines.append("    </event>")
         lines.append("  </trace>")
     lines.append("</log>")

@@ -146,6 +146,39 @@ def test_occupancy_daily_max():
     assert daily[T0 + timedelta(days=2)] == 1
 
 
+def test_occupancy_daily_max_leaves_out_the_day_a_count_ends_at():
+    first_day, midnight = (datetime(2020, 4, day, tzinfo=timezone.utc) for day in (1, 2))
+    start = first_day + timedelta(hours=10)
+    log = EventLog(tuple(interval_trace(f"c{i}", start, midnight) for i in range(2)))
+    series = occupancy(log, "startVentilation", "endVentilation")
+    assert occupancy_daily_max(series) == ((first_day, 2), (midnight, 0))
+
+
+def brute_daily_max(points):
+    """Each day's largest count whose interval [t_i, t_{i+1}) meets it; the last
+    breakpoint's interval is its own instant."""
+    ends = [t for t, _ in points[1:]] + [points[-1][0] + timedelta(microseconds=1)]
+    day = points[0][0].replace(hour=0, minute=0)
+    rows = []
+    while day <= points[-1][0]:
+        rows.append((day, max(count for (t, count), end in zip(points, ends)
+                              if t < day + timedelta(days=1) and end > day)))
+        day += timedelta(days=1)
+    return tuple(rows)
+
+
+# minutes after T0 (a midnight): whole days, or any minute of the first 20 days
+_instants = st.one_of(st.integers(0, 20).map(lambda d: d * 1440), st.integers(0, 20 * 1440))
+
+
+@given(st.lists(st.tuples(_instants, st.integers(0, 9)), min_size=1, max_size=12,
+                unique_by=lambda point: point[0]))
+def test_occupancy_daily_max_matches_the_half_open_definition(points):
+    points = tuple(sorted((T0 + timedelta(minutes=m), count) for m, count in points))
+    series = analytics.OccupancySeries(points, None)
+    assert occupancy_daily_max(series) == brute_daily_max(points)
+
+
 def test_compare_waves_partitions_complete_cases():
     split = T0 + timedelta(days=150)
     wave1 = [make_trace(f"a{i}", ["A", "B"], start=T0 + timedelta(days=i)) for i in range(4)]

@@ -151,6 +151,23 @@ def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, t
     assert location in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, text, message, location", [
+    ("csv", CSV + ",B,2020-02-01T01:00:00+00:00\n", "empty 'case_id' cell (row 3)",
+     (3, None, None)),
+    ("config", CONFIG + "noise.seed = 3\n", "noise.seed without noise.drop_probability (line 7)",
+     (None, 7, None)),
+    ("xes", XES.replace("</log>", "</lg>"), "malformed XML: mismatched tag (line 10, column 2)",
+     (None, 10, 2)),
+    ("xes", XES.replace("log", "x"), "expected <log> root element, found <x>", (None, None, None)),
+], ids=["row", "line", "line-and-column", "no-location"])
+def test_error_message_ends_with_its_location(kind, text, message, location):
+    parse, error = PARSERS[kind]
+    with pytest.raises(error) as caught:
+        parse(text)
+    assert str(caught.value) == message
+    assert (caught.value.row, caught.value.line, caught.value.column) == location
+
+
 def test_convert_rejects_a_cell_beyond_the_header(tmp_path, capsys):
     (tmp_path / "in.csv").write_text(CSV.replace("00:00\n", "00:00,extra\n"), encoding="utf-8")
     assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes")]) == 2

@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 import sys
-import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, replace
 from datetime import datetime, timedelta, timezone
 
@@ -15,7 +14,7 @@ from careflow import xesio
 from careflow.analytics import DottedChartRow
 from careflow.csvio import parse_csv, roundtrip_mapping, write_csv
 from careflow.eventlog import (_NO_ATTRIBUTES, Event, EventLog, Trace, drop_activities,
-                               filter_by_time, filter_complete, log_stats, variants)
+                               filter_complete, log_stats, split_by_time, variants)
 from careflow.timeutil import to_utc
 from careflow.xesio import parse_xes, write_xes
 from helpers import T0, make_log, make_trace, paper_logs, random_log
@@ -97,21 +96,37 @@ def test_the_shared_empty_dict_survives_copies_and_serializes_as_empty():
                            "raw_extensions=())")
 
 
+def reachable_bytes(root) -> int:
+    """``sys.getsizeof`` summed over the distinct objects reachable from ``root``: tuples,
+    dict keys and values, the slots of slotted records and the ``__dict__`` values of
+    the other careflow records. Unlike tracemalloc, it counts objects that an
+    interpreter freelist served, so the sum does not depend on allocation order."""
+    seen: set[int] = set()
+    stack, total = [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend((*obj, *obj.values()))
+        elif type(obj).__module__.startswith("careflow."):
+            slots = getattr(type(obj), "__slots__", ())
+            stack.extend([getattr(obj, name) for name in slots] if slots else vars(obj).values())
+    return total
+
+
 def test_parsed_logs_retain_under_150_bytes_per_event():
-    # 130-140 B with one dict per trace attribute set, 145-154 B with a dict per trace,
-    # 209-222 B with a dict per event (3.11)
+    # about 143 B with one dict per trace attribute set (3.10-3.13); tracemalloc read
+    # 145-154 B with a dict per trace and 209-222 B with a dict per event (3.11)
     clean, _ = paper_logs()
     xes, csv, types = write_xes(clean), write_csv(clean), roundtrip_mapping(clean)
-    for build in (lambda: parse_xes(xes), lambda: parse_csv(csv, types)):
-        build()  # interned labels and the readers' caches are not the log's
-        tracemalloc.start()
-        try:
-            log = build()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+    for log in (parse_xes(xes), parse_csv(csv, types)):
         assert log.traces == clean.traces
-        assert retained / log.event_count < 150
+        assert reachable_bytes(log) / log.event_count < 150
 
 
 def test_each_builder_shares_one_read_only_dict_per_attribute_set():
@@ -127,7 +142,7 @@ def test_each_builder_shares_one_read_only_dict_per_attribute_set():
     # sharing is local to one call: no cache outlives it
     assert parse_xes(xes).traces[0].attributes is not parse_xes(xes).traces[0].attributes
     for derived in (noisy, drop_activities(clean, {"startVentilation"}), filter_complete(clean),
-                    filter_by_time(clean, T0 + timedelta(days=90), "before")):
+                    *split_by_time(clean, T0 + timedelta(days=90))):
         source = {t.case_id: t.attributes for t in clean}
         assert derived.traces and all(t.attributes is source[t.case_id] for t in derived)
 
@@ -258,30 +273,34 @@ def test_log_stats_excludes_ongoing_durations():
     assert stats.complete_case_count == 1
 
 
-def test_filter_by_time_identity_when_all_before():
+def test_split_by_time_identity_when_all_before():
     log = make_log(["A"], ["B"])
-    split = T0 + timedelta(days=30)
-    assert len(filter_by_time(log, split, "before")) == 2
-    assert len(filter_by_time(log, split, "on_or_after")) == 0
+    before, after = split_by_time(log, T0 + timedelta(days=30))
+    assert before == log and len(after) == 0
 
 
-def test_filter_by_time_partitions():
+def test_split_by_time_partitions():
     rnd = random.Random(7)
     for _ in range(30):
         log = random_log(rnd)
         split = T0 + timedelta(hours=rnd.randint(0, 2500))
-        before = filter_by_time(log, split, "before")
-        after = filter_by_time(log, split, "on_or_after")
+        before, after = split_by_time(log, split)
         assert len(before) + len(after) == len(log)
         assert {t.case_id for t in before} | {t.case_id for t in after} == {t.case_id for t in log}
         assert all(t.start_time < split for t in before)
+        assert all(t.start_time is None or t.start_time >= split for t in after)
 
 
-def test_filter_by_time_keeps_whole_traces():
+def test_split_by_time_keeps_whole_traces_and_the_log_fields():
     trace = make_trace("c1", ["A", "B", "C"], gap=timedelta(days=40))
+    empty = Trace("c2")
+    log = EventLog((empty, trace), name="icu", attributes={"site": "x"}, raw_extensions=("<x/>",))
     split = T0 + timedelta(days=41)  # splits mid-trace; anchor is the first event
-    kept = filter_by_time(EventLog((trace,)), split, "before")
-    assert kept.traces[0].activities() == ("A", "B", "C")
+    before, after = split_by_time(log, split)
+    assert before.traces == (trace,) and after.traces == (empty,)
+    for side in (before, after):
+        assert (side.name, side.attributes, side.raw_extensions) == (
+            log.name, log.attributes, log.raw_extensions)
 
 
 def test_filter_complete():

@@ -6,7 +6,9 @@ import pytest
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import PetriNetError
 from careflow.petri import Marking, PetriNet, Transition, net_to_dot, parse_pnml, write_pnml
-from helpers import NotEnabledError, enabled, fire, pre_post, random_net, reachable_markings
+from careflow.replay import replay_log
+from helpers import (NotEnabledError, enabled, fire, make_log, pre_post, random_net,
+                     reachable_markings)
 
 
 def simple_net(**changes):
@@ -110,6 +112,39 @@ def test_pnml_roundtrip_simple_and_covas():
         assert set(back.arcs) == set(net.arcs)
         assert back.initial_marking == net.initial_marking
         assert back.final_marking == net.final_marking
+
+
+# a net as ProM and pm4py export it: A, then B or the silent skip_1, which keeps its
+# <name> and is marked silent by a <toolspecific> child
+PROM_PNML = """<?xml version='1.0' encoding='UTF-8'?>
+<pnml>
+  <net id="net1" type="http://www.pnml.org/version-2009/grammar/pnmlcoremodel">
+    <name><text>net1</text></name>
+    <page id="n0">
+      <place id="source"><name><text>source</text></name>
+        <initialMarking><text>1</text></initialMarking></place>
+      <place id="p1"><name><text>p1</text></name></place>
+      <place id="sink"><name><text>sink</text></name></place>
+      <transition id="A"><name><text>A</text></name></transition>
+      <transition id="B"><name><text>B</text></name></transition>
+      <transition id="skip_1"><name><text>skip_1</text></name>
+        <toolspecific tool="ProM" version="6.4" activity="$invisible$" localNodeID="n1"/>
+      </transition>
+      <arc id="a1" source="source" target="A"/><arc id="a2" source="A" target="p1"/>
+      <arc id="a3" source="p1" target="B"/><arc id="a4" source="B" target="sink"/>
+      <arc id="a5" source="p1" target="skip_1"/><arc id="a6" source="skip_1" target="sink"/>
+    </page>
+    <finalmarkings><marking><place idref="sink"><text>1</text></place></marking></finalmarkings>
+  </net>
+</pnml>
+"""
+
+
+def test_pnml_reads_prom_silent_transitions_as_silent():
+    net = parse_pnml(PROM_PNML)
+    assert {(t.id, t.label) for t in net.transitions} == {("A", "A"), ("B", "B"), ("skip_1", None)}
+    result = replay_log(net, make_log(["A"], ["A", "B"]))
+    assert [t.fitness for t in result.per_trace] == [1.0, 1.0] and result.log_fitness == 1.0
 
 
 def test_net_dot_escapes_quotes_and_backslashes():

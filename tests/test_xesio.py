@@ -177,9 +177,9 @@ def test_writer_spells_each_event_as_emit_attrs_does(log):
     for trace in log:
         for event in trace.events:
             lines = ["    <event>"]
-            xesio._emit_attrs(lines, "      ", {**event.attributes, "concept:name": event.activity,
-                                                "time:timestamp": event.timestamp},
-                              event.raw_extensions)
+            xesio._emit_attrs(lines, "      ", "an event", {"concept:name": event.activity,
+                                                            "time:timestamp": event.timestamp},
+                              event.attributes, event.raw_extensions)
             lines.append("    </event>")
             expected.append("\n".join(lines))
     text = write_xes(log)
@@ -232,7 +232,7 @@ def _oracle(text: str) -> EventLog:
     except UnicodeEncodeError as exc:
         lines = text[:exc.start].split("\n")
         raise XesFormatError(f"unencodable surrogate {text[exc.start]!r}",
-                             len(lines), len(lines[-1])) from None
+                             line=len(lines), column=len(lines[-1])) from None
 
 
 def assert_readers_agree(text: str):
