@@ -9,6 +9,7 @@ logs, bad configs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -76,6 +77,26 @@ def _write_text(path: str, text: str):
     print(f"wrote {path}")
 
 
+def _emit(path: str | None, text: str):
+    """Write ``text`` to the file at ``path``, or print it when no path is given."""
+    if path:
+        _write_text(path, text)
+    else:
+        print(text, end="")
+
+
+def _print_json(payload, sort_keys: bool = True):
+    print(json.dumps(payload, indent=2, sort_keys=sort_keys))
+
+
+def _payload(record) -> dict:
+    """A stats record's fields for JSON, with its mean case duration in seconds."""
+    payload = dataclasses.asdict(record)
+    duration = payload.pop("mean_case_duration")
+    payload["mean_case_duration_seconds"] = None if duration is None else duration.total_seconds()
+    return payload
+
+
 def _load_model(spec: str):
     if spec == "covas":
         return covas_model()
@@ -99,25 +120,12 @@ def _fmt_mean(duration: timedelta | None) -> str:
     return format_duration(duration) if duration is not None else "n/a"
 
 
-def _seconds(duration: timedelta | None) -> float | None:
-    return duration.total_seconds() if duration is not None else None
-
-
 # --- subcommand implementations -------------------------------------------------
 
 def _cmd_stats(args) -> int:
     stats = log_stats(_read_log(args.log))
     if args.json:
-        payload = {
-            "case_count": stats.case_count,
-            "event_count": stats.event_count,
-            "activity_count": stats.activity_count,
-            "variant_count": stats.variant_count,
-            "complete_case_count": stats.complete_case_count,
-            "mean_events_per_case": stats.mean_events_per_case,
-            "mean_case_duration_seconds": _seconds(stats.mean_case_duration),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(_payload(stats))
         return 0
     rows = [
         ("cases", str(stats.case_count)),
@@ -140,9 +148,7 @@ def _cmd_variants(args) -> int:
     if args.top:
         out = out[:args.top]
     if args.json:
-        payload = [{"sequence": list(v.sequence), "count": v.count, "case_ids": list(v.case_ids)}
-                   for v in out]
-        print(json.dumps(payload, indent=2))
+        _print_json([dataclasses.asdict(v) for v in out], sort_keys=False)
         return 0
     for v in out:
         print(f"{v.count:>6}  {' -> '.join(v.sequence)}")
@@ -156,10 +162,7 @@ def _cmd_dfg(args) -> int:
         text = dfg_mod.dfg_to_json(graph)
     else:
         text = dfg_mod.dfg_to_dot(graph, annotate=args.annotate)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
+    _emit(args.out, text)
     return 0
 
 
@@ -175,7 +178,7 @@ def _cmd_replay(args) -> int:
         payload = {"log_fitness": result.log_fitness, "produced": result.produced,
                    "consumed": result.consumed, "missing": result.missing,
                    "remaining": result.remaining, "traces": len(result.per_trace)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"log fitness: {result.log_fitness:.3f}")
         print(f"traces: {len(result.per_trace)}  produced: {result.produced}  "
@@ -187,13 +190,10 @@ def _cmd_replay(args) -> int:
 def _cmd_dotted_chart(args) -> int:
     data = analytics.dotted_chart(_read_log(args.log), color_attribute=args.color,
                                   sort=args.sort)
-    if args.out:
-        if args.out.endswith(".svg"):
-            _write_text(args.out, analytics.dotted_chart_svg(data))
-        else:
-            _write_text(args.out, analytics.dotted_chart_csv(data))
+    if args.out and args.out.endswith(".svg"):
+        _emit(args.out, analytics.dotted_chart_svg(data))
     else:
-        print(analytics.dotted_chart_csv(data), end="")
+        _emit(args.out, analytics.dotted_chart_csv(data))
     return 0
 
 
@@ -213,7 +213,7 @@ def _cmd_occupancy(args) -> int:
                     {"timestamp": format_timestamp(series.peak[0]), "count": series.peak[1]},
             "breakpoints": len(series.breakpoints),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     elif not args.out:
         print(analytics.occupancy_csv(series, daily_max=args.daily_max), end="")
     elif series.peak:
@@ -226,12 +226,8 @@ def _cmd_waves(args) -> int:
     cmp = analytics.compare_waves(_read_log(args.log), split,
                                   complete_only=not args.include_ongoing)
     if args.json:
-        def wave_payload(w):
-            return {"case_count": w.case_count, "event_count": w.event_count,
-                    "mean_case_duration_seconds": _seconds(w.mean_case_duration)}
-        print(json.dumps({"split": format_timestamp(split),
-                          "wave_1": wave_payload(cmp.first),
-                          "wave_2": wave_payload(cmp.second)}, indent=2, sort_keys=True))
+        _print_json({"split": format_timestamp(split),
+                     "wave_1": _payload(cmp.first), "wave_2": _payload(cmp.second)})
         return 0
     print(f"split at {format_timestamp(split)}"
           + ("" if args.include_ongoing else " (complete cases only)"))

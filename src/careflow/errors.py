@@ -47,7 +47,4 @@ class ConfigError(CareflowError):
 
 
 class SimulationDeadlockError(CareflowError):
-    """The token game got stuck before reaching the final marking."""
-
-    def __init__(self, marking_repr: str):
-        super().__init__(f"simulation deadlocked at marking {marking_repr}")
+    """A simulated case got stuck, or ran out of steps, before the final marking."""

@@ -250,7 +250,7 @@ def log_stats(log: EventLog) -> LogStats:
         case_count=case_count,
         event_count=event_count,
         activity_count=len(log.activity_alphabet()),
-        variant_count=len(variants(log)),
+        variant_count=len({t.activities() for t in log}),
         complete_case_count=sum(1 for t in log if t.complete),
         mean_events_per_case=mean_events,
         mean_case_duration=_mean_case_duration(log),

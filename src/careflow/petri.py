@@ -21,7 +21,6 @@ from functools import cached_property
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import PetriNetError, PnmlFormatError
-from .xesio import _local
 
 
 class Marking:
@@ -205,61 +204,58 @@ def _token_count(text: str, place: str) -> int:
 
 
 def parse_pnml(text: str) -> PetriNet:
-    """Parse a PNML document written by write_pnml (or a compatible subset)."""
+    """Parse PNML as write_pnml, ProM and pm4py write it, in any namespace or none.
+
+    A transition with a ``<toolspecific activity="$invisible$">`` child is silent (how ProM
+    and pm4py mark one); an arc inscribed with a weight other than 1 is refused.
+    """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
-        raise PnmlFormatError(f"malformed PNML: {exc}")
-    if _local(root.tag) != "pnml":
+        line, column = exc.position
+        raise PnmlFormatError(f"malformed PNML: {exc.msg.split(':')[0]}", line=line, column=column)
+    if root.tag.rpartition("}")[2] != "pnml":
         raise PnmlFormatError("expected <pnml> root element")
-    net_xml = next((c for c in root.iter() if _local(c.tag) == "net"), None)
+    net_xml = root.find(".//{*}net")
     if net_xml is None:
         raise PnmlFormatError("no <net> element found")
 
     places: list[str] = []
-    transitions: list[Transition] = []
-    arcs: list[tuple[str, str]] = []
     initial: dict[str, int] = {}
-    final: dict[str, int] = {}
-    for elem in net_xml.iter():
-        tag = _local(elem.tag)
-        if tag == "place":
-            pid = elem.get("id")
-            if pid is None:
-                if elem.get("idref") is not None:
-                    continue  # final-marking reference, handled under <marking>
-                raise PnmlFormatError("<place> without id")
-            places.append(pid)
-            for child in elem.iter():
-                if _local(child.tag) == "initialMarking":
-                    text_elem = next((c for c in child.iter() if _local(c.tag) == "text"), None)
-                    if text_elem is not None and text_elem.text:
-                        initial[pid] = _token_count(text_elem.text, pid)
-        elif tag == "transition":
-            tid = elem.get("id")
-            if tid is None:
-                raise PnmlFormatError("<transition> without id")
+    for place in net_xml.iterfind(".//{*}place"):
+        pid = place.get("id")
+        if pid is None:
+            if place.get("idref") is not None:
+                continue  # final-marking reference, read below
+            raise PnmlFormatError("<place> without id")
+        places.append(pid)
+        tokens = place.findtext("{*}initialMarking/{*}text")
+        if tokens:
+            initial[pid] = _token_count(tokens, pid)
+    transitions: list[Transition] = []
+    for trans in net_xml.iterfind(".//{*}transition"):
+        tid = trans.get("id")
+        if tid is None:
+            raise PnmlFormatError("<transition> without id")
+        label = trans.findtext("{*}name/{*}text") or None
+        if trans.find("{*}toolspecific[@activity='$invisible$']") is not None:
             label = None
-            name_elem = next((c for c in elem.iter() if _local(c.tag) == "name"), None)
-            if name_elem is not None:
-                text_elem = next((c for c in name_elem.iter() if _local(c.tag) == "text"), None)
-                if text_elem is not None and text_elem.text:
-                    label = text_elem.text
-            silent = any(_local(c.tag) == "toolspecific" and c.get("activity") == "$invisible$"
-                         for c in elem)  # how ProM and pm4py mark a silent transition
-            transitions.append(Transition(tid, None if silent else label))
-        elif tag == "arc":
-            source, target = elem.get("source"), elem.get("target")
-            if source is None or target is None:
-                raise PnmlFormatError("<arc> without source/target")
-            arcs.append((source, target))
-        elif tag == "marking":
-            for ref in elem.iter():
-                if _local(ref.tag) == "place":
-                    pid = ref.get("idref")
-                    text_elem = next((c for c in ref.iter() if _local(c.tag) == "text"), None)
-                    if pid and text_elem is not None and text_elem.text:
-                        final[pid] = _token_count(text_elem.text, pid)
+        transitions.append(Transition(tid, label))
+    arcs: list[tuple[str, str]] = []
+    for arc in net_xml.iterfind(".//{*}arc"):
+        source, target = arc.get("source"), arc.get("target")
+        if source is None or target is None:
+            raise PnmlFormatError("<arc> without source/target")
+        weight = arc.findtext("{*}inscription/{*}text")
+        if weight is not None and weight.strip() != "1":
+            raise PnmlFormatError(f"arc {source!r} -> {target!r} has weight {weight!r}; "
+                                  "only ordinary arcs (weight 1) are supported")
+        arcs.append((source, target))
+    final: dict[str, int] = {}
+    for ref in net_xml.iterfind(".//{*}marking/{*}place[@idref]"):
+        pid, tokens = ref.get("idref"), ref.findtext("{*}text")
+        if pid and tokens:
+            final[pid] = _token_count(tokens, pid)
     try:
         return PetriNet(tuple(places), tuple(transitions), tuple(arcs),
                         Marking(initial), Marking(final), name=net_xml.get("id") or "")

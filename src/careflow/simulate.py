@@ -249,8 +249,8 @@ def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: S
         if groups is None:
             groups = table.build(marking)
         if not groups:
-            vector = table.vectors[marking]
-            raise SimulationDeadlockError(repr(dict(table.net.compiled.marking(vector).key())))
+            stuck = table.net.compiled.marking(table.vectors[marking]).key()
+            raise SimulationDeadlockError(f"simulation deadlocked at marking {dict(stuck)!r}")
         members, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
         marking, label, delay = (members[path_rng.pick_weighted(weights)] if len(members) > 1
                                  else members[0])
@@ -272,7 +272,7 @@ def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: S
                 ts = prev_ts + timedelta(seconds=1)  # keep timestamps strictly increasing
             prev_ts = ts
             events.append(Event(label, ts))
-    raise SimulationDeadlockError("case did not reach the final marking "
+    raise SimulationDeadlockError("simulated case did not reach the final marking "
                                   f"within {_MAX_STEPS_PER_CASE} steps")
 
 

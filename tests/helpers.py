@@ -303,7 +303,7 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
             return events
         groups = _oracle_groups(net, marking, config.branch_probabilities)
         if not groups:
-            raise SimulationDeadlockError(repr(dict(marking.key())))
+            raise SimulationDeadlockError(f"simulation deadlocked at marking {dict(marking.key())!r}")
         group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
         tid = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
         marking = fire(net, marking, tid)
@@ -324,7 +324,8 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
                 ts = prev_ts + timedelta(seconds=1)
             prev_ts = ts
             events.append(Event(label, ts))
-    raise SimulationDeadlockError("case did not reach the final marking within 10000 steps")
+    raise SimulationDeadlockError("simulated case did not reach the final marking "
+                                  "within 10000 steps")
 
 
 def oracle_simulate(config: SimConfig, net: PetriNet) -> EventLog:

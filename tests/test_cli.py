@@ -1,16 +1,18 @@
 import gc
 import json
+import shlex
 from datetime import timedelta
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from careflow import cli
+from careflow import analytics, cli, dfg
 from careflow.csvio import parse_csv, write_csv
 from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
 from careflow.eventlog import EventLog, drop_activities
 from careflow.petri import parse_pnml, write_pnml
-from careflow.replay import replay_log
+from careflow.replay import deviation_report, replay_csv, replay_log
 from careflow.simulate import parse_config
 from careflow.xesio import parse_xes, write_xes
 from helpers import budget_net, make_log, make_trace
@@ -49,6 +51,106 @@ def test_paper_numbers_from_packaged_config(tmp_path, monkeypatch, capsys):
     replay = run_json(capsys, "replay", "noisy.xes", "--json")
     assert replay["traces"] == 216
     assert abs(replay["log_fitness"] - 0.98) <= 0.005
+
+
+def readme_transcript() -> list[tuple[list[str], str]]:
+    """The commands of README.md's paper pipeline, each with the output shown under it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## The paper pipeline\n")[1].split("\n## ")[0]
+    steps: list[tuple[list[str], str]] = []
+    for line in section.splitlines():
+        if line.startswith("    $ careflow "):
+            steps.append((shlex.split(line[len("    $ careflow "):]), ""))
+        elif line.startswith("    ") and steps:
+            steps[-1] = (steps[-1][0], steps[-1][1] + line[4:] + "\n")
+    return steps
+
+
+def test_readme_paper_pipeline_transcript(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_transcript()
+    assert [argv[0] for argv, _ in steps] == ["simulate", "simulate", "stats", "waves",
+                                              "occupancy", "replay"]
+    for argv, shown in steps:
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shown, argv
+    header, *rows = (tmp_path / "vent.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "timestamp,count" and all("T00:00:00+00:00," in row for row in rows)
+    assert max(int(row.split(",")[1]) for row in rows) == 39  # the peak the transcript shows
+
+
+@pytest.fixture
+def small_log(tmp_path):
+    """Three cases over two variants, written as XES; returns (log, path)."""
+    log = make_log(["A", "B"], ["A"], ["A", "B", "C"], ["A", "B"])
+    path = tmp_path / "log.xes"
+    path.write_text(write_xes(log), encoding="utf-8")
+    return log, str(path)
+
+
+def test_variants_text_top_and_json(small_log, capsys):
+    _, path = small_log
+    capsys.readouterr()
+    assert cli.main(["variants", path]) == 0
+    assert capsys.readouterr().out == "     2  A -> B\n     1  A\n     1  A -> B -> C\n"
+    assert cli.main(["variants", path, "--top", "1"]) == 0
+    assert capsys.readouterr().out == "     2  A -> B\n"
+    assert cli.main(["variants", path, "--top", "2", "--json"]) == 0
+    expected = [{"sequence": ["A", "B"], "count": 2, "case_ids": ["c1", "c4"]},
+                {"sequence": ["A"], "count": 1, "case_ids": ["c2"]}]
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"  # keys unsorted
+
+
+def test_dfg_prints_dot_and_writes_json(small_log, tmp_path, capsys):
+    log, path = small_log
+    graph = dfg.filter_dfg(dfg.discover_dfg(log), 0.0, 0.05)
+    capsys.readouterr()
+    assert cli.main(["dfg", path]) == 0
+    assert capsys.readouterr().out == dfg.dfg_to_dot(graph)
+    out = tmp_path / "graph.json"
+    assert cli.main(["dfg", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == dfg.dfg_to_json(graph)
+
+
+def test_dotted_chart_writes_svg_and_prints_csv(small_log, tmp_path, capsys):
+    log, path = small_log
+    data = analytics.dotted_chart(log)
+    out = tmp_path / "chart.svg"
+    capsys.readouterr()
+    assert cli.main(["dotted-chart", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == analytics.dotted_chart_svg(data)
+    assert cli.main(["dotted-chart", path]) == 0
+    assert capsys.readouterr().out == analytics.dotted_chart_csv(data)
+
+
+def test_waves_text_with_ongoing_cases(small_log, capsys):
+    _, path = small_log
+    capsys.readouterr()
+    assert cli.main(["waves", path, "--split", "2020-02-01T00:02:00", "--include-ongoing"]) == 0
+    assert capsys.readouterr().out == (
+        "split at 2020-02-01T00:02:00+00:00\n"
+        "wave 1: 2 cases, 3 events, mean case duration 0d 00h 30m\n"
+        "wave 2: 2 cases, 5 events, mean case duration 0d 01h 30m\n")
+
+
+def test_replay_text_writes_counters_and_report(small_log, tmp_path, capsys):
+    log, path = small_log
+    (tmp_path / "net.pnml").write_text(write_pnml(budget_net()), encoding="utf-8")
+    result = replay_log(budget_net(), log)
+    counters, report = tmp_path / "counters.csv", tmp_path / "report.txt"
+    capsys.readouterr()
+    assert cli.main(["replay", path, "--model", str(tmp_path / "net.pnml"),
+                     "--out", str(counters), "--report", str(report)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {counters}\nwrote {report}\n"
+        f"log fitness: {result.log_fitness:.3f}\n"
+        f"traces: 4  produced: {result.produced}  consumed: {result.consumed}  "
+        f"missing: {result.missing}  remaining: {result.remaining}\n")
+    assert counters.read_text(encoding="utf-8") == replay_csv(result)
+    assert report.read_text(encoding="utf-8") == deviation_report(result)
 
 
 def test_a_zero_mean_duration_is_zero_seconds_in_json(tmp_path, capsys):
@@ -122,6 +224,7 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
     ("pnml", PNML.replace("<text>1</text></place>", "<text>1.5</text></place>"), "'p3'"),
     ("pnml", PNML.replace('source="b" target="p3"', 'source="b" target="p9"'), "'p9'"),
     ("pnml", PNML.replace('idref="p3"', 'idref="p9"'), "'p9'"),
+    ("pnml", PNML.replace("</pnml>", ""), "line 35, column 0"),
     ("csv", CSV + ",B,2020-02-01T01:00:00+00:00\n", "row 3"),
     ("csv", CSV + "c1,,2020-02-01T01:00:00+00:00\n", "row 3"),
     ("csv", CSV + "c1,B,0001-01-01T00:00:00+01:00\n", "row 3"),
@@ -136,6 +239,7 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
         "wave-negative-delay-scale", "noise-seed-alone", "wave-negative-spread",
         "wave-mode-outside-window", "wave-spread-without-mode", "wave-nan-share",
         "initial-marking", "final-marking", "arc-to-unknown-place", "final-marking-unknown-place",
+        "malformed-pnml",
         "empty-case", "empty-activity", "instant-out-of-range-csv", "repeated-column",
         "duplicate-case", "empty-event-name", "instant-out-of-range-xes"])
 def test_bad_input_is_a_careflow_error_with_its_location(kind, text, location, tmp_path, capsys):

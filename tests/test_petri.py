@@ -4,7 +4,7 @@ import re
 import pytest
 
 from careflow.covas import ACTIVITIES, covas_model
-from careflow.errors import PetriNetError
+from careflow.errors import PetriNetError, PnmlFormatError
 from careflow.petri import Marking, PetriNet, Transition, net_to_dot, parse_pnml, write_pnml
 from careflow.replay import replay_log
 from helpers import (NotEnabledError, enabled, fire, make_log, pre_post, random_net,
@@ -145,6 +145,42 @@ def test_pnml_reads_prom_silent_transitions_as_silent():
     assert {(t.id, t.label) for t in net.transitions} == {("A", "A"), ("B", "B"), ("skip_1", None)}
     result = replay_log(net, make_log(["A"], ["A", "B"]))
     assert [t.fitness for t in result.per_trace] == [1.0, 1.0] and result.log_fitness == 1.0
+
+
+def test_pnml_reads_the_2009_grammar_namespace():
+    # as the PNML standard's own examples spell it: every element in the grammar's namespace
+    spelled = PROM_PNML.replace("<pnml>",
+                                '<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">')
+    assert parse_pnml(spelled) == parse_pnml(PROM_PNML)
+    assert parse_pnml(spelled).transitions[2] == Transition("skip_1", None)
+
+
+WEIGHTED = write_pnml(simple_net()).replace(
+    '<arc id="a1" source="p1" target="t"/>',
+    '<arc id="a1" source="p1" target="t"><inscription><text>2</text></inscription></arc>')
+
+
+def test_pnml_arc_of_weight_one_reads_as_an_ordinary_arc():
+    assert parse_pnml(WEIGHTED.replace("<text>2</text></inscription>",
+                                       "<text>1</text></inscription>")) == simple_net(name="net1")
+
+
+@pytest.mark.parametrize("text, message, location", [
+    ("<pnml><net>", "malformed PNML: no element found (line 1, column 11)", (1, 11)),
+    ("<net/>", "expected <pnml> root element", (None, None)),
+    ("<pnml><page/></pnml>", "no <net> element found", (None, None)),
+    ("<pnml><net><place/></net></pnml>", "<place> without id", (None, None)),
+    ("<pnml><net><transition/></net></pnml>", "<transition> without id", (None, None)),
+    ("<pnml><net><arc source='p1'/></net></pnml>", "<arc> without source/target", (None, None)),
+    (WEIGHTED, "arc 'p1' -> 't' has weight '2'; only ordinary arcs (weight 1) are supported",
+     (None, None)),
+], ids=["malformed-xml", "root", "no-net", "place-without-id", "transition-without-id",
+        "arc-without-ends", "weighted-arc"])
+def test_pnml_format_errors_say_what_and_where(text, message, location):
+    with pytest.raises(PnmlFormatError) as caught:
+        parse_pnml(text)
+    assert str(caught.value) == message
+    assert (caught.value.line, caught.value.column) == location
 
 
 def test_net_dot_escapes_quotes_and_backslashes():

@@ -169,6 +169,27 @@ def test_replay_csv_and_report():
     assert "case c2" in report and "missing tokens" in report
 
 
+def line_net() -> PetriNet:
+    return PetriNet(("p1", "p2", "p3"), (Transition("a", "A"), Transition("b", "B")),
+                    (("p1", "a"), ("a", "p2"), ("p2", "b"), ("b", "p3")),
+                    Marking({"p1": 1}), Marking({"p3": 1}))
+
+
+@pytest.mark.parametrize("activities, body", [
+    (["A", "B"], "aggregate counters: p=3 c=3 m=0 r=0\n\n"
+                 "no deviations: every trace replays cleanly.\n"),
+    (["A", "X", "B"], "aggregate counters: p=4 c=4 m=1 r=1\n\n"
+                      "case c1: fitness 0.7500 (p=4 c=4 m=1 r=1)\n"
+                      "  step 1: activity 'X' not in model\n"),
+    (["A"], "aggregate counters: p=2 c=2 m=1 r=1\n\n"
+            "case c1: fitness 0.5000 (p=2 c=2 m=1 r=1)\n"
+            "  final marking not reached; missing tokens in p3\n"),
+], ids=["no-deviations", "activity-not-in-model", "final-marking-not-reached"])
+def test_deviation_report_branches(activities, body):
+    result = replay_log(line_net(), make_log(activities))
+    assert deviation_report(result) == f"log fitness: {result.log_fitness:.4f}\n" + body
+
+
 def test_replay_csv_quotes_cells_that_need_it():
     log = EventLog((make_trace("Smith, J", FULL_TRACE), make_trace('say "hi"', ["End"]),
                     make_trace("plain", ["End"])))

@@ -139,8 +139,21 @@ def test_deadlocking_net_raises():
                    (Transition("A", "A"), Transition("B", "B")),
                    (("p1", "A"), ("A", "p2"), ("p2", "B"), ("p3", "B"), ("B", "p3")),
                    Marking({"p1": 1}), Marking({"p3": 1}))
-    with pytest.raises(SimulationDeadlockError):
+    with pytest.raises(SimulationDeadlockError) as caught:
         simulate(config(case_count=1, branch_probabilities={}, delays={"default": DelaySpec("fixed", (1.0,))}), net)
+    assert str(caught.value) == "simulation deadlocked at marking {'p2': 1}"
+
+
+def test_case_that_never_ends_raises_at_the_step_limit():
+    # a silent self-loop that always wins its choice: the case runs out of steps
+    net = PetriNet(("p1", "p2"), (Transition("B", "B"), Transition("s", None)),
+                   (("p1", "s"), ("s", "p1"), ("p1", "B"), ("B", "p2")),
+                   Marking({"p1": 1}), Marking({"p2": 1}))
+    cfg = config(case_count=1, branch_probabilities={"s": 1.0, "B": 0.0})
+    with pytest.raises(SimulationDeadlockError) as caught:
+        simulate(cfg, net)
+    assert str(caught.value) == ("simulated case did not reach the final marking "
+                                 "within 10000 steps")
 
 
 def test_missing_delay_is_config_error():
