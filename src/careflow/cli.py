@@ -16,6 +16,7 @@ import os
 import sys
 from datetime import timedelta
 from importlib import resources
+from itertools import islice
 
 from . import analytics, csvio, dfg as dfg_mod, xesio
 from .covas import covas_model
@@ -66,9 +67,14 @@ def _parse_types(spec: str) -> dict[str, str]:
 
 
 def _write_log(log: EventLog, path: str):
-    kind = xesio.sniff_format(path)
-    text = xesio.write_xes(log) if kind == "xes" else csvio.write_csv(log)
-    _write_text(path, text)
+    """Write ``log`` in the format the file name gives, 1,024 lines at a time, so the
+    lines, the whole text and its UTF-8 encoding are never held at once. A log the
+    format cannot spell is refused before the file is opened."""
+    lines = (xesio if xesio.sniff_format(path) == "xes" else csvio)._document(log)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        while batch := "".join(islice(lines, 1024)):  # one write per line runs slower
+            handle.write(batch)
+    print(f"wrote {path}")
 
 
 def _write_text(path: str, text: str):

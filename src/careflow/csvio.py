@@ -14,6 +14,7 @@ shares, so a value reads the same in both formats.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from sys import intern
 
 from .errors import CsvFormatError
@@ -143,19 +144,14 @@ def _cells(attrs: dict[str, AttrValue], keys: list[str]) -> str:
     return "".join("," + _quoted(_attr_text(attrs[k])[1]) if k in attrs else "," for k in keys)
 
 
-def write_csv(log: EventLog) -> str:
-    """Serialize a log to CSV, deterministically.
-
-    Traces keep input order; attribute columns are sorted by name. Trace
-    attributes are emitted under ``case:``-prefixed columns. Rows end in CRLF
-    and are quoted as ``csv.writer`` quotes them.
-    """
+def _document(log: EventLog) -> Iterator[str]:
+    """The lines of ``log``'s CSV document, each with its CRLF."""
     event_keys = sorted({k for t in log for e in t.events for k in e.attributes})
     trace_keys = sorted({k for t in log for k in t.attributes})
     header = [*CORE, *event_keys, *(CASE_PREFIX + k for k in trace_keys)]
     no_event_cells = "," * len(event_keys)
     labels: dict[str, str] = {}  # each activity quoted once
-    lines = [",".join(map(_quoted, header))]
+    yield ",".join(map(_quoted, header)) + "\r\n"
     for trace in log:
         case_id = _quoted(trace.case_id)
         case_cells = _cells(trace.attributes, trace_keys)
@@ -164,10 +160,18 @@ def write_csv(log: EventLog) -> str:
             if label is None:
                 label = labels[event.activity] = _quoted(event.activity)
             event_cells = _cells(event.attributes, event_keys) if event.attributes else no_event_cells
-            lines.append(f"{case_id},{label},{format_timestamp(event.timestamp)}"
-                         f"{event_cells}{case_cells}")
-    lines.append("")
-    return "\r\n".join(lines)
+            yield (f"{case_id},{label},{format_timestamp(event.timestamp)}"
+                   f"{event_cells}{case_cells}\r\n")
+
+
+def write_csv(log: EventLog) -> str:
+    """Serialize a log to CSV, deterministically.
+
+    Traces keep input order; attribute columns are sorted by name. Trace
+    attributes are emitted under ``case:``-prefixed columns. Rows end in CRLF
+    and are quoted as ``csv.writer`` quotes them.
+    """
+    return "".join(_document(log))
 
 
 def roundtrip_mapping(log: EventLog) -> dict[str, str]:

@@ -207,7 +207,8 @@ def parse_pnml(text: str) -> PetriNet:
     """Parse PNML as write_pnml, ProM and pm4py write it, in any namespace or none.
 
     A transition with a ``<toolspecific activity="$invisible$">`` child is silent (how ProM
-    and pm4py mark one); an arc inscribed with a weight other than 1 is refused.
+    and pm4py mark one). A document with more than one ``<net>``, a net with more than one
+    final ``<marking>`` and an arc inscribed with a weight other than 1 are refused.
     """
     try:
         root = ET.fromstring(text)
@@ -216,9 +217,12 @@ def parse_pnml(text: str) -> PetriNet:
         raise PnmlFormatError(f"malformed PNML: {exc.msg.split(':')[0]}", line=line, column=column)
     if root.tag.rpartition("}")[2] != "pnml":
         raise PnmlFormatError("expected <pnml> root element")
-    net_xml = root.find(".//{*}net")
-    if net_xml is None:
+    nets = root.findall(".//{*}net")
+    if not nets:
         raise PnmlFormatError("no <net> element found")
+    if len(nets) > 1:
+        raise PnmlFormatError(f"{len(nets)} <net> elements found; careflow reads one")
+    net_xml = nets[0]
 
     places: list[str] = []
     initial: dict[str, int] = {}
@@ -251,6 +255,9 @@ def parse_pnml(text: str) -> PetriNet:
             raise PnmlFormatError(f"arc {source!r} -> {target!r} has weight {weight!r}; "
                                   "only ordinary arcs (weight 1) are supported")
         arcs.append((source, target))
+    markings = net_xml.findall(".//{*}marking")
+    if len(markings) > 1:  # merged, they would make a marking no run reaches
+        raise PnmlFormatError(f"{len(markings)} final markings found; replay needs one")
     final: dict[str, int] = {}
     for ref in net_xml.iterfind(".//{*}marking/{*}place[@idref]"):
         pid, tokens = ref.get("idref"), ref.findtext("{*}text")

@@ -52,19 +52,21 @@ from .petri import PetriNet
 _DONE = -1
 MAX_SILENT_RUN = 8
 _GAPS = MAX_SILENT_RUN + 1  # gaps 0..MAX_SILENT_RUN
+# every empty place set of a result: CPython makes a new 216 B frozenset() per call
+_NONE: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiringStep:
     """One replay step: a fired transition or an unmapped event."""
 
     index: int
     transition_id: str | None  # None for events with no matching transition
     activity: str | None       # None for silent firings
-    forced_missing: frozenset[str] = frozenset()
+    forced_missing: frozenset[str] = _NONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceReplayResult:
     case_id: str
     produced: int
@@ -73,7 +75,7 @@ class TraceReplayResult:
     remaining: int
     fitness: float
     firing_log: tuple[FiringStep, ...]
-    final_missing: frozenset[str] = frozenset()
+    final_missing: frozenset[str] = _NONE
     final_marking_ignored: bool = False
 
 
@@ -93,7 +95,8 @@ def _fitness(produced: int, consumed: int, missing: int, remaining: int) -> floa
     return 0.5 * miss_term + 0.5 * rem_term
 
 
-def _final_gap(final: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+def _final_gap(final: tuple[int, ...], vector: bytes | tuple[int, ...]
+               ) -> tuple[int, int, tuple[int, ...]]:
     """(deficit, remaining, short place indices) for consuming the final marking."""
     short = tuple(p for p, need in enumerate(final) if vector[p] < need)
     deficit = sum(final[p] - vector[p] for p in short)
@@ -102,7 +105,8 @@ def _final_gap(final: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, in
 
 class _Replayer:
     """Replays traces on one net with one successor memo over interned markings:
-    ``vectors`` holds each marking once, numbered by ``ids``; ``moves`` maps
+    ``vectors`` holds each marking once, as bytes when every count fits in a byte (a
+    tuple otherwise), numbered by ``ids``; ``moves`` maps
     ``id * len(tids) + t`` of a labeled move to (successor id, missing tokens), and
     ``silent_moves[id]`` holds the marking's silent moves sorted by missing tokens."""
 
@@ -118,18 +122,25 @@ class _Replayer:
         self.step = [(t,) if wide else bytes((t,)) for t in range(len(self.cn.tids))]
         self.root = () if wide else b""
         self.moves: dict[int, tuple[int, int]] = {}
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.vectors: list[tuple[int, ...]] = []
+        self.ids: dict[bytes | tuple[int, ...], int] = {}
+        self.vectors: list[bytes | tuple[int, ...]] = []
         self.silent_moves: list[tuple | None] = []
         self.initial = self._id(self.cn.initial)
 
     def _id(self, vector: tuple[int, ...]) -> int:
+        try:
+            vector = bytes(vector)  # 33 B and a byte a place, where a tuple takes 56 B and 8
+        except ValueError:  # a count above 255
+            pass
         marking = self.ids.get(vector)
         if marking is None:
             marking = self.ids[vector] = len(self.vectors)
             self.vectors.append(vector)
             self.silent_moves.append(None)
         return marking
+
+    def _places(self, indices: tuple[int, ...]) -> frozenset[str]:
+        return frozenset([self.cn.place_ids[p] for p in indices]) if indices else _NONE
 
     def _fire(self, marking: int, t: int) -> tuple[int, int]:
         succ, missing = self.cn.fire(self.vectors[marking], t)
@@ -228,8 +239,7 @@ class _Replayer:
                 position += 1
             vector, forced = cn.fire(vector, t)
             forced_total += len(forced)
-            steps.append(FiringStep(len(steps), cn.tids[t], activity,
-                                    frozenset(cn.place_ids[p] for p in forced)))
+            steps.append(FiringStep(len(steps), cn.tids[t], activity, self._places(forced)))
         steps.extend(FiringStep(len(steps) + k, None, e.activity)
                      for k, e in enumerate(events[position:]))
 
@@ -237,13 +247,13 @@ class _Replayer:
         produced = net.initial_marking.total() + unmapped + sum(len(cn.post[t]) for t in winner)
         consumed = unmapped + sum(len(cn.pre[t]) for t in winner)
         missing, remaining = forced_total + unmapped, unmapped
-        final_missing: frozenset[str] = frozenset()
+        final_missing = _NONE
         if not ignore_final_marking:
             deficit, left, short = _final_gap(cn.final, vector)
             consumed += net.final_marking.total()
             missing += deficit
             remaining += left
-            final_missing = frozenset(cn.place_ids[p] for p in short)
+            final_missing = self._places(short)
         return TraceReplayResult(trace.case_id, produced, consumed, missing, remaining,
                                  _fitness(produced, consumed, missing, remaining),
                                  tuple(steps), final_missing, ignore_final_marking)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from datetime import datetime
 from sys import intern
 from xml.sax.saxutils import quoteattr
@@ -227,20 +228,65 @@ def _quote(text: str) -> str:
     return quoteattr(text) if _ESCAPED.search(text) else f'"{text}"'
 
 
-def _emit_attrs(lines: list[str], indent: str, owner: str, fields: dict[str, AttrValue | None],
-                attrs: dict[str, AttrValue], raw: tuple[str, ...]):
-    """Write ``owner``'s fields, keyed as XES reserves (None: not written), and its other
-    ``attrs``, which may not hold a reserved key, sorted by key; then its snippets."""
-    for key in fields:
-        if key in attrs:
-            raise XesFormatError(f"{owner} has an attribute {key!r}, a key XES reserves")
+def _emit_attrs(indent: str, fields: dict[str, AttrValue | None], attrs: dict[str, AttrValue],
+                raw: tuple[str, ...]) -> Iterator[str]:
+    """The lines of a record's fields, keyed as XES reserves (None: not written), and of
+    its other ``attrs`` (none reserved: see ``_document``), sorted by key; then its snippets."""
     for key in sorted([*attrs, *fields]):
         value = attrs[key] if key in attrs else fields[key]
         if value is not None:
             kind, text = _attr_text(value)
-            lines.append(f"{indent}<{kind} key={_quote(key)} value={_quote(text)}/>")
+            yield f"{indent}<{kind} key={_quote(key)} value={_quote(text)}/>\n"
     for snippet in raw:
-        lines.append(indent + snippet)
+        yield f"{indent}{snippet}\n"
+
+
+def _lines(log: EventLog) -> Iterator[str]:
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">\n'
+    yield from _emit_attrs("  ", {"concept:name": log.name or None}, log.attributes,
+                           log.raw_extensions)
+    for trace in log:
+        yield "  <trace>\n"
+        yield from _emit_attrs("    ", {"concept:name": trace.case_id}, trace.attributes,
+                               trace.raw_extensions)
+        for event in trace.events:
+            if not event.attributes and not event.raw_extensions:  # what _emit_attrs spells
+                yield (f'    <event>\n      <string key="concept:name" value={_quote(event.activity)}'
+                       f'/>\n      <date key="time:timestamp" value="'
+                       f'{format_timestamp(event.timestamp)}"/>\n    </event>\n')
+                continue
+            yield "    <event>\n"
+            yield from _emit_attrs("      ", {"concept:name": event.activity,
+                                              "time:timestamp": event.timestamp},
+                                   event.attributes, event.raw_extensions)
+            yield "    </event>\n"
+        yield "  </trace>\n"
+    yield "</log>\n"
+
+
+def _reserved_key(log: EventLog) -> tuple[str, str] | None:
+    """(owner, key) of the first attribute, in document order, named like a field XES spells."""
+    if "concept:name" in log.attributes:
+        return "the log", "concept:name"
+    for trace in log:
+        if "concept:name" in trace.attributes:
+            return f"case {trace.case_id!r}", "concept:name"
+        for event in trace.events:
+            if event.attributes:
+                for key in ("concept:name", "time:timestamp"):
+                    if key in event.attributes:
+                        return f"an event of case {trace.case_id!r}", key
+    return None
+
+
+def _document(log: EventLog) -> Iterator[str]:
+    """The lines of ``log``'s XES document, each with its line end. A log with an attribute
+    named like a field XES spells raises XesFormatError here, before the first line, so a
+    caller that writes the lines as they come leaves no partial file."""
+    reserved = _reserved_key(log)
+    if reserved is not None:
+        raise XesFormatError("{} has an attribute {!r}, a key XES reserves".format(*reserved))
+    return _lines(log)
 
 
 def write_xes(log: EventLog) -> str:
@@ -251,28 +297,7 @@ def write_xes(log: EventLog) -> str:
     like a field XES spells as an attribute (``concept:name`` of the log, a
     trace or an event, an event's ``time:timestamp``) raises XesFormatError.
     """
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>', '<log xes.version="1.0">']
-    _emit_attrs(lines, "  ", "the log", {"concept:name": log.name or None}, log.attributes,
-                log.raw_extensions)
-    for trace in log:
-        lines.append("  <trace>")
-        _emit_attrs(lines, "    ", f"case {trace.case_id!r}", {"concept:name": trace.case_id},
-                    trace.attributes, trace.raw_extensions)
-        for event in trace.events:
-            if not event.attributes and not event.raw_extensions:  # what _emit_attrs spells
-                lines.append(f'    <event>\n      <string key="concept:name" value='
-                             f'{_quote(event.activity)}/>\n      <date key="time:timestamp" '
-                             f'value="{format_timestamp(event.timestamp)}"/>\n    </event>')
-                continue
-            lines.append("    <event>")
-            _emit_attrs(lines, "      ", f"an event of case {trace.case_id!r}",
-                        {"concept:name": event.activity, "time:timestamp": event.timestamp},
-                        event.attributes, event.raw_extensions)
-            lines.append("    </event>")
-        lines.append("  </trace>")
-    lines.append("</log>")
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_document(log))
 
 
 def sniff_format(path: str) -> str:

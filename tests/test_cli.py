@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from careflow import analytics, cli, dfg
+from careflow import analytics, cli, csvio, dfg, xesio
+from careflow.covas import covas_model
 from careflow.csvio import parse_csv, write_csv
 from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
 from careflow.eventlog import EventLog, drop_activities
 from careflow.petri import parse_pnml, write_pnml
 from careflow.replay import deviation_report, replay_csv, replay_log
-from careflow.simulate import parse_config
+from careflow.simulate import parse_config, simulate
 from careflow.xesio import parse_xes, write_xes
 from helpers import budget_net, make_log, make_trace
 
@@ -277,6 +278,33 @@ def test_convert_rejects_a_cell_beyond_the_header(tmp_path, capsys):
     assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes")]) == 2
     assert "(row 2)" in capsys.readouterr().err
     assert not (tmp_path / "out.xes").exists()
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["absent", "present"])
+def test_a_refused_write_leaves_the_output_file_as_it_was(existed, tmp_path, capsys):
+    # the last row's concept:name cell is an event attribute XES reserves; a writer that
+    # opened the file before it met that row would truncate or create it
+    rows = "".join(f"c{k},A,2020-02-01T00:00:00+00:00,\n" for k in range(2000))
+    source = tmp_path / "in.csv"
+    source.write_text("case_id,activity,timestamp,concept:name\n" + rows
+                      + "c2000,A,2020-02-01T00:00:00+00:00,B\n", encoding="utf-8")
+    out = tmp_path / "out.xes"
+    if existed:
+        out.write_bytes(b"kept\r\n")
+    assert cli.main(["convert", str(source), str(out)]) == 2
+    assert "a key XES reserves" in capsys.readouterr().err
+    assert (out.read_bytes() == b"kept\r\n") if existed else not out.exists()
+
+
+@pytest.mark.parametrize("suffix, module, writer", [(".xes", xesio, write_xes),
+                                                    (".csv", csvio, write_csv)], ids=["xes", "csv"])
+def test_simulate_out_writes_what_the_library_writer_returns(suffix, module, writer, tmp_path):
+    config, _ = parse_config(cli._resolve_config("covas_desk.config"))
+    log = simulate(config, covas_model())
+    assert len(list(module._document(log))) > 1024  # the CLI writes 1,024 lines at a time
+    out = tmp_path / f"log{suffix}"
+    assert cli.main(["simulate", "--config", "covas_desk.config", "--out", str(out)]) == 0
+    assert out.read_bytes() == writer(log).encode("utf-8")
 
 
 @pytest.mark.parametrize("argv", [["no-such-command"], ["waves", "log.xes"],

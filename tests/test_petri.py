@@ -174,8 +174,13 @@ def test_pnml_arc_of_weight_one_reads_as_an_ordinary_arc():
     ("<pnml><net><arc source='p1'/></net></pnml>", "<arc> without source/target", (None, None)),
     (WEIGHTED, "arc 'p1' -> 't' has weight '2'; only ordinary arcs (weight 1) are supported",
      (None, None)),
+    (PROM_PNML.replace("<pnml>", '<pnml><net id="other"><page id="x"/></net>'),
+     "2 <net> elements found; careflow reads one", (None, None)),
+    (PROM_PNML.replace("</marking>", '</marking><marking><place idref="p1"><text>1</text>'
+                                     "</place></marking>"),
+     "2 final markings found; replay needs one", (None, None)),
 ], ids=["malformed-xml", "root", "no-net", "place-without-id", "transition-without-id",
-        "arc-without-ends", "weighted-arc"])
+        "arc-without-ends", "weighted-arc", "two-nets", "two-final-markings"])
 def test_pnml_format_errors_say_what_and_where(text, message, location):
     with pytest.raises(PnmlFormatError) as caught:
         parse_pnml(text)

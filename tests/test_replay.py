@@ -1,6 +1,11 @@
+import copy
 import csv
+import gc
 import hashlib
+import pickle
 import random
+import tracemalloc
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -9,7 +14,7 @@ from careflow.covas import covas_model
 from careflow.errors import ReplayBudgetError, ReplayConfigError
 from careflow.eventlog import EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
-from careflow.replay import deviation_report, replay_csv, replay_log, replay_trace
+from careflow.replay import _Replayer, deviation_report, replay_csv, replay_log, replay_trace
 from helpers import (budget_net, make_log, make_trace, oracle_replay, paper_logs,
                      random_activities, random_net)
 
@@ -309,6 +314,61 @@ def test_search_expansions_are_pinned():
         least.append(low)
     assert least == [85, 26, 340, 27, 398, 26, 227, 26, 44, 44, 20, 22, 263, 27, 16, 26,
                      44, 366, 26, 45, 27, 18, 2, 72]
+
+
+def test_replay_records_are_slotted_and_share_one_empty_place_set():
+    _, noisy = paper_logs()
+    result = replay_log(covas_model(), noisy)
+    steps = [step for r in result.per_trace for step in r.firing_log]
+    assert not hasattr(result.per_trace[0], "__dict__") and not hasattr(steps[0], "__dict__")
+    empty = [s.forced_missing for s in steps] + [r.final_missing for r in result.per_trace]
+    assert len({id(places) for places in empty if not places}) == 1
+    forced = next(r for r in result.per_trace if any(s.forced_missing for s in r.firing_log))
+    unfinished = replay_trace(covas_model(), make_trace("c1", ["Start", "startSymptoms"]))
+    assert unfinished.final_missing
+    for record in (forced, next(s for s in forced.firing_log if s.forced_missing), unfinished):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                       copy.deepcopy(record)):
+            assert copied == record and type(copied) is type(record)
+    renamed = replace(forced, case_id="other")
+    assert renamed.case_id == "other" and renamed.firing_log is forced.firing_log
+    assert replace(renamed, case_id=forced.case_id) == forced
+
+
+def test_replay_log_results_retain_under_100_bytes_per_event():
+    # tracemalloc read 256 B with a dict per record and a fresh empty frozenset (216 B) per
+    # step and result, 74 B with slotted records and one empty set (3.11); like any
+    # tracemalloc figure it leaves out objects that interpreter freelists served
+    net, (_, noisy) = covas_model(), paper_logs()
+    net.compiled  # built on first use and kept with the net, not the result: build it first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = replay_log(net, noisy)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.per_trace) == 216
+    assert retained / noisy.event_count < 100
+
+
+def test_markings_above_a_byte_per_place_replay_like_the_oracle():
+    # A adds a token to p on each firing, so 300 of them take p past what a byte holds:
+    # the memo keeps those markings as tuples and the smaller ones as bytes
+    net = PetriNet(places=("src", "p", "sink"),
+                   transitions=(Transition("a", "A"), Transition("b", "B")),
+                   arcs=(("src", "a"), ("a", "src"), ("a", "p"), ("src", "b"), ("p", "b"),
+                         ("b", "sink")),
+                   initial_marking=Marking({"src": 1}), final_marking=Marking({"sink": 1}))
+    activities = ["A"] * 300 + ["B"]
+    result = replay_trace(net, make_trace("c1", activities))
+    assert (result.produced, result.consumed, result.missing, result.remaining) == \
+        oracle_replay(net, activities) == (602, 303, 0, 299)
+    replayer = _Replayer(net, 10_000)
+    replayer.replay(make_trace("c1", activities), False)
+    assert {type(v) for v in replayer.vectors} == {bytes, tuple}
+    assert len(replayer.vectors) == len(set(replayer.vectors)) == 302
 
 
 def test_net_with_more_transitions_than_a_byte_indexes():

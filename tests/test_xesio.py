@@ -176,12 +176,10 @@ def test_writer_spells_each_event_as_emit_attrs_does(log):
     expected = []
     for trace in log:
         for event in trace.events:
-            lines = ["    <event>"]
-            xesio._emit_attrs(lines, "      ", "an event", {"concept:name": event.activity,
-                                                            "time:timestamp": event.timestamp},
-                              event.attributes, event.raw_extensions)
-            lines.append("    </event>")
-            expected.append("\n".join(lines))
+            lines = xesio._emit_attrs("      ", {"concept:name": event.activity,
+                                                 "time:timestamp": event.timestamp},
+                                      event.attributes, event.raw_extensions)
+            expected.append("".join(["    <event>\n", *lines, "    </event>"]))
     text = write_xes(log)
     assert _EVENT_BLOCK.findall(text) == expected
     assert parse_xes(text) == log
