@@ -14,9 +14,12 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from datetime import timedelta
 from importlib import resources
 from itertools import islice
+from pathlib import Path
 
 from . import analytics, csvio, dfg as dfg_mod, xesio
 from .covas import covas_model
@@ -36,11 +39,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# the format a file name's suffix selects, read in any letter case
+_FORMATS = {".xes": "xes", ".xml": "xes", ".csv": "csv", ".json": "json", ".svg": "svg"}
+
+
+def _format(path: str | None) -> str | None:
+    lowered = (path or "").lower()
+    return _FORMATS.get(lowered[lowered.rfind("."):])
+
+
+def _log_io(path: str):
+    """xesio or csvio, as the suffix of ``path`` selects: the module that reads and writes it."""
+    if _format(path) not in ("xes", "csv"):
+        raise CareflowError(f"cannot infer log format from {path!r}; expected .xes, .xml or .csv")
+    return xesio if _format(path) == "xes" else csvio
+
+
 def _read_log(path: str, types: str | None = None) -> EventLog:
-    kind = xesio.sniff_format(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if kind == "xes":
+    module = _log_io(path)
+    text = Path(path).read_text(encoding="utf-8")
+    if module is xesio:
         return xesio.parse_xes(text)
     return csvio.parse_csv(text, _parse_types(types) if types else None)
 
@@ -66,29 +84,16 @@ def _parse_types(spec: str) -> dict[str, str]:
     return out
 
 
-def _write_log(log: EventLog, path: str):
-    """Write ``log`` in the format the file name gives, 1,024 lines at a time, so the
-    lines, the whole text and its UTF-8 encoding are never held at once. A log the
-    format cannot spell is refused before the file is opened."""
-    lines = (xesio if xesio.sniff_format(path) == "xes" else csvio)._document(log)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        while batch := "".join(islice(lines, 1024)):  # one write per line runs slower
-            handle.write(batch)
-    print(f"wrote {path}")
-
-
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    print(f"wrote {path}")
-
-
-def _emit(path: str | None, text: str):
-    """Write ``text`` to the file at ``path``, or print it when no path is given."""
+def _write(path: str | None, pieces: Iterable[str]):
+    """Write text ``pieces`` to the file at ``path`` 1,024 at a time, so they, their whole text
+    and its UTF-8 encoding are never held at once, or print them when no path is given. A log
+    goes in as its ``_document`` lines, which refuse what the format cannot spell."""
+    pieces = iter(pieces)
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as out:
+        while batch := "".join(islice(pieces, 1024)):  # one write per line runs slower
+            out.write(batch)
     if path:
-        _write_text(path, text)
-    else:
-        print(text, end="")
+        print(f"wrote {path}")
 
 
 def _print_json(payload, sort_keys: bool = True):
@@ -106,15 +111,13 @@ def _payload(record) -> dict:
 def _load_model(spec: str):
     if spec == "covas":
         return covas_model()
-    with open(spec, "r", encoding="utf-8") as handle:
-        return parse_pnml(handle.read())
+    return parse_pnml(Path(spec).read_text(encoding="utf-8"))
 
 
 def _resolve_config(path: str) -> str:
     """Config text from a file, or from the packaged config named by a bare file name."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return Path(path).read_text(encoding="utf-8")
     if not os.path.dirname(path):
         packaged = resources.files("careflow") / "data" / path
         if packaged.is_file():
@@ -164,11 +167,8 @@ def _cmd_variants(args) -> int:
 def _cmd_dfg(args) -> int:
     graph = dfg_mod.discover_dfg(_read_log(args.log))
     graph = dfg_mod.filter_dfg(graph, args.min_node, args.min_edge)
-    if args.json or (args.out and args.out.endswith(".json")):
-        text = dfg_mod.dfg_to_json(graph)
-    else:
-        text = dfg_mod.dfg_to_dot(graph, annotate=args.annotate)
-    _emit(args.out, text)
+    _write(args.out, [dfg_mod.dfg_to_json(graph) if args.json or _format(args.out) == "json"
+                      else dfg_mod.dfg_to_dot(graph, annotate=args.annotate)])
     return 0
 
 
@@ -177,9 +177,9 @@ def _cmd_replay(args) -> int:
     result = replay_log(net, _read_log(args.log),
                         ignore_final_for_ongoing=not args.strict_ongoing)
     if args.out:
-        _write_text(args.out, replay_csv(result))
+        _write(args.out, [replay_csv(result)])
     if args.report:
-        _write_text(args.report, deviation_report(result))
+        _write(args.report, [deviation_report(result)])
     if args.json:
         payload = {"log_fitness": result.log_fitness, "produced": result.produced,
                    "consumed": result.consumed, "missing": result.missing,
@@ -196,10 +196,8 @@ def _cmd_replay(args) -> int:
 def _cmd_dotted_chart(args) -> int:
     data = analytics.dotted_chart(_read_log(args.log), color_attribute=args.color,
                                   sort=args.sort)
-    if args.out and args.out.endswith(".svg"):
-        _emit(args.out, analytics.dotted_chart_svg(data))
-    else:
-        _emit(args.out, analytics.dotted_chart_csv(data))
+    _write(args.out, [analytics.dotted_chart_svg(data) if _format(args.out) == "svg"
+                      else analytics.dotted_chart_csv(data)])
     return 0
 
 
@@ -208,11 +206,9 @@ def _cmd_occupancy(args) -> int:
     for case_id in series.flagged_cases:
         print(f"warning: unpaired {args.start}/{args.end} events in case {case_id}",
               file=sys.stderr)
-    if args.out:
-        if args.out.endswith(".svg"):
-            _write_text(args.out, analytics.occupancy_svg(series))
-        else:
-            _write_text(args.out, analytics.occupancy_csv(series, daily_max=args.daily_max))
+    if args.out or not args.json:
+        _write(args.out, [analytics.occupancy_svg(series) if _format(args.out) == "svg"
+                          else analytics.occupancy_csv(series, daily_max=args.daily_max)])
     if args.json:
         payload = {
             "peak": None if series.peak is None else
@@ -220,9 +216,7 @@ def _cmd_occupancy(args) -> int:
             "breakpoints": len(series.breakpoints),
         }
         _print_json(payload)
-    elif not args.out:
-        print(analytics.occupancy_csv(series, daily_max=args.daily_max), end="")
-    elif series.peak:
+    elif args.out and series.peak:
         print(f"peak: {series.peak[1]} at {format_timestamp(series.peak[0])}")
     return 0
 
@@ -250,7 +244,7 @@ def _cmd_simulate(args) -> int:
         if noise is None:
             raise CareflowError("--with-noise requires noise.* keys in the config")
         log = inject_noise(log, noise)
-    _write_log(log, args.out)
+    _write(args.out, _log_io(args.out)._document(log))
     return 0
 
 
@@ -258,7 +252,7 @@ def _cmd_convert(args) -> int:
     log = _read_log(args.input, types=args.types)
     if args.drop_activity:
         log = drop_activities(log, set(args.drop_activity))
-    _write_log(log, args.output)
+    _write(args.output, _log_io(args.output)._document(log))
     return 0
 
 

@@ -145,8 +145,16 @@ def _cells(attrs: dict[str, AttrValue], keys: list[str]) -> str:
 
 
 def _document(log: EventLog) -> Iterator[str]:
-    """The lines of ``log``'s CSV document, each with its CRLF."""
+    """The lines of ``log``'s CSV document, each with its CRLF. An event attribute named like a
+    core or a ``case:`` column, which parse_csv would refuse or misread, raises here."""
     event_keys = sorted({k for t in log for e in t.events for k in e.attributes})
+    for key in event_keys:
+        if key in CORE or key.startswith(CASE_PREFIX):
+            raise CsvFormatError(f"an event has an attribute {key!r}, a column name CSV reserves")
+    return _rows(log, event_keys)
+
+
+def _rows(log: EventLog, event_keys: list[str]) -> Iterator[str]:
     trace_keys = sorted({k for t in log for k in t.attributes})
     header = [*CORE, *event_keys, *(CASE_PREFIX + k for k in trace_keys)]
     no_event_cells = "," * len(event_keys)
@@ -169,7 +177,8 @@ def write_csv(log: EventLog) -> str:
 
     Traces keep input order; attribute columns are sorted by name. Trace
     attributes are emitted under ``case:``-prefixed columns. Rows end in CRLF
-    and are quoted as ``csv.writer`` quotes them.
+    and are quoted as ``csv.writer`` quotes them. An event attribute named
+    ``case_id``, ``activity``, ``timestamp`` or ``case:...`` raises CsvFormatError.
     """
     return "".join(_document(log))
 

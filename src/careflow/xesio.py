@@ -32,7 +32,7 @@ from datetime import datetime
 from sys import intern
 from xml.sax.saxutils import quoteattr
 
-from .errors import CareflowError, XesFormatError
+from .errors import XesFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
 from .timeutil import format_timestamp
@@ -298,13 +298,3 @@ def write_xes(log: EventLog) -> str:
     trace or an event, an event's ``time:timestamp``) raises XesFormatError.
     """
     return "".join(_document(log))
-
-
-def sniff_format(path: str) -> str:
-    """Guess 'xes' or 'csv' from a file name."""
-    lowered = path.lower()
-    if lowered.endswith(".xes") or lowered.endswith(".xml"):
-        return "xes"
-    if lowered.endswith(".csv"):
-        return "csv"
-    raise CareflowError(f"cannot infer log format from {path!r}; expected .xes or .csv")

@@ -11,12 +11,13 @@ from careflow import analytics, cli, csvio, dfg, xesio
 from careflow.covas import covas_model
 from careflow.csvio import parse_csv, write_csv
 from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
-from careflow.eventlog import EventLog, drop_activities
+from careflow.eventlog import Event, EventLog, Trace, drop_activities
 from careflow.petri import parse_pnml, write_pnml
 from careflow.replay import deviation_report, replay_csv, replay_log
 from careflow.simulate import parse_config, simulate
+from careflow.timeutil import format_timestamp
 from careflow.xesio import parse_xes, write_xes
-from helpers import budget_net, make_log, make_trace
+from helpers import T0, budget_net, make_log, make_trace
 
 
 def run_json(capsys, *argv) -> dict:
@@ -282,18 +283,24 @@ def test_convert_rejects_a_cell_beyond_the_header(tmp_path, capsys):
 
 @pytest.mark.parametrize("existed", [False, True], ids=["absent", "present"])
 def test_a_refused_write_leaves_the_output_file_as_it_was(existed, tmp_path, capsys):
-    # the last row's concept:name cell is an event attribute XES reserves; a writer that
-    # opened the file before it met that row would truncate or create it
+    # the last case's concept:name is an event attribute XES reserves, and its activity one
+    # CSV spells as a core column; a writer that opened the file before it met that case
+    # would truncate or create it
     rows = "".join(f"c{k},A,2020-02-01T00:00:00+00:00,\n" for k in range(2000))
     source = tmp_path / "in.csv"
     source.write_text("case_id,activity,timestamp,concept:name\n" + rows
                       + "c2000,A,2020-02-01T00:00:00+00:00,B\n", encoding="utf-8")
-    out = tmp_path / "out.xes"
-    if existed:
-        out.write_bytes(b"kept\r\n")
-    assert cli.main(["convert", str(source), str(out)]) == 2
-    assert "a key XES reserves" in capsys.readouterr().err
-    assert (out.read_bytes() == b"kept\r\n") if existed else not out.exists()
+    traces = [make_trace(f"c{k}", ["A"]) for k in range(2000)]
+    log = EventLog((*traces, Trace("c2000", (Event("A", T0, {"activity": "B"}),))))
+    (tmp_path / "in.xes").write_text(write_xes(log), encoding="utf-8")
+    for source, out, refusal in ((source, tmp_path / "out.xes", "a key XES reserves"),
+                                 (tmp_path / "in.xes", tmp_path / "out.csv",
+                                  "a column name CSV reserves")):
+        if existed:
+            out.write_bytes(b"kept\r\n")
+        assert cli.main(["convert", str(source), str(out)]) == 2
+        assert refusal in capsys.readouterr().err
+        assert (out.read_bytes() == b"kept\r\n") if existed else not out.exists()
 
 
 @pytest.mark.parametrize("suffix, module, writer", [(".xes", xesio, write_xes),
@@ -381,3 +388,100 @@ def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
     assert (tmp_path / "bom.csv").read_text(encoding="utf-8").startswith("\ufeffcase_id")
     assert (run_json(capsys, "stats", str(tmp_path / "bom.csv"), "--json")
             == run_json(capsys, "stats", str(tmp_path / "plain.csv"), "--json"))
+
+
+# --- every output route: what each subcommand prints and writes, byte for byte ---------
+
+VENT = ["--start", "startVentilation", "--end", "endVentilation"]
+
+
+@pytest.fixture
+def routed(tmp_path):
+    """A log with ventilation intervals, a non-ASCII label and a label that CSV quotes,
+    written as XES next to a PNML net; returns the library's renderings of it."""
+    log = EventLog((make_trace("c1", ["A", "startVentilation", "Röntgen, Thorax", "endVentilation"],
+                               ards=True),
+                    make_trace("c2", ["startVentilation", "B", "endVentilation"],
+                               start=T0 + timedelta(minutes=30), ards=False),
+                    make_trace("c3", ["A", "B"], start=T0 + timedelta(hours=2))))
+    (tmp_path / "log.xes").write_text(write_xes(log), encoding="utf-8")
+    (tmp_path / "net.pnml").write_text(write_pnml(budget_net()), encoding="utf-8")
+    graph = dfg.filter_dfg(dfg.discover_dfg(log), 0.0, 0.05)
+    chart = analytics.dotted_chart(log)
+    series = analytics.occupancy(log, "startVentilation", "endVentilation")
+    result = replay_log(budget_net(), log)
+    peak = {"timestamp": format_timestamp(series.peak[0]), "count": series.peak[1]}
+    return {
+        "dot": dfg.dfg_to_dot(graph), "dfg-json": dfg.dfg_to_json(graph),
+        "chart-csv": analytics.dotted_chart_csv(chart),
+        "chart-svg": analytics.dotted_chart_svg(chart),
+        "occupancy-csv": analytics.occupancy_csv(series),
+        "occupancy-svg": analytics.occupancy_svg(series),
+        "occupancy-json": json.dumps({"breakpoints": len(series.breakpoints), "peak": peak},
+                                     indent=2, sort_keys=True) + "\n",
+        "peak": f"peak: {series.peak[1]} at {peak['timestamp']}\n",
+        "replay-csv": replay_csv(result), "report": deviation_report(result),
+        "replay-text": (f"log fitness: {result.log_fitness:.3f}\ntraces: 3  produced: "
+                        f"{result.produced}  consumed: {result.consumed}  missing: "
+                        f"{result.missing}  remaining: {result.remaining}\n"),
+        "replay-json": json.dumps({"consumed": result.consumed, "log_fitness": result.log_fitness,
+                                   "missing": result.missing, "produced": result.produced,
+                                   "remaining": result.remaining, "traces": 3},
+                                  indent=2, sort_keys=True) + "\n",
+    }
+
+
+# (subcommand and options, the option that names the output file and its name, what
+# stdout shows after any "wrote" line, what the file holds); "" shows nothing
+ROUTES = {
+    "dfg": (["dfg"], None, "dot", None),
+    "dfg-json": (["dfg", "--json"], None, "dfg-json", None),
+    "dfg-out-dot": (["dfg"], ("--out", "g.dot"), "", "dot"),
+    "dfg-out-json": (["dfg"], ("--out", "g.json"), "", "dfg-json"),
+    "dfg-out-JSON": (["dfg"], ("--out", "G.JSON"), "", "dfg-json"),
+    "dotted-chart": (["dotted-chart"], None, "chart-csv", None),
+    "dotted-chart-svg": (["dotted-chart"], ("--out", "chart.svg"), "", "chart-svg"),
+    "dotted-chart-SVG": (["dotted-chart"], ("--out", "P.SVG"), "", "chart-svg"),
+    "dotted-chart-csv": (["dotted-chart"], ("--out", "chart.csv"), "", "chart-csv"),
+    "occupancy": (["occupancy", *VENT], None, "occupancy-csv", None),
+    "occupancy-json": (["occupancy", *VENT, "--json"], None, "occupancy-json", None),
+    "occupancy-csv": (["occupancy", *VENT], ("--out", "o.csv"), "peak", "occupancy-csv"),
+    "occupancy-svg": (["occupancy", *VENT], ("--out", "o.svg"), "peak", "occupancy-svg"),
+    "occupancy-SVG": (["occupancy", *VENT], ("--out", "O.SVG"), "peak", "occupancy-svg"),
+    "occupancy-json-csv": (["occupancy", *VENT, "--json"], ("--out", "o.csv"), "occupancy-json",
+                           "occupancy-csv"),
+    "occupancy-json-svg": (["occupancy", *VENT, "--json"], ("--out", "o.svg"), "occupancy-json",
+                           "occupancy-svg"),
+    "replay-out": (["replay", "--model", "net.pnml"], ("--out", "r.csv"), "replay-text",
+                   "replay-csv"),
+    "replay-report": (["replay", "--model", "net.pnml"], ("--report", "r.txt"), "replay-text",
+                      "report"),
+    "replay-json": (["replay", "--model", "net.pnml", "--json"], None, "replay-json", None),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_output_route_writes_what_the_library_renders(route, routed, tmp_path, monkeypatch,
+                                                            capsysbinary):
+    argv, target, shown, kept = ROUTES[route]
+    monkeypatch.chdir(tmp_path)
+    argv = [argv[0], "log.xes", *argv[1:], *(target or ())]
+    assert cli.main(argv) == 0
+    wrote = f"wrote {target[1]}\n" if target else ""
+    assert capsysbinary.readouterr().out == (wrote + routed.get(shown, "")).encode("utf-8")
+    if target:
+        assert (tmp_path / target[1]).read_bytes() == routed[kept].encode("utf-8")
+
+
+def test_a_log_suffix_selects_its_reader_in_any_case(tmp_path, capsys):
+    log = make_log(["A", "B"], ["A"])
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    for name in ("log.xes", "a/b/LOG.XES", "log.xml", "log.csv", "LOG.CSV"):
+        (tmp_path / name).write_text((write_csv if "csv" in name.lower() else write_xes)(log),
+                                     encoding="utf-8")
+    expected = run_json(capsys, "stats", str(tmp_path / "log.xes"), "--json")
+    for name in ("a/b/LOG.XES", "log.xml", "log.csv", "LOG.CSV"):
+        assert run_json(capsys, "stats", str(tmp_path / name), "--json") == expected, name
+    (tmp_path / "notes.txt").write_text(write_xes(log), encoding="utf-8")
+    assert cli.main(["stats", str(tmp_path / "notes.txt")]) == 2
+    assert "notes.txt" in capsys.readouterr().err

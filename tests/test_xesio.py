@@ -10,10 +10,10 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from careflow.errors import CareflowError, XesFormatError
+from careflow.errors import XesFormatError
 from careflow.eventlog import Event, EventLog, Trace, log_stats
 from careflow import xesio
-from careflow.xesio import XesWarning, parse_xes, sniff_format, write_xes
+from careflow.xesio import XesWarning, parse_xes, write_xes
 from helpers import T0, make_trace, oracle_parse_xes, paper_logs, random_log
 
 MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
@@ -115,13 +115,6 @@ def test_roundtrip_random_logs_preserves_stats():
         again = parse_xes(write_xes(log))
         assert again == log
         assert log_stats(again) == log_stats(log)
-
-
-def test_sniff_format():
-    assert sniff_format("a/b/log.XES") == "xes"
-    assert sniff_format("x.csv") == "csv"
-    with pytest.raises(CareflowError, match="notes.txt"):
-        sniff_format("notes.txt")
 
 
 _name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, include_characters="\t\n\r"),
