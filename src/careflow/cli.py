@@ -17,7 +17,6 @@ import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
 from datetime import timedelta
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 
@@ -119,7 +118,7 @@ def _resolve_config(path: str) -> str:
     if os.path.exists(path):
         return Path(path).read_text(encoding="utf-8")
     if not os.path.dirname(path):
-        packaged = resources.files("careflow") / "data" / path
+        packaged = Path(__file__).parent / "data" / path
         if packaged.is_file():
             return packaged.read_text(encoding="utf-8")
     raise CareflowError(f"config file not found: {path}")

@@ -15,10 +15,10 @@ through it, and the simulator takes a transition that misses none as enabled.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import PetriNetError, PnmlFormatError
 
@@ -166,29 +166,42 @@ class CompiledNet:
 # --- PNML-style serialization -------------------------------------------------
 
 def write_pnml(net: PetriNet) -> str:
-    """Serialize the net as PNML with a <finalmarkings> section."""
+    """Serialize the net as PNML with a <finalmarkings> section.
+
+    A name, id or label holding a character XML forbids (``_FORBIDDEN``) raises
+    PnmlFormatError: written, the document would not read back.
+    """
+    texts = [("the net", "its name", net.name),
+             *((f"place {place!r}", "its id", place) for place in net.places),
+             *((f"transition {trans.id!r}", "its id", trans.id) for trans in net.transitions),
+             *((f"transition {trans.id!r}", "its label", trans.label or "")
+               for trans in net.transitions)]
+    for owner, where, text in texts:
+        if (found := _FORBIDDEN.search(text)) is not None:
+            raise PnmlFormatError(f"{owner} holds {found.group()!r} in {where}, "
+                                  "a character XML cannot carry")
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<pnml>',
-             f'  <net id={quoteattr(net.name or "net1")} type="http://www.pnml.org/version-2009/grammar/ptnet">',
+             f'  <net id={_quote(net.name or "net1")} type="http://www.pnml.org/version-2009/grammar/ptnet">',
              '    <page id="page1">']
     for place in net.places:
-        lines.append(f'      <place id={quoteattr(place)}>')
+        lines.append(f'      <place id={_quote(place)}>')
         tokens = net.initial_marking.get(place)
         if tokens:
             lines.append(f'        <initialMarking><text>{tokens}</text></initialMarking>')
         lines.append('      </place>')
     for trans in net.transitions:
-        lines.append(f'      <transition id={quoteattr(trans.id)}>')
+        lines.append(f'      <transition id={_quote(trans.id)}>')
         if trans.label is not None:
-            lines.append(f'        <name><text>{escape(trans.label)}</text></name>')
+            lines.append(f'        <name><text>{_escape(trans.label)}</text></name>')
         lines.append('      </transition>')
     for index, (source, target) in enumerate(net.arcs, start=1):
-        lines.append(f'      <arc id="a{index}" source={quoteattr(source)} target={quoteattr(target)}/>')
+        lines.append(f'      <arc id="a{index}" source={_quote(source)} target={_quote(target)}/>')
     lines.append('    </page>')
     lines.append('    <finalmarkings>')
     lines.append('      <marking>')
     for place, count in sorted(net.final_marking.items()):
-        lines.append(f'        <place idref={quoteattr(place)}><text>{count}</text></place>')
+        lines.append(f'        <place idref={_quote(place)}><text>{count}</text></place>')
     lines.append('      </marking>')
     lines.append('    </finalmarkings>')
     lines.append('  </net>')
@@ -268,6 +281,30 @@ def parse_pnml(text: str) -> PetriNet:
                         Marking(initial), Marking(final), name=net_xml.get("id") or "")
     except PetriNetError as exc:
         raise PnmlFormatError(str(exc))
+
+
+# what XML 1.0 forbids in a document: C0 controls but tab, LF and CR, lone surrogates
+# (which UTF-8 cannot encode either), U+FFFE and U+FFFF
+_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_ESCAPED = re.compile('[&<>"\n\r\t]')  # what _quote escapes, and '"', which it may single-quote
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML element text: CR as a reference, which end-of-line handling would
+    read back as LF."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace(
+        "\r", "&#13;")
+
+
+def _quote(text: str) -> str:
+    """``text`` as a quoted XML attribute value, spelled as ``xml.sax.saxutils.quoteattr``
+    spells it: single quotes when it holds '"' but no "'", else '"' as ``&quot;``."""
+    if _ESCAPED.search(text) is None:
+        return f'"{text}"'
+    text = _escape(text).replace("\n", "&#10;").replace("\t", "&#9;")
+    if '"' in text and "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _dot(text: str) -> str:

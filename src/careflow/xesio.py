@@ -30,11 +30,11 @@ import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from datetime import datetime
 from sys import intern
-from xml.sax.saxutils import quoteattr
 
 from .errors import XesFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
+from .petri import _FORBIDDEN, _quote
 from .timeutil import format_timestamp
 
 # characters fed to the pull parser at a time: it encodes each feed to UTF-8, and holds
@@ -220,14 +220,6 @@ def parse_xes(text: str) -> EventLog:
                     raw_extensions=tuple(log_raw))
 
 
-_ESCAPED = re.compile('[&<>"\n\r\t]')  # what quoteattr escapes, and '"', which it may single-quote
-
-
-def _quote(text: str) -> str:
-    """``quoteattr(text)``, without its replace passes where nothing needs escaping."""
-    return quoteattr(text) if _ESCAPED.search(text) else f'"{text}"'
-
-
 def _emit_attrs(indent: str, fields: dict[str, AttrValue | None], attrs: dict[str, AttrValue],
                 raw: tuple[str, ...]) -> Iterator[str]:
     """The lines of a record's fields, keyed as XES reserves (None: not written), and of
@@ -264,28 +256,55 @@ def _lines(log: EventLog) -> Iterator[str]:
     yield "</log>\n"
 
 
-def _reserved_key(log: EventLog) -> tuple[str, str] | None:
-    """(owner, key) of the first attribute, in document order, named like a field XES spells."""
-    if "concept:name" in log.attributes:
-        return "the log", "concept:name"
+def _refusal(log: EventLog) -> str | None:
+    """Why ``log`` cannot be written, for its first record in document order that has an
+    attribute named like a field XES spells (it would read back as that field) or a text
+    holding a character XML forbids (the document would not read back); None if it can.
+    Each label and attribute dict is searched once, however many records share it."""
+    labels: set[str] = set()
+    searched: set[int] = set()  # ids of attribute dicts
+
+    def fault(reserved: tuple[str, ...], field: str, text: str,
+              attrs: dict[str, AttrValue]) -> str | None:
+        for key in reserved:
+            if key in attrs:
+                return f"has an attribute {key!r}, a key XES reserves"
+        found = _FORBIDDEN.search(text)
+        if found is None and id(attrs) not in searched:
+            searched.add(id(attrs))
+            for key, value in attrs.items():
+                if (found := _FORBIDDEN.search(key)) is not None:
+                    field = f"the key {key!r}"
+                    break
+                if isinstance(value, str) and (found := _FORBIDDEN.search(value)) is not None:
+                    field = f"the value of {key!r}"
+                    break
+        return None if found is None else (f"holds {found.group()!r} in {field}, "
+                                           "a character XML cannot carry")
+
+    if (found := fault(("concept:name",), "its name", log.name, log.attributes)) is not None:
+        return f"the log {found}"
     for trace in log:
-        if "concept:name" in trace.attributes:
-            return f"case {trace.case_id!r}", "concept:name"
+        found = fault(("concept:name",), "its case id", trace.case_id, trace.attributes)
+        if found is not None:
+            return f"case {trace.case_id!r} {found}"
         for event in trace.events:
-            if event.attributes:
-                for key in ("concept:name", "time:timestamp"):
-                    if key in event.attributes:
-                        return f"an event of case {trace.case_id!r}", key
+            if event.attributes or event.activity not in labels:
+                labels.add(event.activity)
+                found = fault(("concept:name", "time:timestamp"), "its activity",
+                              event.activity, event.attributes)
+                if found is not None:
+                    return f"an event of case {trace.case_id!r} {found}"
     return None
 
 
 def _document(log: EventLog) -> Iterator[str]:
-    """The lines of ``log``'s XES document, each with its line end. A log with an attribute
-    named like a field XES spells raises XesFormatError here, before the first line, so a
-    caller that writes the lines as they come leaves no partial file."""
-    reserved = _reserved_key(log)
-    if reserved is not None:
-        raise XesFormatError("{} has an attribute {!r}, a key XES reserves".format(*reserved))
+    """The lines of ``log``'s XES document, each with its line end. A log ``_refusal``
+    refuses raises XesFormatError here, before the first line, so a caller that writes
+    the lines as they come leaves no partial file."""
+    refused = _refusal(log)
+    if refused is not None:
+        raise XesFormatError(refused)
     return _lines(log)
 
 
@@ -295,6 +314,8 @@ def write_xes(log: EventLog) -> str:
     Traces keep input order, attributes are sorted by key, opaque snippets are
     written back after the typed attributes of their owner. An attribute named
     like a field XES spells as an attribute (``concept:name`` of the log, a
-    trace or an event, an event's ``time:timestamp``) raises XesFormatError.
+    trace or an event, an event's ``time:timestamp``) raises XesFormatError, and
+    so does a name, case id, activity, key or string value holding a character
+    XML forbids (``petri._FORBIDDEN``).
     """
     return "".join(_document(log))

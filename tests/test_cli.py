@@ -284,18 +284,24 @@ def test_convert_rejects_a_cell_beyond_the_header(tmp_path, capsys):
 @pytest.mark.parametrize("existed", [False, True], ids=["absent", "present"])
 def test_a_refused_write_leaves_the_output_file_as_it_was(existed, tmp_path, capsys):
     # the last case's concept:name is an event attribute XES reserves, and its activity one
-    # CSV spells as a core column; a writer that opened the file before it met that case
-    # would truncate or create it
+    # CSV spells as a core column; in ctl.csv its activity holds a control character XML
+    # forbids; a writer that opened the file before it met that case would truncate or
+    # create it
     rows = "".join(f"c{k},A,2020-02-01T00:00:00+00:00,\n" for k in range(2000))
     source = tmp_path / "in.csv"
     source.write_text("case_id,activity,timestamp,concept:name\n" + rows
                       + "c2000,A,2020-02-01T00:00:00+00:00,B\n", encoding="utf-8")
+    (tmp_path / "ctl.csv").write_text("case_id,activity,timestamp,k\n" + rows
+                                      + "c2000,A\x01B,2020-02-01T00:00:00+00:00,\n",
+                                      encoding="utf-8")
     traces = [make_trace(f"c{k}", ["A"]) for k in range(2000)]
     log = EventLog((*traces, Trace("c2000", (Event("A", T0, {"activity": "B"}),))))
     (tmp_path / "in.xes").write_text(write_xes(log), encoding="utf-8")
     for source, out, refusal in ((source, tmp_path / "out.xes", "a key XES reserves"),
                                  (tmp_path / "in.xes", tmp_path / "out.csv",
-                                  "a column name CSV reserves")):
+                                  "a column name CSV reserves"),
+                                 (tmp_path / "ctl.csv", tmp_path / "out.xes",
+                                  "holds '\\x01' in its activity, a character XML cannot carry")):
         if existed:
             out.write_bytes(b"kept\r\n")
         assert cli.main(["convert", str(source), str(out)]) == 2

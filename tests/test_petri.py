@@ -1,11 +1,14 @@
 import random
 import re
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given, strategies as st
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import PetriNetError, PnmlFormatError
-from careflow.petri import Marking, PetriNet, Transition, net_to_dot, parse_pnml, write_pnml
+from careflow.petri import (Marking, PetriNet, Transition, _escape, _quote, net_to_dot, parse_pnml,
+                            write_pnml)
 from careflow.replay import replay_log
 from helpers import (NotEnabledError, enabled, fire, make_log, pre_post, random_net,
                      reachable_markings)
@@ -112,6 +115,40 @@ def test_pnml_roundtrip_simple_and_covas():
         assert set(back.arcs) == set(net.arcs)
         assert back.initial_marking == net.initial_marking
         assert back.final_marking == net.final_marking
+
+
+@given(st.text(st.sampled_from("ab&<>\"'\t\n\r")))
+def test_xml_quoting_spells_as_the_standard_library(text):
+    # saxutils is the oracle only: it imports urllib.request, and with it ssl and http.client
+    assert _quote(text) == quoteattr(text)
+    assert _escape(text) == escape(text).replace("\r", "&#13;")
+
+
+@pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a\tb", " a ", "a&<>\"'b"])
+def test_pnml_roundtrip_keeps_every_label_and_id(label):
+    # a raw CR in element text would read back as LF, under XML's end-of-line handling
+    net = simple_net(places=("p\r1", "p2"), transitions=(Transition("t\r", label),),
+                     arcs=(("p\r1", "t\r"), ("t\r", "p2")),
+                     initial_marking=Marking({"p\r1": 1}), name="n\r")
+    assert parse_pnml(write_pnml(net)) == net
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x0b", "\ufffe", "\ud800"])
+@pytest.mark.parametrize("changes, owner", [
+    (lambda c: {"name": f"n{c}"}, lambda c: "the net holds {!r} in its name".format(c)),
+    (lambda c: {"places": (f"p{c}", "p2"), "arcs": ((f"p{c}", "t"), ("t", "p2")),
+                "initial_marking": Marking({f"p{c}": 1})},
+     lambda c: "place {!r} holds {!r} in its id".format(f"p{c}", c)),
+    (lambda c: {"transitions": (Transition(f"t{c}", "A"),),
+                "arcs": (("p1", f"t{c}"), (f"t{c}", "p2"))},
+     lambda c: "transition {!r} holds {!r} in its id".format(f"t{c}", c)),
+    (lambda c: {"transitions": (Transition("t", f"A{c}"),)},
+     lambda c: "transition 't' holds {!r} in its label".format(c)),
+], ids=["name", "place", "transition", "label"])
+def test_write_pnml_refuses_what_xml_cannot_carry(char, changes, owner):
+    with pytest.raises(PnmlFormatError) as caught:
+        write_pnml(simple_net(**changes(char)))
+    assert str(caught.value) == owner(char) + ", a character XML cannot carry"
 
 
 # a net as ProM and pm4py export it: A, then B or the silent skip_1, which keeps its

@@ -201,6 +201,25 @@ def test_writer_rejects_reserved_keys(log):
         write_xes(log)
 
 
+@pytest.mark.parametrize("char", ["\x01", "\x0b", "\ufffe", "\ud800"])
+@pytest.mark.parametrize("build, owner", [
+    (lambda c: EventLog(name=f"L{c}"), lambda c: "the log holds {!r} in its name".format(c)),
+    (lambda c: EventLog((Trace(f"c{c}", ()),)),
+     lambda c: "case {!r} holds {!r} in its case id".format(f"c{c}", c)),
+    (lambda c: EventLog((Trace("c", (Event(f"A{c}", T0),)),)),
+     lambda c: "an event of case 'c' holds {!r} in its activity".format(c)),
+    (lambda c: EventLog((Trace("c", (), {f"k{c}": 1}),)),
+     lambda c: "case 'c' holds {!r} in the key {!r}".format(c, f"k{c}")),
+    (lambda c: EventLog((Trace("c", (Event("A", T0, {"k": f"v{c}"}),)),)),
+     lambda c: "an event of case 'c' holds {!r} in the value of 'k'".format(c)),
+], ids=["log-name", "case-id", "activity", "trace-key", "event-value"])
+def test_writer_refuses_what_xml_cannot_carry(char, build, owner):
+    # written, the document would not read back: XML 1.0 forbids the character
+    with pytest.raises(XesFormatError) as caught:
+        write_xes(build(char))
+    assert str(caught.value) == owner(char) + ", a character XML cannot carry"
+
+
 # --- the streaming reader against the tree-based one ---------------------------
 
 def _outcome(reader, text: str):
