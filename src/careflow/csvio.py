@@ -6,9 +6,12 @@ any order. Extra columns become event attributes; columns prefixed ``case:``
 become trace attributes (written once per case, repeated on every row). Extra
 values are read as strings unless a ``types`` map gives their column one of
 the kinds ``string``, ``int``, ``float``, ``boolean`` (or ``bool``) and
-``date``, so nothing is silently coerced. Values are parsed and spelled by the
-attribute codec in ``eventlog`` (``_PARSERS`` and ``_attr_text``), which XES
-shares, so a value reads the same in both formats.
+``date``, so nothing is silently coerced. The one exception is
+``case:complete``, which marks ongoing cases: it is read as ``boolean`` unless
+``types`` names another kind, so ``false`` marks an ongoing case in CSV as in
+XES. Values are parsed and spelled by the attribute codec in ``eventlog``
+(``_PARSERS`` and ``_attr_text``), which XES shares, so a value reads the same
+in both formats.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def _cell(parse, raw: str, types: dict[str, str], column: str, row: int) -> AttrValue:
+def _cell(parse, raw: str, kinds: dict[str, str], column: str, row: int) -> AttrValue:
     try:
         return parse(raw)
     except ValueError:
-        raise CsvFormatError(f"cannot parse {raw!r} as {types[column]} in column {column!r}",
+        raise CsvFormatError(f"cannot parse {raw!r} as {kinds[column]} in column {column!r}",
                              row=row)
 
 
@@ -58,15 +61,16 @@ def _cell(parse, raw: str, types: dict[str, str], column: str, row: int) -> Attr
 def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
     """Parse CSV text into an event log; ``types`` maps extra columns to kinds.
 
-    Every kind in ``types`` is checked before the first row is read. One trace
+    ``case:complete`` is ``boolean`` unless ``types`` says otherwise. Every kind
+    in ``types`` is checked before the first row is read. One trace
     per distinct case id, in order of first appearance; ``Trace`` sorts its
     events by timestamp (stable for ties). Empty input gives an empty log. A
     leading byte order mark (U+FEFF), which spreadsheet tools write, is skipped.
     Short rows are padded; a non-empty cell past the header's columns is an error.
     """
-    types = types or {}
+    kinds = {CASE_PREFIX + "complete": "boolean", **(types or {})}  # Trace.complete reads a bool
     parsers = {}
-    for column, kind in types.items():
+    for column, kind in kinds.items():
         parser = _PARSERS.get("boolean" if kind == "bool" else kind)
         if parser is None:
             raise CsvFormatError(f"unknown type {kind!r} for column {column!r}")
@@ -121,11 +125,11 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
             if raw == "":
                 continue
             if seen is None:
-                attrs[key] = _cell(parse, raw, types, col, row_no)
+                attrs[key] = _cell(parse, raw, kinds, col, row_no)
                 continue
             value = seen.get(raw)
             if value is None:  # no kind parses to None
-                value = seen[raw] = _cell(parse, raw, types, col, row_no)
+                value = seen[raw] = _cell(parse, raw, kinds, col, row_no)
             case[1][key] = value
         case[0].append(Event(activity, ts, attrs))
     # one read-only dict per set of case values told apart by identity (the seen memos keep

@@ -28,32 +28,52 @@ remaining token each (and one produced and consumed, keeping m <= c, r <= p).
 
 The search runs on the net's ``CompiledNet``, whose transition indices follow
 sorted ids: an index path sorts exactly like its id path, so tie 4 holds (any
-other numbering would break it). ``max_expansions`` bounds each search and
-raises ReplayBudgetError. ``replay_log`` reuses work within one call and frees
-it on return: each variant, keyed by the activity sequence (unmapped events
-included) and whether the final marking is ignored, is searched once and its
-repeats copy the result under their own case id; and one successor memo serves
-every trace, as firing depends on the marking alone. The memo numbers each marking
-once, and the search works on those numbers: its states, memo keys and heap entries
-are small ints, hashed and compared without reading a marking. The search pushes
-silent successors one at a time and spells paths as bytes, which keeps its heap small.
+other numbering would break it). It is a least-cost-first search over states
+(i, marking, silent gap), keyed (m, silents, path), where i counts the mapped
+events fired; a completion from layer n adds the final marking's deficit and
+leftovers. Each variant, keyed by the activity sequence (unmapped events
+included) and whether the final marking is ignored, is replayed once, and its
+repeats copy the result under their own case id.
+
+Variants share the search over their common prefixes. A layer-i state and its
+least key depend only on the candidate transitions of the first i mapped
+events, so the variants' candidate sequences form a trie whose node at depth i
+holds layer i for every variant below it. A node settles its states once, in
+key order and lazily: only as far as the least completion of some variant below
+it requires. A variant's winner and expansion count (the states on its path
+whose key is at most its winning completion's) are those a search of its own
+would find, and ``max_expansions`` bounds that count per trace as before,
+raising ReplayBudgetError. Variants run in sorted order, so those below one
+node run back to back, and a node is freed once its subtree is done;
+``replay_trace`` runs the same search on a one-variant trie.
+
+One successor memo serves every search, as firing depends on the marking
+alone; it is dropped, with the trie, before the firing logs are built. The memo
+numbers each marking once, and the search works on those numbers: its states,
+memo keys and heap entries are small ints, hashed and compared without reading
+a marking. The search pushes silent successors one at a time and spells paths
+as bytes, which keeps its heaps small.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+import math
+from bisect import bisect_right
+from collections.abc import Container, Iterable, Sequence
+from dataclasses import dataclass, field, replace
 
 from .csvio import _quoted
 from .errors import ReplayBudgetError, ReplayConfigError
 from .eventlog import EventLog, Trace
-from .petri import PetriNet
+from .petri import CompiledNet, PetriNet
 
-_DONE = -1
 MAX_SILENT_RUN = 8
 _GAPS = MAX_SILENT_RUN + 1  # gaps 0..MAX_SILENT_RUN
 # every empty place set of a result: CPython makes a new 216 B frozenset() per call
 _NONE: frozenset[str] = frozenset()
+_ABOVE = (math.inf,)  # above every key and entry
+_BELOW = (-1,)  # below every key and entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,12 +107,18 @@ class LogReplayResult:
     missing: int
     remaining: int
     log_fitness: float
+    variants_searched: int = field(default=0, compare=False)  # searches over the trie
+    states_settled: int = field(default=0, compare=False)  # states settled over all of them
 
 
 def _fitness(produced: int, consumed: int, missing: int, remaining: int) -> float:
     miss_term = 1.0 - missing / consumed if consumed else 1.0
     rem_term = 1.0 - remaining / produced if produced else 1.0
     return 0.5 * miss_term + 0.5 * rem_term
+
+
+def _places(cn: CompiledNet, indices: tuple[int, ...]) -> frozenset[str]:
+    return frozenset([cn.place_ids[p] for p in indices]) if indices else _NONE
 
 
 def _final_gap(final: tuple[int, ...], vector: bytes | tuple[int, ...]
@@ -103,12 +129,38 @@ def _final_gap(final: tuple[int, ...], vector: bytes | tuple[int, ...]
     return deficit, sum(vector) - sum(final) + deficit, short
 
 
+class _Layer:
+    """Layer i of every variant whose first i candidate sets are this node's path in the trie.
+
+    ``settled`` holds the layer's settled states as (m, s, path, marking), in key order;
+    ``heap`` its frontier, as the search's entries (m, s, path, marking, gap, siblings, k);
+    ``done`` its settled states as ``marking * _GAPS + gap``. A path is bytes when
+    indices fit in a byte, which sort like tuples; equal paths reach equal markings,
+    so a marking's id never decides a tie. The labeled moves from the
+    parent layer's first ``pulled`` settled states are on the heap (or settled), and
+    every state the parent has yet to hand over has a key of at least ``floor``.
+    """
+
+    __slots__ = ("parent", "candidates", "heap", "done", "settled", "pulled", "floor")
+
+    def __init__(self, parent: _Layer | None, candidates: tuple[int, ...], heap: list):
+        self.parent, self.candidates, self.heap = parent, candidates, heap
+        self.done: set[int] = set()
+        self.settled: list[tuple] = []
+        self.pulled = 0
+        self.floor = _BELOW if parent else _ABOVE
+
+
+class _Exhausted(Exception):
+    """A search settled more states than its budget allows."""
+
+
 class _Replayer:
-    """Replays traces on one net with one successor memo over interned markings:
-    ``vectors`` holds each marking once, as bytes when every count fits in a byte (a
-    tuple otherwise), numbered by ``ids``; ``moves`` maps
-    ``id * len(tids) + t`` of a labeled move to (successor id, missing tokens), and
-    ``silent_moves[id]`` holds the marking's silent moves sorted by missing tokens."""
+    """Searches one net with one successor memo over interned markings: ``vectors``
+    holds each marking once, as bytes when every count fits in a byte (a tuple
+    otherwise), numbered by ``ids``; ``moves`` maps ``id * len(tids) + t`` of a labeled
+    move to (successor id, missing tokens), and ``silent_moves[id]`` holds the
+    marking's silent moves sorted by missing tokens."""
 
     def __init__(self, net: PetriNet, max_expansions: int):
         self.net, self.cn = net, net.compiled
@@ -126,6 +178,7 @@ class _Replayer:
         self.vectors: list[bytes | tuple[int, ...]] = []
         self.silent_moves: list[tuple | None] = []
         self.initial = self._id(self.cn.initial)
+        self.settles = self.stop = 0  # states settled, and where this search must stop
 
     def _id(self, vector: tuple[int, ...]) -> int:
         try:
@@ -139,124 +192,256 @@ class _Replayer:
             self.silent_moves.append(None)
         return marking
 
-    def _places(self, indices: tuple[int, ...]) -> frozenset[str]:
-        return frozenset([self.cn.place_ids[p] for p in indices]) if indices else _NONE
-
     def _fire(self, marking: int, t: int) -> tuple[int, int]:
         succ, missing = self.cn.fire(self.vectors[marking], t)
         return self._id(succ), len(missing)
 
-    def _search(self, case_id: str, events: list[tuple[int, ...]],
-                ignore_final_marking: bool) -> bytes | tuple[int, ...]:
-        """The winning schedule for the mapped events' candidate transitions.
+    def _push_sibling(self, heap: list, done: set[int], entry: tuple) -> None:
+        """Push the first silent sibling after ``entry`` that reaches an unsettled state.
 
-        Heap entries (m, r, silents, path, event, marking, gap, siblings, k) sort in
-        cost order; a path is bytes when indices fit in a byte, which sort like tuples.
-        Equal paths reach equal markings, so a marking's id never decides a tie.
-        Of duplicate-label candidates the first enabled one fires, else the first.
         Sorted by (missing, index), a marking's silent moves cost no less than the one
-        before, so popping ``siblings[k]`` pushes the next: the pop order is unchanged.
+        before, so pushing each sibling only when the one before pops keeps the pop order.
         """
-        cn, vectors, moves, silent_moves = self.cn, self.vectors, self.moves, self.silent_moves
-        pre, final, width, step = cn.pre, cn.final, len(cn.tids), self.step
-        budget = self.max_expansions
-        n = len(events)
-        # a state (event i, marking, gap) is the int marking * stride + i * _GAPS + gap
-        stride = (n + 1) * _GAPS
+        m, s, path, _, gap, siblings, k = entry
+        parent_m, parent_path = m - siblings[k][2], path[:-1]
+        for k in range(k + 1, len(siblings)):
+            t, succ, missing = siblings[k]
+            if succ * _GAPS + gap not in done:
+                heapq.heappush(heap, (parent_m + missing, s, parent_path + self.step[t], succ,
+                                      gap, siblings, k))
+                return
+
+    def _pull(self, layer: _Layer, entry: tuple) -> tuple | None:
+        """Push the labeled move from the parent layer's settled ``entry`` onto the layer's
+        heap, unless it reaches a settled state; return the heap entry pushed.
+
+        Of duplicate-label candidates the first enabled one fires, else the first.
+        """
+        layer.pulled += 1
+        m, s, path, marking = entry
+        candidates, width = layer.candidates, len(self.cn.tids)
+        t = candidates[0]
+        if len(candidates) > 1:
+            vector, pre = self.vectors[marking], self.cn.pre
+            t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
+        hit = self.moves.get(marking * width + t)
+        if hit is None:
+            hit = self.moves[marking * width + t] = self._fire(marking, t)
+        succ, missing = hit
+        if succ * _GAPS in layer.done:
+            return None
+        pushed = (m + missing, s, path + self.step[t], succ, 0, None, 0)
+        heapq.heappush(layer.heap, pushed)
+        return pushed
+
+    def _advance(self, layer: _Layer, bound: tuple) -> bool:
+        """Settle the layer's next state if its key is below ``bound``; say whether it did.
+
+        The layer's least heap entry for an unsettled state is its next state once the
+        parent layer has handed over every state below it, as a labeled move only adds
+        to a key. So the walk goes down the trie only as far as a layer whose parent need
+        not settle more, and each state settled on the way is handed to the layer above.
+        """
+        silent_moves, step = self.silent_moves, self.step
         push, pop = heapq.heappush, heapq.heappop
-        heap = [(0, 0, 0, self.root, 0, self.initial, 0, None, 0)]
-        settled: set[int] = set()
-        expansions = 0
-        while heap:
-            m, r, s, path, i, marking, gap, siblings, k = pop(heap)
-            if i == _DONE:
-                return path
-            base = i * _GAPS + gap
-            if siblings is not None:  # push the next sibling that reaches an unsettled state
-                parent_m, parent_path = m - siblings[k][2], path[:-1]
-                for k in range(k + 1, len(siblings)):
-                    t, succ, missing = siblings[k]
-                    if succ * stride + base not in settled:
-                        push(heap, (parent_m + missing, r, s, parent_path + step[t], i, succ, gap,
-                                    siblings, k))
+        waiting: list[tuple[_Layer, tuple]] = []  # the layers that asked, with their bounds
+        while True:
+            heap, done = layer.heap, layer.done
+            top = _ABOVE
+            while heap:
+                top = heap[0]
+                if top[3] * _GAPS + top[4] not in done:
+                    break
+                pop(heap)
+                if top[5] is not None:
+                    self._push_sibling(heap, done, top)
+                top = _ABOVE
+            limit = top if top < bound else bound
+            if layer.floor < limit:
+                parent = layer.parent
+                entries = parent.settled
+                while layer.pulled < len(entries):
+                    entry = entries[layer.pulled]
+                    if not entry < limit:
+                        layer.floor = entry
                         break
-            state = marking * stride + base
-            if state in settled:
+                    pushed = self._pull(layer, entry)
+                    if pushed is not None and pushed < top:
+                        top = pushed
+                        limit = top if top < bound else bound
+                else:  # the parent must settle its next state if that is below the limit
+                    waiting.append((layer, bound))
+                    layer, bound = parent, limit
+                    continue
+            if not top < bound:
+                low = top if top < layer.floor else layer.floor
+                if not waiting:
+                    return False
+                layer, bound = waiting.pop()
+                layer.floor = low  # the parent will hand over no state below it
                 continue
-            settled.add(state)
-            expansions += 1
-            if expansions > budget:
-                raise ReplayBudgetError(case_id, budget)
-            if i == n:
-                deficit = remaining = 0
-                if not ignore_final_marking:
-                    deficit, remaining, _ = _final_gap(final, vectors[marking])
-                push(heap, (m + deficit, r + remaining, s, path, _DONE, 0, 0, None, 0))
-            else:
-                candidates = events[i]
-                t = candidates[0]
-                if len(candidates) > 1:
-                    vector = vectors[marking]
-                    t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
-                hit = moves.get(marking * width + t)
-                if hit is None:
-                    hit = moves[marking * width + t] = self._fire(marking, t)
-                succ, missing = hit
-                if succ * stride + (i + 1) * _GAPS not in settled:
-                    push(heap, (m + missing, r, s, path + step[t], i + 1, succ, 0, None, 0))
+            if self.settles == self.stop:
+                raise _Exhausted
+            self.settles += 1
+            pop(heap)  # settle the top, and push its first silent move
+            m, s, path, marking, gap, siblings, _ = top
+            if siblings is not None:
+                self._push_sibling(heap, done, top)
+            done.add(marking * _GAPS + gap)
+            entry = (m, s, path, marking)
+            layer.settled.append(entry)
             if gap < MAX_SILENT_RUN:
                 silent = silent_moves[marking]
                 if silent is None:
                     hits = [(t,) + self._fire(marking, t) for t in self.silents]  # ascending t
-                    silent = silent_moves[marking] = tuple(sorted(hits, key=lambda hit: hit[2]))
+                    silent = silent_moves[marking] = tuple(sorted(hits, key=lambda h: h[2]))
                 for k, (t, succ, missing) in enumerate(silent):
-                    if succ * stride + base + 1 not in settled:
-                        push(heap, (m + missing, r, s + 1, path + step[t], i, succ, gap + 1,
-                                    silent, k))
+                    if succ * _GAPS + gap + 1 not in done:
+                        push(heap, (m + missing, s + 1, path + step[t], succ, gap + 1, silent, k))
                         break
-        raise AssertionError("unreachable: the no-silents schedule always completes")
+            if not waiting:
+                return True
+            pushed = self._pull(waiting[-1][0], entry)  # hand it to the layer that asked
+            if pushed is not None and pushed < bound:
+                bound = pushed
 
-    def replay(self, trace: Trace, ignore_final_marking: bool) -> TraceReplayResult:
-        net, cn, events = self.net, self.cn, trace.events
-        if not net.initial_marking:
-            raise ReplayConfigError("replay requires a non-empty initial marking")
-        if not ignore_final_marking and not net.final_marking:
-            raise ReplayConfigError("replay requires a non-empty final marking")
-        candidates = [self.labeled.get(e.activity, ()) for e in events]
-        winner = self._search(trace.case_id, [c for c in candidates if c], ignore_final_marking)
+    def _search(self, leaf: _Layer, ignore_final_marking: bool) -> bytes | tuple[int, ...] | None:
+        """The winning schedule for the leaf's path, or None if it expands more states than
+        ``max_expansions``.
 
-        # Fire the winning schedule once more for the firing log; an unmapped
-        # event is logged just before the next labeled firing after it.
-        steps: list[FiringStep] = []
-        vector, position, forced_total = cn.initial, 0, 0
-        for t in winner:
-            activity = None
-            if cn.labels[t] is not None:
-                while not candidates[position]:
-                    steps.append(FiringStep(len(steps), None, events[position].activity))
-                    position += 1
-                activity = events[position].activity
+        Leaf states settle in key order; each offers a completion (m + deficit, remaining,
+        silents, path), and the least completion wins once no unsettled state is below it.
+        Its expansions are the states on the leaf's path whose key is at most the winner's.
+        """
+        final, vectors = self.cn.final, self.vectors
+        self.stop = self.settles + self.max_expansions
+        best = bound = _ABOVE
+        entries, i = leaf.settled, 0
+        try:
+            while i < len(entries) or self._advance(leaf, bound):
+                entry = entries[i]
+                if not entry < bound:
+                    break
+                m, s, path, marking = entry
+                deficit = remaining = 0
+                if not ignore_final_marking:
+                    deficit, remaining, _ = _final_gap(final, vectors[marking])
+                done = (m + deficit, remaining, s, path)
+                if done < best:
+                    best = done
+                    # a state (m, s, path, marking) sorts below this iff (m, 0, s, path) <= done
+                    bound = (m + deficit, s, path, math.inf) if not remaining else \
+                        (m + deficit + 1, -1)
+                i += 1
+        except _Exhausted:  # more fresh states than the budget, so more expansions
+            return None
+        expansions, layer = 0, leaf
+        while layer is not None:
+            expansions += bisect_right(layer.settled, bound)
+            layer = layer.parent
+        return best[3] if expansions <= self.max_expansions else None
+
+    def search(self, searches: Iterable[tuple[tuple[tuple[int, ...], ...], bool]]
+               ) -> dict[tuple, bytes | tuple[int, ...] | None]:
+        """The winning schedule of each (candidate sequence, ignore_final_marking), or None
+        for a search over budget.
+
+        The sequences are searched over their trie in sorted order, so the searches
+        below one node run back to back and a node is dropped once its subtree is done.
+        """
+        winners: dict[tuple, bytes | tuple[int, ...] | None] = {}
+        # the trie nodes on the current sequence's path, from the root
+        chain = [_Layer(None, (), [(0, 0, self.root, self.initial, 0, None, 0)])]
+        previous: tuple = ()
+        for sequence, ignore in sorted(searches):
+            shared = 0
+            while shared < min(len(sequence), len(previous)) and \
+                    sequence[shared] == previous[shared]:
+                shared += 1
+            del chain[shared + 1:]
+            for candidates in sequence[shared:]:
+                chain.append(_Layer(chain[-1], candidates, []))
+            previous = sequence
+            winners[sequence, ignore] = self._search(chain[-1], ignore)
+        return winners
+
+
+def _result(net: PetriNet, labels: Container[str], trace: Trace,
+            winner: bytes | tuple[int, ...], ignore_final_marking: bool) -> TraceReplayResult:
+    """Fire the winning schedule once more for the counters and the firing log; an
+    event whose activity is not in ``labels`` is logged just before the next labeled
+    firing after it."""
+    cn, events = net.compiled, trace.events
+    mapped = [e.activity in labels for e in events]
+    steps: list[FiringStep] = []
+    vector, position, forced_total = cn.initial, 0, 0
+    for t in winner:
+        activity = None
+        if cn.labels[t] is not None:
+            while not mapped[position]:
+                steps.append(FiringStep(len(steps), None, events[position].activity))
                 position += 1
-            vector, forced = cn.fire(vector, t)
-            forced_total += len(forced)
-            steps.append(FiringStep(len(steps), cn.tids[t], activity, self._places(forced)))
-        steps.extend(FiringStep(len(steps) + k, None, e.activity)
-                     for k, e in enumerate(events[position:]))
+            activity = events[position].activity
+            position += 1
+        vector, forced = cn.fire(vector, t)
+        forced_total += len(forced)
+        steps.append(FiringStep(len(steps), cn.tids[t], activity, _places(cn, forced)))
+    steps.extend(FiringStep(len(steps) + k, None, e.activity)
+                 for k, e in enumerate(events[position:]))
 
-        unmapped = sum(1 for c in candidates if not c)
-        produced = net.initial_marking.total() + unmapped + sum(len(cn.post[t]) for t in winner)
-        consumed = unmapped + sum(len(cn.pre[t]) for t in winner)
-        missing, remaining = forced_total + unmapped, unmapped
-        final_missing = _NONE
-        if not ignore_final_marking:
-            deficit, left, short = _final_gap(cn.final, vector)
-            consumed += net.final_marking.total()
-            missing += deficit
-            remaining += left
-            final_missing = self._places(short)
-        return TraceReplayResult(trace.case_id, produced, consumed, missing, remaining,
-                                 _fitness(produced, consumed, missing, remaining),
-                                 tuple(steps), final_missing, ignore_final_marking)
+    unmapped = mapped.count(False)
+    produced = net.initial_marking.total() + unmapped + sum(len(cn.post[t]) for t in winner)
+    consumed = unmapped + sum(len(cn.pre[t]) for t in winner)
+    missing, remaining = forced_total + unmapped, unmapped
+    final_missing = _NONE
+    if not ignore_final_marking:
+        deficit, left, short = _final_gap(cn.final, vector)
+        consumed += net.final_marking.total()
+        missing += deficit
+        remaining += left
+        final_missing = _places(cn, short)
+    return TraceReplayResult(trace.case_id, produced, consumed, missing, remaining,
+                             _fitness(produced, consumed, missing, remaining),
+                             tuple(steps), final_missing, ignore_final_marking)
+
+
+def _replay(net: PetriNet, traces: Sequence[Trace], ignores: Sequence[bool],
+            max_expansions: int) -> tuple[list[TraceReplayResult], int, int]:
+    """The results of replaying each trace, ignoring the final marking where ``ignores``
+    says so, with the number of searches and of states they settled.
+
+    Each variant, keyed by the activity sequence and the flag, is searched once,
+    and its repeats copy the result under their own case id.
+    """
+    if traces and not net.initial_marking:
+        raise ReplayConfigError("replay requires a non-empty initial marking")
+    if not all(ignores) and not net.final_marking:
+        raise ReplayConfigError("replay requires a non-empty final marking")
+    replayer = _Replayer(net, max_expansions)
+    searches: dict[tuple[tuple[str, ...], bool], tuple] = {}  # variant -> its search
+    for trace, ignore in zip(traces, ignores):
+        variant = (trace.activities(), ignore)
+        if variant not in searches:
+            candidates = [replayer.labeled.get(a, ()) for a in variant[0]]
+            searches[variant] = (tuple(c for c in candidates if c), ignore)
+    winners = replayer.search(set(searches.values()))
+    labels, counts = replayer.labeled, (len(winners), replayer.settles)
+    del replayer  # and its successor memo, which the firing logs do not need
+
+    results: list[TraceReplayResult] = []
+    by_variant: dict[tuple[tuple[str, ...], bool], TraceReplayResult] = {}
+    for trace, ignore in zip(traces, ignores):
+        variant = (trace.activities(), ignore)
+        first = by_variant.get(variant)
+        if first is None:
+            winner = winners[searches[variant]]
+            if winner is None:
+                raise ReplayBudgetError(trace.case_id, max_expansions)
+            first = by_variant[variant] = _result(net, labels, trace, winner, ignore)
+            results.append(first)
+        else:
+            results.append(replace(first, case_id=trace.case_id))
+    return results, *counts
 
 
 def replay_trace(net: PetriNet, trace: Trace, ignore_final_marking: bool = False,
@@ -268,7 +453,7 @@ def replay_trace(net: PetriNet, trace: Trace, ignore_final_marking: bool = False
     not recorded yet. A search that expands more than ``max_expansions``
     states raises ReplayBudgetError.
     """
-    return _Replayer(net, max_expansions).replay(trace, ignore_final_marking)
+    return _replay(net, (trace,), (ignore_final_marking,), max_expansions)[0][0]
 
 
 def replay_log(net: PetriNet, log: EventLog, ignore_final_for_ongoing: bool = True,
@@ -277,23 +462,17 @@ def replay_log(net: PetriNet, log: EventLog, ignore_final_for_ongoing: bool = Tr
 
     Ongoing cases (complete=false) are by default replayed without the
     final-marking penalty; pass ignore_final_for_ongoing=False to treat them
-    like complete cases. Each variant is searched once; see the module notes.
+    like complete cases. Variants share the search over their common prefixes
+    (see the module notes). If some trace's search expands more than
+    ``max_expansions`` states, ReplayBudgetError names the first such trace in
+    log order.
     """
-    replayer = _Replayer(net, max_expansions)
-    by_variant: dict[tuple[tuple[str, ...], bool], TraceReplayResult] = {}
-    results = []
-    for trace in log:
-        ignore = ignore_final_for_ongoing and not trace.complete
-        key = (trace.activities(), ignore)
-        first = by_variant.get(key)
-        if first is None:
-            first = by_variant[key] = replayer.replay(trace, ignore)
-            results.append(first)
-        else:
-            results.append(replace(first, case_id=trace.case_id))
+    results, searched, settled = _replay(
+        net, log.traces, [ignore_final_for_ongoing and not t.complete for t in log],
+        max_expansions)
     totals = [sum(getattr(r, counter) for r in results)
               for counter in ("produced", "consumed", "missing", "remaining")]
-    return LogReplayResult(tuple(results), *totals, _fitness(*totals))
+    return LogReplayResult(tuple(results), *totals, _fitness(*totals), searched, settled)
 
 
 def replay_csv(result: LogReplayResult) -> str:

@@ -386,6 +386,36 @@ def test_csv_types_accept_bool(tmp_path):
     assert parse_xes((tmp_path / "out.xes").read_text(encoding="utf-8")) == log
 
 
+def test_csv_route_equals_xes_route(tmp_path, monkeypatch, capsys):
+    # case:complete reads as a boolean from CSV, so ongoing cases stay ongoing: read as
+    # the string "false", all 216 cases counted as complete (196 from the XES)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--config", "covas_desk.config", "--with-noise",
+                     "--out", "log.xes"]) == 0
+    assert cli.main(["convert", "log.xes", "log.csv"]) == 0
+    for argv in (["stats"], ["replay"], ["waves", "--split", "2020-07-01"]):
+        from_xes = run_json(capsys, argv[0], "log.xes", *argv[1:], "--json")
+        assert run_json(capsys, argv[0], "log.csv", *argv[1:], "--json") == from_xes, argv
+    assert from_xes["wave_2"]["case_count"] == 63
+
+
+def test_csv_complete_column_is_boolean_unless_typed_otherwise(tmp_path, capsys):
+    header = "case_id,activity,timestamp,case:complete\n"
+    (tmp_path / "in.csv").write_text(header + "c1,A,2020-02-01T00:00:00+00:00,FALSE\n"
+                                     "c2,A,2020-02-01T00:00:00+00:00,\n", encoding="utf-8")
+    assert run_json(capsys, "stats", str(tmp_path / "in.csv"), "--json")[
+        "complete_case_count"] == 1
+    log = parse_csv((tmp_path / "in.csv").read_text(encoding="utf-8"),
+                    {"case:complete": "string"})
+    assert [t.attributes.get("complete") for t in log] == ["FALSE", None]
+    (tmp_path / "bad.csv").write_text(header + "c1,A,2020-02-01T00:00:00+00:00,no\n",
+                                      encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["stats", str(tmp_path / "bad.csv")]) == 2
+    assert ("cannot parse 'no' as boolean in column 'case:complete' (row 2)"
+            in capsys.readouterr().err)
+
+
 def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
     """Spreadsheet tools save "CSV UTF-8" with a leading U+FEFF."""
     text = write_csv(make_log(["A", "B"], ["A"]))

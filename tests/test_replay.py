@@ -255,6 +255,121 @@ def test_replay_log_equals_per_trace_replay_on_random_nets():
         compared += 1
 
 
+def _net_with_duplicates(rnd: random.Random) -> PetriNet:
+    """A random net as ``random_net`` makes, plus a second transition for A0 and a silent one."""
+    net = random_net(rnd)
+    places = net.places
+    arcs = net.arcs + tuple((rnd.choice(places), tid) for tid in ("T9", "s9")) + \
+        tuple((tid, rnd.choice(places)) for tid in ("T9", "s9"))
+    return PetriNet(places, net.transitions + (Transition("T9", "A0"), Transition("s9", None)),
+                    tuple(dict.fromkeys(arcs)), net.initial_marking, net.final_marking)
+
+
+def _prefix_log(rnd: random.Random, net: PetriNet) -> EventLog:
+    """A few base sequences and all their prefixes, complete and ongoing, in random order;
+    every base sequence holds the unmapped activity Zed."""
+    bases = []
+    for _ in range(3):
+        activities = random_activities(rnd, net, max_events=5)
+        activities.insert(rnd.randint(0, len(activities)), "Zed")
+        bases.append(activities)
+    sequences = [base[:k] for base in bases for k in range(len(base) + 1)]
+    sequences += rnd.sample(sequences, 4)  # repeats, maybe with the other flag
+    rnd.shuffle(sequences)
+    return EventLog(tuple(make_trace(f"c{k}", activities, complete=rnd.random() < 0.6)
+                          for k, activities in enumerate(sequences)))
+
+
+def _least_budget(net: PetriNet, trace: Trace, cap: int = 300) -> int:
+    """The least max_expansions that replays ``trace``, or ``cap`` if that is not enough."""
+    low, high = 0, cap
+    while low < high:
+        budget = (low + high) // 2
+        try:
+            replay_trace(net, trace, ignore_final_marking=not trace.complete,
+                         max_expansions=budget)
+            high = budget
+        except ReplayBudgetError:
+            low = budget + 1
+    return low
+
+
+def _replays_like_each_trace(net: PetriNet, log: EventLog, least: list[int]) -> None:
+    """replay_log gives every trace its own result, and at every budget around each trace's
+    least one it raises exactly when some trace does, naming the first in log order."""
+    expected = [replay_trace(net, trace, ignore_final_marking=not trace.complete)
+                for trace in log]
+    assert list(replay_log(net, log).per_trace) == expected
+    for budget in sorted({0, *least, *(need - 1 for need in least)}):
+        over = [trace.case_id for trace, need in zip(log, least) if need > budget]
+        if over:
+            with pytest.raises(ReplayBudgetError) as err:
+                replay_log(net, log, max_expansions=budget)
+            assert (err.value.case_id, err.value.budget) == (over[0], budget)
+        else:
+            assert list(replay_log(net, log, max_expansions=budget).per_trace) == expected
+
+
+def test_prefix_sharing_equals_per_trace_replay_on_random_nets():
+    # replay_log settles each layer of a shared prefix once for all the variants below it;
+    # every result, and whether and where the budget runs out, must be a trace's own
+    rnd = random.Random(4625)
+    compared = 0
+    while compared < 30:
+        net = _net_with_duplicates(rnd)
+        log = _prefix_log(rnd, net)
+        least = [_least_budget(net, trace) for trace in log]
+        if max(least) >= 300:
+            continue
+        _replays_like_each_trace(net, log, least)
+        compared += 1
+
+
+def test_a_layer_settled_further_for_a_later_variant_counts_every_state():
+    # The trie runs c2 (ongoing, so it stops at its least leaf state), then c3, which
+    # extends c2's path, then c1, each settling the layers it shares further under a larger
+    # bound. A layer that kept a stale heap top while pulling from its parent told the layer
+    # above a floor too high, and a later search skipped a state: c1's expansions were
+    # under-counted, so at a budget of 22 replay_log named c3 where c1 is the first over.
+    net = PetriNet(("q0", "q1", "q2", "q3", "q4", "q5"),
+                   (Transition("T0", "A2"), Transition("T1", "A2"), Transition("T2", "A1"),
+                    Transition("s0", None)),
+                   (("q1", "T0"), ("T0", "q5"), ("q4", "T1"), ("q3", "T1"), ("T1", "q3"),
+                    ("q2", "T2"), ("T2", "q4"), ("q1", "s0"), ("q4", "s0"), ("s0", "q3"),
+                    ("s0", "q5")),
+                   Marking({"q4": 1}), Marking({"q0": 1}))
+    log = EventLog((make_trace("c1", ["A1", "A1", "A2", "A2"]),
+                    make_trace("c2", ["A2", "A1", "A1", "A1"], complete=False),
+                    make_trace("c3", ["A2", "A1", "A1", "A1", "A2"])))
+    least = [_least_budget(net, trace) for trace in log]
+    assert least == [23, 11, 44]
+    _replays_like_each_trace(net, log, least)
+
+
+def test_budget_error_names_the_first_trace_in_log_order_not_in_the_trie():
+    # least budgets on budget_net: A B needs 3 expansions, B A B 116, A B B 276; the
+    # trie runs A B B (transitions a b b) before B A B (b a b), but B A B comes first
+    log = make_log(["A", "B"], ["B", "A", "B"], ["A", "B", "B"])
+    assert [_least_budget(budget_net(), trace) for trace in log] == [3, 116, 276]
+    with pytest.raises(ReplayBudgetError) as err:
+        replay_log(budget_net(), log, max_expansions=100)
+    assert (err.value.case_id, err.value.budget) == ("c2", 100)
+    with pytest.raises(ReplayBudgetError) as err:
+        replay_log(budget_net(), log, max_expansions=200)
+    assert err.value.case_id == "c3"
+    assert replay_log(budget_net(), log, max_expansions=276).per_trace[2].missing == 1
+
+
+def test_search_statistics_are_pinned_and_left_out_of_equality():
+    # the 1x noisy log's 92 variants settle 7,663 states over their trie, where searching
+    # each variant on its own expands 15,938
+    _, noisy = paper_logs()
+    result = replay_log(covas_model(), noisy)
+    assert (result.variants_searched, result.states_settled) == (92, 7663)
+    assert result == replace(result, variants_searched=0, states_settled=0)
+    assert replay_log(covas_model(), EventLog()).variants_searched == 0
+
+
 def test_states_before_the_first_and_after_the_last_event_stay_apart():
     # The search numbers markings as it meets them and keys a state by (event, marking,
     # silent run). Before the one event, s0 and s1 lead from {q0} to {q0, q3} and {q2};
@@ -366,7 +481,7 @@ def test_markings_above_a_byte_per_place_replay_like_the_oracle():
     assert (result.produced, result.consumed, result.missing, result.remaining) == \
         oracle_replay(net, activities) == (602, 303, 0, 299)
     replayer = _Replayer(net, 10_000)
-    replayer.replay(make_trace("c1", activities), False)
+    replayer.search([(tuple(replayer.labeled[a] for a in activities), False)])
     assert {type(v) for v in replayer.vectors} == {bytes, tuple}
     assert len(replayer.vectors) == len(set(replayer.vectors)) == 302
 
