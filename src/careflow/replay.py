@@ -43,16 +43,19 @@ key order and lazily: only as far as the least completion of some variant below
 it requires. A variant's winner and expansion count (the states on its path
 whose key is at most its winning completion's) are those a search of its own
 would find, and ``max_expansions`` bounds that count per trace as before,
-raising ReplayBudgetError. Variants run in sorted order, so those below one
-node run back to back, and a node is freed once its subtree is done;
-``replay_trace`` runs the same search on a one-variant trie.
+raising ReplayBudgetError for the first such trace in log order. Variants run in
+sorted order, so those below one node run back to back, and a node is freed
+once its subtree is done; once a search is over budget, the variants first met
+after it in the log are skipped. ``replay_trace`` runs the same search on a
+one-variant trie.
 
 One successor memo serves every search, as firing depends on the marking
 alone; it is dropped, with the trie, before the firing logs are built. The memo
 numbers each marking once, and the search works on those numbers: its states,
 memo keys and heap entries are small ints, hashed and compared without reading
-a marking. The search pushes silent successors one at a time and spells paths
-as bytes, which keeps its heaps small.
+a marking. A marking whose counts fit in a byte is kept, and fired, as bytes.
+The search pushes silent successors one at a time and spells paths as bytes,
+which keeps its heaps small.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Container, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .csvio import _quoted
 from .errors import ReplayBudgetError, ReplayConfigError
@@ -74,6 +78,7 @@ _GAPS = MAX_SILENT_RUN + 1  # gaps 0..MAX_SILENT_RUN
 _NONE: frozenset[str] = frozenset()
 _ABOVE = (math.inf,)  # above every key and entry
 _BELOW = (-1,)  # below every key and entry
+_MISSING = itemgetter(2)  # a silent move's missing tokens
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +185,7 @@ class _Replayer:
         self.initial = self._id(self.cn.initial)
         self.settles = self.stop = 0  # states settled, and where this search must stop
 
-    def _id(self, vector: tuple[int, ...]) -> int:
+    def _id(self, vector: bytes | tuple[int, ...]) -> int:
         try:
             vector = bytes(vector)  # 33 B and a byte a place, where a tuple takes 56 B and 8
         except ValueError:  # a count above 255
@@ -193,7 +198,25 @@ class _Replayer:
         return marking
 
     def _fire(self, marking: int, t: int) -> tuple[int, int]:
-        succ, missing = self.cn.fire(self.vectors[marking], t)
+        """(successor id, missing tokens) of firing ``t`` at the marking, counted as
+        CompiledNet.fire counts them. A byte vector fires on a bytearray copy, with no
+        tuple to build and convert back, unless a count would pass 255."""
+        vector = self.vectors[marking]
+        if type(vector) is bytes:
+            counts, missing = bytearray(vector), 0
+            for p in self.cn.pre[t]:
+                if counts[p]:
+                    counts[p] -= 1
+                else:
+                    missing += 1
+            try:
+                for p in self.cn.post[t]:
+                    counts[p] += 1
+            except ValueError:  # a count above 255
+                pass
+            else:
+                return self._id(bytes(counts)), missing
+        succ, missing = self.cn.fire(vector, t)
         return self._id(succ), len(missing)
 
     def _push_sibling(self, heap: list, done: set[int], entry: tuple) -> None:
@@ -242,9 +265,11 @@ class _Replayer:
         to a key. So the walk goes down the trie only as far as a layer whose parent need
         not settle more, and each state settled on the way is handed to the layer above.
         """
-        silent_moves, step = self.silent_moves, self.step
+        silent_moves, step, moves, pre = self.silent_moves, self.step, self.moves, self.cn.pre
+        width = len(self.cn.tids)
         push, pop = heapq.heappush, heapq.heappop
         waiting: list[tuple[_Layer, tuple]] = []  # the layers that asked, with their bounds
+        settles, stop = self.settles, self.stop  # kept in locals, written back on the way out
         while True:
             heap, done = layer.heap, layer.done
             top = _ABOVE
@@ -276,13 +301,15 @@ class _Replayer:
             if not top < bound:
                 low = top if top < layer.floor else layer.floor
                 if not waiting:
+                    self.settles = settles
                     return False
                 layer, bound = waiting.pop()
                 layer.floor = low  # the parent will hand over no state below it
                 continue
-            if self.settles == self.stop:
+            if settles == stop:
+                self.settles = settles
                 raise _Exhausted
-            self.settles += 1
+            settles += 1
             pop(heap)  # settle the top, and push its first silent move
             m, s, path, marking, gap, siblings, _ = top
             if siblings is not None:
@@ -294,16 +321,33 @@ class _Replayer:
                 silent = silent_moves[marking]
                 if silent is None:
                     hits = [(t,) + self._fire(marking, t) for t in self.silents]  # ascending t
-                    silent = silent_moves[marking] = tuple(sorted(hits, key=lambda h: h[2]))
+                    silent = silent_moves[marking] = tuple(sorted(hits, key=_MISSING))
                 for k, (t, succ, missing) in enumerate(silent):
                     if succ * _GAPS + gap + 1 not in done:
                         push(heap, (m + missing, s + 1, path + step[t], succ, gap + 1, silent, k))
                         break
             if not waiting:
+                self.settles = settles
                 return True
-            pushed = self._pull(waiting[-1][0], entry)  # hand it to the layer that asked
-            if pushed is not None and pushed < bound:
-                bound = pushed
+            # hand it to the layer that asked: this is _pull written out, as on a one-variant
+            # trie every state below the leaf comes this way, and the call cost about 8% of
+            # replay_trace
+            asked = waiting[-1][0]
+            asked.pulled += 1
+            candidates = asked.candidates
+            t = candidates[0]
+            if len(candidates) > 1:
+                vector = self.vectors[marking]
+                t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
+            hit = moves.get(marking * width + t)
+            if hit is None:
+                hit = moves[marking * width + t] = self._fire(marking, t)
+            succ, missing = hit
+            if succ * _GAPS not in asked.done:
+                pushed = (m + missing, s, path + step[t], succ, 0, None, 0)
+                push(asked.heap, pushed)
+                if pushed < bound:
+                    bound = pushed
 
     def _search(self, leaf: _Layer, ignore_final_marking: bool) -> bytes | tuple[int, ...] | None:
         """The winning schedule for the leaf's path, or None if it expands more states than
@@ -341,19 +385,24 @@ class _Replayer:
             layer = layer.parent
         return best[3] if expansions <= self.max_expansions else None
 
-    def search(self, searches: Iterable[tuple[tuple[tuple[int, ...], ...], bool]]
+    def search(self, searches: Mapping[tuple[tuple[tuple[int, ...], ...], bool], int]
                ) -> dict[tuple, bytes | tuple[int, ...] | None]:
         """The winning schedule of each (candidate sequence, ignore_final_marking), or None
-        for a search over budget.
+        for a search over budget; ``searches`` maps each to its first place in the log.
 
         The sequences are searched over their trie in sorted order, so the searches
         below one node run back to back and a node is dropped once its subtree is done.
+        Once a search is over budget, those placed after it in the log are skipped: the
+        caller stops at the first failure in log order.
         """
         winners: dict[tuple, bytes | tuple[int, ...] | None] = {}
         # the trie nodes on the current sequence's path, from the root
         chain = [_Layer(None, (), [(0, 0, self.root, self.initial, 0, None, 0)])]
         previous: tuple = ()
-        for sequence, ignore in sorted(searches):
+        failed = math.inf  # the first place in the log of a search over budget
+        for (sequence, ignore), place in sorted(searches.items()):
+            if place > failed:
+                continue
             shared = 0
             while shared < min(len(sequence), len(previous)) and \
                     sequence[shared] == previous[shared]:
@@ -362,7 +411,9 @@ class _Replayer:
             for candidates in sequence[shared:]:
                 chain.append(_Layer(chain[-1], candidates, []))
             previous = sequence
-            winners[sequence, ignore] = self._search(chain[-1], ignore)
+            winner = winners[sequence, ignore] = self._search(chain[-1], ignore)
+            if winner is None:
+                failed = min(failed, place)
         return winners
 
 
@@ -419,12 +470,14 @@ def _replay(net: PetriNet, traces: Sequence[Trace], ignores: Sequence[bool],
         raise ReplayConfigError("replay requires a non-empty final marking")
     replayer = _Replayer(net, max_expansions)
     searches: dict[tuple[tuple[str, ...], bool], tuple] = {}  # variant -> its search
+    places: dict[tuple, int] = {}  # search -> its first place in the log
     for trace, ignore in zip(traces, ignores):
         variant = (trace.activities(), ignore)
         if variant not in searches:
             candidates = [replayer.labeled.get(a, ()) for a in variant[0]]
-            searches[variant] = (tuple(c for c in candidates if c), ignore)
-    winners = replayer.search(set(searches.values()))
+            search = searches[variant] = (tuple(c for c in candidates if c), ignore)
+            places.setdefault(search, len(places))
+    winners = replayer.search(places)
     labels, counts = replayer.labeled, (len(winners), replayer.settles)
     del replayer  # and its successor memo, which the firing logs do not need
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import warnings
@@ -262,6 +263,69 @@ def oracle_replay(net: PetriNet, activities: list[str], ignore_final: bool = Fal
     if not ignore_final:
         consumed += final.total()
     return produced, consumed, m + n_unmapped, r + n_unmapped
+
+
+def reference_search(net: PetriNet, activities: list[str], ignore_final: bool = False,
+                     limit: int = 10_000, max_silent_run: int = 8
+                     ) -> tuple[tuple[str, ...], int] | None:
+    """One trace's own least-cost-first search: (winning firing sequence, expansions).
+
+    Plain Dijkstra over states (mapped events fired, marking, silent gap), keyed
+    (missing, remaining, silent firings, firing sequence by id), pushing every
+    successor and skipping a settled state when it pops; a layer-n state pushes its
+    completion, and the first completion to pop wins. The expansions are the states
+    settled until then: the least ``max_expansions`` under which ``replay_trace``
+    replays the trace. None if more than ``limit`` states settle first. Written on
+    dict markings and arc lists, apart from the replayer's layered search.
+    """
+    pre, post = pre_post(net)
+    silents = sorted(t.id for t in net.transitions if t.silent)
+    candidates = [sorted(t.id for t in net.transitions if t.label == a) for a in activities]
+    mapped = [c for c in candidates if c]
+    final = net.final_marking
+
+    def force(marking: dict[str, int], tid: str) -> tuple[tuple, int]:
+        nxt, deficit = dict(marking), 0
+        for place in pre[tid]:
+            if nxt.get(place, 0):
+                nxt[place] -= 1
+            else:
+                deficit += 1
+        for place in post[tid]:
+            nxt[place] = nxt.get(place, 0) + 1
+        return tuple(sorted((p, n) for p, n in nxt.items() if n)), deficit
+
+    # entries (m, r, silents, path, kind, i, marking, gap); kind 0 marks a completion,
+    # which pops before a state of equal cost and path
+    heap = [(0, 0, 0, (), 1, 0, tuple(sorted(net.initial_marking.items())), 0)]
+    settled: set[tuple] = set()
+    while heap:
+        m, r, s, path, kind, i, key, gap = heapq.heappop(heap)
+        if not kind:
+            return path, len(settled)
+        if (i, key, gap) in settled:
+            continue
+        if len(settled) == limit:
+            return None
+        settled.add((i, key, gap))
+        marking = dict(key)
+        if i == len(mapped):
+            deficit = remaining = 0
+            if not ignore_final:
+                deficit = sum(max(0, need - marking.get(p, 0)) for p, need in final.items())
+                remaining = sum(marking.values()) - sum(
+                    min(need, marking.get(p, 0)) for p, need in final.items())
+            heapq.heappush(heap, (m + deficit, remaining, s, path, 0, 0, (), 0))
+        else:
+            tid = next((t for t in mapped[i] if all(marking.get(p) for p in pre[t])),
+                       mapped[i][0])
+            nxt, deficit = force(marking, tid)
+            heapq.heappush(heap, (m + deficit, 0, s, path + (tid,), 1, i + 1, nxt, 0))
+        if gap < max_silent_run:
+            for sid in silents:
+                nxt, deficit = force(marking, sid)
+                heapq.heappush(heap, (m + deficit, 0, s + 1, path + (sid,), 1, i, nxt, gap + 1))
+    raise AssertionError("unreachable: the no-silents schedule always completes")
 
 
 # --- step-by-step simulator oracle -------------------------------------------------

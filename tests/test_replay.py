@@ -16,7 +16,7 @@ from careflow.eventlog import EventLog, Trace
 from careflow.petri import Marking, PetriNet, Transition
 from careflow.replay import _Replayer, deviation_report, replay_csv, replay_log, replay_trace
 from helpers import (budget_net, make_log, make_trace, oracle_replay, paper_logs,
-                     random_activities, random_net)
+                     random_activities, random_net, reference_search)
 
 FULL_TRACE = ["Start", "startSymptoms", "Hospitalization", "startOxygen", "endOxygen",
               "endSymptoms", "ICUadmission", "startVentilation", "startECMO", "endECMO",
@@ -312,16 +312,23 @@ def _replays_like_each_trace(net: PetriNet, log: EventLog, least: list[int]) -> 
 
 def test_prefix_sharing_equals_per_trace_replay_on_random_nets():
     # replay_log settles each layer of a shared prefix once for all the variants below it;
-    # every result, and whether and where the budget runs out, must be a trace's own
+    # every result, and whether and where the budget runs out, must be a trace's own: the
+    # winner and the expansions of a plain Dijkstra over that trace alone
     rnd = random.Random(4625)
     compared = 0
     while compared < 30:
         net = _net_with_duplicates(rnd)
         log = _prefix_log(rnd, net)
-        least = [_least_budget(net, trace) for trace in log]
-        if max(least) >= 300:
+        own = [reference_search(net, trace.activities(), not trace.complete, limit=300)
+               for trace in log]
+        if None in own:
             continue
-        _replays_like_each_trace(net, log, least)
+        for trace, (winner, expansions) in zip(log, own):
+            result = replay_trace(net, trace, ignore_final_marking=not trace.complete)
+            assert tuple(step.transition_id for step in result.firing_log
+                         if step.transition_id is not None) == winner
+            assert _least_budget(net, trace) == expansions
+        _replays_like_each_trace(net, log, [expansions for _, expansions in own])
         compared += 1
 
 
@@ -358,6 +365,20 @@ def test_budget_error_names_the_first_trace_in_log_order_not_in_the_trie():
         replay_log(budget_net(), log, max_expansions=200)
     assert err.value.case_id == "c3"
     assert replay_log(budget_net(), log, max_expansions=276).per_trace[2].missing == 1
+
+
+def test_searches_placed_after_a_failed_one_are_skipped():
+    # the trie runs a b, then a b b, which is over a budget of 200 and first in the log,
+    # so b a b, placed after it, is not searched: the call fails at a b b in any case
+    replayer = _Replayer(budget_net(), 200)
+    ab, abb, bab = ((0,), (1,)), ((0,), (1,), (1,)), ((1,), (0,), (1,))
+    winners = replayer.search({(abb, False): 0, (bab, False): 1, (ab, False): 2})
+    assert winners.keys() == {(ab, False), (abb, False)}
+    assert winners[abb, False] is None and winners[ab, False] is not None
+    with pytest.raises(ReplayBudgetError) as err:
+        replay_log(budget_net(), make_log(["A", "B", "B"], ["B", "A", "B"], ["A", "B"]),
+                   max_expansions=200)
+    assert err.value.case_id == "c1"
 
 
 def test_search_statistics_are_pinned_and_left_out_of_equality():
@@ -481,7 +502,7 @@ def test_markings_above_a_byte_per_place_replay_like_the_oracle():
     assert (result.produced, result.consumed, result.missing, result.remaining) == \
         oracle_replay(net, activities) == (602, 303, 0, 299)
     replayer = _Replayer(net, 10_000)
-    replayer.search([(tuple(replayer.labeled[a] for a in activities), False)])
+    replayer.search({(tuple(replayer.labeled[a] for a in activities), False): 0})
     assert {type(v) for v in replayer.vectors} == {bytes, tuple}
     assert len(replayer.vectors) == len(set(replayer.vectors)) == 302
 
