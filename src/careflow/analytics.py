@@ -4,19 +4,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import attrgetter
 
 from .csvio import _quoted
-from .eventlog import (EventLog, _mean_case_duration, _without_cycle_collection, filter_complete,
-                       split_by_time)
-from .timeutil import format_timestamp
+from .eventlog import (EventLog, _mean_case_duration, _timestamp_of, _without_cycle_collection,
+                       filter_complete, split_by_time)
+from .timeutil import _UTC, _utc_speller, format_timestamp, to_utc
+
+_case_index_of = attrgetter("case_index")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DottedChartRow:
+    """One point of the chart; its timestamp is normalized to UTC as an event's is."""
+
     case_index: int
     case_id: str
     timestamp: datetime
     color_key: str
+
+    def __init__(self, case_index: int, case_id: str, timestamp: datetime, color_key: str):
+        # written out as Event.__init__ is, as a chart builds one row per event
+        _set_case_index(self, case_index)
+        _set_case_id(self, case_id)
+        _set_timestamp(self, timestamp if timestamp.tzinfo is _UTC else to_utc(timestamp))
+        _set_color_key(self, color_key)
+
+
+_set_case_index, _set_case_id, _set_timestamp, _set_color_key = (
+    DottedChartRow.__dict__[name].__set__
+    for name in ("case_index", "case_id", "timestamp", "color_key"))
 
 
 @dataclass(frozen=True)
@@ -73,8 +90,8 @@ def dotted_chart(log: EventLog, color_attribute: str = "ards",
     rows = []
     for index, trace in enumerate(traces):
         color = _color_value(trace.attributes.get(color_attribute))
-        for event in trace.events:
-            rows.append(DottedChartRow(index, trace.case_id, event.timestamp, color))
+        case_id = trace.case_id
+        rows += [DottedChartRow(index, case_id, event.timestamp, color) for event in trace.events]
     return DottedChartData(tuple(rows))
 
 
@@ -167,9 +184,13 @@ def _color_for(key: str, assigned: dict[str, str]) -> str:
 
 def dotted_chart_csv(data: DottedChartData) -> str:
     lines = ["case_index,case_id,timestamp,color"]
+    index = case_id = color = None
+    spell = _utc_speller()  # a row's timestamp is UTC
     for row in data.rows:
-        lines.append(f"{row.case_index},{_quoted(row.case_id)},{format_timestamp(row.timestamp)},"
-                     f"{_quoted(row.color_key)}")
+        if row.case_index != index or row.case_id != case_id or row.color_key != color:
+            index, case_id, color = row.case_index, row.case_id, row.color_key
+            head, tail = f"{index},{_quoted(case_id)},", f",{_quoted(color)}"  # once per case
+        lines.append(f"{head}{spell(row.timestamp)}{tail}")
     lines.append("")
     return "\n".join(lines)
 
@@ -192,18 +213,21 @@ def dotted_chart_svg(data: DottedChartData) -> str:
     rows = data.rows
     lines = _svg_frame(width, height, pad)
     if rows:
-        t_min = min(r.timestamp for r in rows)
-        t_max = max(r.timestamp for r in rows)
+        t_min = min(map(_timestamp_of, rows))
+        t_max = max(map(_timestamp_of, rows))
         span = (t_max - t_min).total_seconds() or 1.0
-        max_index = max(r.case_index for r in rows)
+        max_index = max(map(_case_index_of, rows))
         assigned: dict[str, str] = {}
+        index = color = None
         for start in range(0, len(rows), _SVG_CHUNK):
             chunk = []
             for row in rows[start:start + _SVG_CHUNK]:
+                if row.case_index != index or row.color_key != color:  # a case's rows run on
+                    index, color = row.case_index, row.color_key
+                    y = height - pad - (index / max(max_index, 1)) * (height - 2 * pad)
+                    tail = f'" cy="{y:.2f}" r="2" fill="{_color_for(color, assigned)}"/>'
                 x = pad + (row.timestamp - t_min).total_seconds() / span * (width - 2 * pad)
-                y = height - pad - (row.case_index / max(max_index, 1)) * (height - 2 * pad)
-                color = _color_for(row.color_key, assigned)
-                chunk.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>')
+                chunk.append(f'<circle cx="{x:.2f}{tail}')
             lines.append("\n".join(chunk))
         lines.append(f'<text x="{pad}" y="{height - pad + 16}" font-size="11" fill="#333333">'
                      f'{format_timestamp(t_min)}</text>')

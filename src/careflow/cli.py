@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -24,6 +23,7 @@ from . import analytics, csvio, dfg as dfg_mod, xesio
 from .covas import covas_model
 from .errors import CareflowError
 from .eventlog import EventLog, drop_activities, log_stats, variants
+from .jsontext import json_text
 from .petri import parse_pnml
 from .replay import deviation_report, replay_csv, replay_log
 from .simulate import inject_noise, parse_config, simulate
@@ -96,7 +96,7 @@ def _write(path: str | None, pieces: Iterable[str]):
 
 
 def _print_json(payload, sort_keys: bool = True):
-    print(json.dumps(payload, indent=2, sort_keys=sort_keys))
+    print(json_text(payload, sort_keys))
 
 
 def _payload(record) -> dict:

@@ -17,28 +17,40 @@ in both formats.
 from __future__ import annotations
 
 import csv
+import re
 from collections.abc import Iterator
+from itertools import chain
 from sys import intern
 
 from .errors import CsvFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
-from .timeutil import format_timestamp, parse_timestamp
+from .timeutil import _utc_speller, parse_timestamp
 
 CASE_PREFIX = "case:"
 CORE = ("case_id", "activity", "timestamp")
 
 
-def _lines(text: str, start: int = 0):
+# a line of text: up to and with its "\n", or the text's last characters
+_LINE = re.compile("[^\n]*\n|[^\n]+")
+_CHUNK = 1 << 16  # characters split into lines at a time
+
+
+def _lines(text: str, start: int = 0) -> Iterator[str]:
     """Lines of ``text`` from ``start`` on, split after each ``"\\n"`` as ``io.StringIO`` splits.
 
-    Only slices of ``text`` are made; ``io.StringIO`` would hold a copy of it
-    at four bytes a character.
+    Only slices of ``text`` are made, a chunk's lines at a time; ``io.StringIO``
+    would hold a copy of it at four bytes a character, and the list of all its
+    lines would hold every line at once.
     """
+    return chain.from_iterable(_chunks(text, start))
+
+
+def _chunks(text: str, start: int) -> Iterator[list[str]]:
     end = len(text)
     while start < end:
-        stop = text.find("\n", start) + 1 or end
-        yield text[start:stop]
+        stop = text.find("\n", start + _CHUNK) + 1 or end
+        yield _LINE.findall(text, start, stop)
         start = stop
 
 
@@ -97,6 +109,7 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
             is_case = col.startswith(CASE_PREFIX)
             extra.append((idx[col], col, parsers.get(col, str),
                           col[len(CASE_PREFIX):] if is_case else col, {} if is_case else None))
+    event_columns = any(seen is None for *_, seen in extra)
 
     width = len(header)
     cases: dict[str, tuple[list[Event], dict[str, AttrValue]]] = {}
@@ -119,7 +132,7 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
         case = cases.get(case_id)
         if case is None:
             case = cases[case_id] = ([], {})
-        attrs: dict[str, AttrValue] = {}
+        attrs: dict[str, AttrValue] | None = {} if event_columns else None
         for at, col, parse, key, seen in extra:
             raw = row[at]
             if raw == "":
@@ -163,6 +176,7 @@ def _rows(log: EventLog, event_keys: list[str]) -> Iterator[str]:
     header = [*CORE, *event_keys, *(CASE_PREFIX + k for k in trace_keys)]
     no_event_cells = "," * len(event_keys)
     labels: dict[str, str] = {}  # each activity quoted once
+    spell = _utc_speller()  # an Event's timestamp is UTC
     yield ",".join(map(_quoted, header)) + "\r\n"
     for trace in log:
         case_id = _quoted(trace.case_id)
@@ -172,8 +186,7 @@ def _rows(log: EventLog, event_keys: list[str]) -> Iterator[str]:
             if label is None:
                 label = labels[event.activity] = _quoted(event.activity)
             event_cells = _cells(event.attributes, event_keys) if event.attributes else no_event_cells
-            yield (f"{case_id},{label},{format_timestamp(event.timestamp)}"
-                   f"{event_cells}{case_cells}\r\n")
+            yield f"{case_id},{label},{spell(event.timestamp)}{event_cells}{case_cells}\r\n"
 
 
 def write_csv(log: EventLog) -> str:

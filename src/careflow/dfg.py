@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass
 from datetime import timedelta
 
 from .eventlog import EventLog
+from .jsontext import json_text
 from .petri import _dot
 from .timeutil import format_duration
 
@@ -148,4 +148,4 @@ def dfg_to_json(dfg: Dfg) -> str:
         "start_activities": dict(sorted(dfg.start_activities.items())),
         "end_activities": dict(sorted(dfg.end_activities.items())),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload) + "\n"

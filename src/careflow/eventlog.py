@@ -6,6 +6,11 @@ log holds one per row and per case, are slotted: they carry no ``__dict__``.
 Every record's attribute dict is read-only: records without attributes share
 one empty dict, and each builder of a log (``simulate``, ``parse_xes``,
 ``parse_csv``) shares one dict among the traces whose attributes are equal.
+
+An ``Event``'s timestamp is an aware datetime whose ``tzinfo`` is
+``timezone.utc`` itself: ``Event`` normalizes any other instant with
+``timeutil.to_utc``. The writers rely on it and spell a timestamp without
+normalizing it again.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import functools
 import gc
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from operator import attrgetter
 
-from .timeutil import format_timestamp, parse_timestamp, to_utc
+from .timeutil import _UTC, format_timestamp, parse_timestamp, to_utc
 
 # Attribute values carried by events, traces and logs.
 AttrValue = str | int | float | bool | datetime
@@ -66,6 +72,8 @@ class _ReadOnlyAttributes(dict):
 
 
 _NO_ATTRIBUTES = _ReadOnlyAttributes()
+_activity_of = attrgetter("activity")
+_timestamp_of = attrgetter("timestamp")
 
 
 def _normalize_attrs(attrs: dict[str, AttrValue] | None) -> dict[str, AttrValue]:
@@ -114,14 +122,20 @@ class Event:
                  attributes: dict[str, AttrValue] | None = None,
                  raw_extensions: tuple[str, ...] = ()):
         # written out, as a log builds one event per row: the generated __init__ with a
-        # __post_init__ sets timestamp and attributes twice, at about twice the cost
+        # __post_init__ sets timestamp and attributes twice, at about twice the cost; the
+        # slots are set through their descriptors, which a frozen class's __setattr__ skips
         if not activity:
             raise ValueError("event activity must be non-empty")
-        set_field = object.__setattr__
-        set_field(self, "activity", activity)
-        set_field(self, "timestamp", to_utc(timestamp))
-        set_field(self, "attributes", _normalize_attrs(attributes))
-        set_field(self, "raw_extensions", raw_extensions)
+        _set_activity(self, activity)
+        _set_timestamp(self, timestamp if timestamp.tzinfo is _UTC else to_utc(timestamp))
+        _set_event_attributes(self, _NO_ATTRIBUTES if not attributes
+                              else _normalize_attrs(attributes))
+        _set_event_extensions(self, raw_extensions)
+
+
+_set_activity, _set_timestamp, _set_event_attributes, _set_event_extensions = (
+    Event.__dict__[name].__set__ for name in ("activity", "timestamp", "attributes",
+                                              "raw_extensions"))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -136,21 +150,21 @@ class Trace:
     def __init__(self, case_id: str, events: tuple[Event, ...] = (),
                  attributes: dict[str, AttrValue] | None = None,
                  raw_extensions: tuple[str, ...] = ()):
-        # written out like Event's: each field is set once, and order is checked in a loop
+        # written out like Event's: each field is set once, through its descriptor
         if not case_id:
             raise ValueError("trace case_id must be non-empty")
         events = tuple(events)
         previous = events[0].timestamp if events else None
         for event in events:
             if event.timestamp < previous:
-                events = tuple(sorted(events, key=lambda e: e.timestamp))
+                events = tuple(sorted(events, key=_timestamp_of))
                 break
             previous = event.timestamp
-        set_field = object.__setattr__
-        set_field(self, "case_id", case_id)
-        set_field(self, "events", events)
-        set_field(self, "attributes", _normalize_attrs(attributes))
-        set_field(self, "raw_extensions", raw_extensions)
+        _set_case_id(self, case_id)
+        _set_events(self, events)
+        _set_trace_attributes(self, _NO_ATTRIBUTES if not attributes
+                              else _normalize_attrs(attributes))
+        _set_trace_extensions(self, raw_extensions)
 
     @property
     def complete(self) -> bool:
@@ -168,7 +182,12 @@ class Trace:
         return self.events[-1].timestamp - self.events[0].timestamp
 
     def activities(self) -> tuple[str, ...]:
-        return tuple(e.activity for e in self.events)
+        return tuple(map(_activity_of, self.events))
+
+
+_set_case_id, _set_events, _set_trace_attributes, _set_trace_extensions = (
+    Trace.__dict__[name].__set__ for name in ("case_id", "events", "attributes",
+                                              "raw_extensions"))
 
 
 @dataclass(frozen=True)

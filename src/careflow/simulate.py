@@ -311,17 +311,16 @@ def inject_noise(log: EventLog, spec: NoiseSpec) -> EventLog:
     A trace's first and last events are always kept, as are Start/End markers,
     so no trace is ever emptied. Deterministic under the noise seed.
     """
+    keep_from = spec.event_drop_probability  # a draw below it drops an unprotected event
     out: list[Trace] = []
     for trace_index, trace in enumerate(log):
-        rng = Stream(spec.seed, trace_index)
-        kept = []
+        draw = Stream(spec.seed, trace_index).random
         last = len(trace.events) - 1
-        for position, event in enumerate(trace.events):
-            protected = position in (0, last) or event.activity in ("Start", "End")
-            drop = rng.bernoulli(spec.event_drop_probability)
-            if protected or not drop:
-                kept.append(event)
-        out.append(replace(trace, events=tuple(kept)))
+        # the draw comes first, so every event takes one, protected or not
+        kept = tuple([event for position, event in enumerate(trace.events)
+                      if draw() >= keep_from or position == 0 or position == last
+                      or event.activity in ("Start", "End")])
+        out.append(Trace(trace.case_id, kept, trace.attributes, trace.raw_extensions))
     return replace(log, traces=tuple(out))
 
 

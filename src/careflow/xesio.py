@@ -29,13 +29,16 @@ import warnings
 import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from datetime import datetime
+from operator import attrgetter
 from sys import intern
 
 from .errors import XesFormatError
-from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
+from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _activity_of, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
 from .petri import _FORBIDDEN, _quote
-from .timeutil import format_timestamp
+from .timeutil import _utc_speller
+
+_attributes_of = attrgetter("attributes")
 
 # characters fed to the pull parser at a time: it encodes each feed to UTF-8, and holds
 # every trace the feed closes until they are read, so one feed of the whole text would
@@ -233,19 +236,43 @@ def _emit_attrs(indent: str, fields: dict[str, AttrValue | None], attrs: dict[st
         yield f"{indent}{snippet}\n"
 
 
+def _trace_head(attrs: dict[str, AttrValue]) -> tuple[str, str]:
+    """What ``_emit_attrs`` spells for a trace with these ``attrs`` (which hold no case id,
+    see ``_refusal``) before and after its quoted case id, up to its snippets."""
+    before = {key: value for key, value in attrs.items() if key < "concept:name"}
+    after = {key: value for key, value in attrs.items() if key > "concept:name"}
+    return ("".join(["  <trace>\n", *_emit_attrs("    ", {}, before, ()),
+                     '    <string key="concept:name" value=']),
+            "".join(["/>\n", *_emit_attrs("    ", {}, after, ())]))
+
+
+_EVENT_TAIL = '"/>\n    </event>\n'
+
+
 def _lines(log: EventLog) -> Iterator[str]:
     yield '<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">\n'
     yield from _emit_attrs("  ", {"concept:name": log.name or None}, log.attributes,
                            log.raw_extensions)
+    # each label's event without attributes, spelled up to its timestamp, and each trace
+    # attribute dict's lines, by its id: the log holds every dict while it is written
+    heads: dict[str, str] = {}
+    trace_heads: dict[int, tuple[str, str]] = {}
+    spell = _utc_speller()  # an Event's timestamp is UTC
     for trace in log:
-        yield "  <trace>\n"
-        yield from _emit_attrs("    ", {"concept:name": trace.case_id}, trace.attributes,
-                               trace.raw_extensions)
+        around = trace_heads.get(id(trace.attributes))
+        if around is None:
+            around = trace_heads[id(trace.attributes)] = _trace_head(trace.attributes)
+        yield f"{around[0]}{_quote(trace.case_id)}{around[1]}"
+        for snippet in trace.raw_extensions:
+            yield f"    {snippet}\n"
         for event in trace.events:
             if not event.attributes and not event.raw_extensions:  # what _emit_attrs spells
-                yield (f'    <event>\n      <string key="concept:name" value={_quote(event.activity)}'
-                       f'/>\n      <date key="time:timestamp" value="'
-                       f'{format_timestamp(event.timestamp)}"/>\n    </event>\n')
+                head = heads.get(event.activity)
+                if head is None:
+                    head = heads[event.activity] = (
+                        '    <event>\n      <string key="concept:name" value='
+                        f'{_quote(event.activity)}/>\n      <date key="time:timestamp" value="')
+                yield f"{head}{spell(event.timestamp)}{_EVENT_TAIL}"
                 continue
             yield "    <event>\n"
             yield from _emit_attrs("      ", {"concept:name": event.activity,
@@ -288,7 +315,10 @@ def _refusal(log: EventLog) -> str | None:
         found = fault(("concept:name",), "its case id", trace.case_id, trace.attributes)
         if found is not None:
             return f"case {trace.case_id!r} {found}"
-        for event in trace.events:
+        events = trace.events
+        if labels.issuperset(map(_activity_of, events)) and not any(map(_attributes_of, events)):
+            continue  # each label searched already, and no event attributes
+        for event in events:
             if event.attributes or event.activity not in labels:
                 labels.add(event.activity)
                 found = fault(("concept:name", "time:timestamp"), "its activity",

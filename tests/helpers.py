@@ -18,10 +18,23 @@ from careflow.petri import Marking, PetriNet, Transition
 from careflow.rng import Stream
 from careflow.simulate import (SimConfig, WaveSpec, _case_plan, _draw_admission, inject_noise,
                                parse_config, simulate)
-from careflow.timeutil import format_timestamp
+from careflow.timeutil import format_timestamp, to_utc
 from careflow.xesio import XesWarning, _local
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
+
+
+def oracle_parse_timestamp(text: str) -> datetime:
+    """``timeutil.parse_timestamp`` as it was before its fast path for UTC texts: the
+    reference the fast path must equal, value for value and error for error."""
+    text = text.strip()
+    try:
+        # datetime.fromisoformat in 3.10 does not accept a trailing 'Z'
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        return to_utc(datetime.fromisoformat(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} lies outside the datetime range in UTC") from None
 
 
 def make_trace(case_id: str, activities: list[str], start: datetime = T0,

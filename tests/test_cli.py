@@ -6,12 +6,14 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from careflow import analytics, cli, csvio, dfg, xesio
 from careflow.covas import covas_model
 from careflow.csvio import parse_csv, write_csv
 from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
 from careflow.eventlog import Event, EventLog, Trace, drop_activities
+from careflow.jsontext import json_text
 from careflow.petri import parse_pnml, write_pnml
 from careflow.replay import deviation_report, replay_csv, replay_log
 from careflow.simulate import parse_config, simulate
@@ -342,10 +344,11 @@ def test_main_parses_each_call_afresh_and_leaves_no_garbage(tmp_path, capsys):
     assert cli.main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: careflow")
     assert cli.main(["stats", "--help"]) == 0
     assert cli.main(["no-such-command"]) == 1
-    # argparse's help formatter and json's indenting encoder make cycles of their own
+    # argparse's help formatter makes cycles of its own; json.dumps with an indent would too
     calls = [["stats", str(source)], ["convert", str(source), str(kept)],
              ["convert", str(source), str(dropped), "--drop-activity", "B"],
-             ["stats", str(tmp_path / "missing.xes")]]
+             ["stats", str(tmp_path / "missing.xes")], ["stats", str(source), "--json"],
+             ["replay", str(source), "--json"], ["dfg", str(source), "--json"]]
     gc.collect()
     gc.disable()
     try:
@@ -353,7 +356,31 @@ def test_main_parses_each_call_afresh_and_leaves_no_garbage(tmp_path, capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert codes == [0, 0, 0, 2]
+    assert codes == [0, 0, 0, 2, 0, 0, 0]
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_json_keys = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False), st.booleans(),
+                       st.none())
+_json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_json_keys, inner, max_size=4)), max_leaves=20)
+
+
+def _encoded(encode, value, sort_keys):
+    try:
+        return encode(value, sort_keys)
+    except TypeError as exc:  # keys of kinds that do not sort together, or an unknown type
+        return TypeError, str(exc)
+
+
+@given(_json_values, st.booleans())
+def test_json_text_spells_as_json_dumps(value, sort_keys):
+    def dumps(case, sort):
+        return json.dumps(case, indent=2, sort_keys=sort)
+
+    for case in (value, {"a": [1, {"b": object()}]}):
+        assert _encoded(json_text, case, sort_keys) == _encoded(dumps, case, sort_keys)
 
 
 @pytest.mark.parametrize("flag", ["--min-edge", "--min-node"])

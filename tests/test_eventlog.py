@@ -15,9 +15,9 @@ from careflow.analytics import DottedChartRow
 from careflow.csvio import parse_csv, roundtrip_mapping, write_csv
 from careflow.eventlog import (_NO_ATTRIBUTES, Event, EventLog, Trace, drop_activities,
                                filter_complete, log_stats, split_by_time, variants)
-from careflow.timeutil import to_utc
+from careflow.timeutil import _utc_speller, format_timestamp, parse_timestamp, to_utc
 from careflow.xesio import parse_xes, write_xes
-from helpers import T0, make_log, make_trace, paper_logs, random_log
+from helpers import T0, make_log, make_trace, oracle_parse_timestamp, paper_logs, random_log
 
 
 def test_event_requires_activity():
@@ -28,6 +28,11 @@ def test_event_requires_activity():
 def test_event_normalizes_to_utc():
     naive = Event("A", datetime(2020, 3, 1, 12, 0))
     assert naive.timestamp.tzinfo == timezone.utc
+    # the writers spell a record's timestamp with isoformat, so its tzinfo is UTC itself
+    for when in (datetime(2020, 2, 1), datetime(2020, 2, 1, 2, tzinfo=timezone(timedelta(hours=2))),
+                 T0):
+        for record in (Event("A", when), DottedChartRow(0, "c1", when, "unknown")):
+            assert record.timestamp == T0 and record.timestamp.tzinfo is timezone.utc
 
 
 def test_event_copies_its_attributes_and_stays_frozen():
@@ -40,6 +45,51 @@ def test_event_copies_its_attributes_and_stays_frozen():
     assert replace(event, activity="B") == Event("B", T0, event.attributes)
     with pytest.raises(FrozenInstanceError):
         event.activity = "B"
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+_offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes)))
+_instants = st.datetimes(timezones=st.one_of(_offsets, st.just(timezone.utc)))
+_timestamp_texts = st.one_of(
+    _instants.map(datetime.isoformat),
+    st.datetimes().map(datetime.isoformat),  # naive
+    st.tuples(_instants.map(lambda dt: dt.replace(tzinfo=None).isoformat()),
+              st.sampled_from("Zz")).map("".join),
+    st.tuples(st.sampled_from(["", " ", "\t", "\n", "\x1c", "\u2003"]),
+              _instants.map(datetime.isoformat),
+              st.sampled_from(["", " ", "\t", "\r\n", "\x85", "\u2028"])).map("".join),
+    st.dates().map(lambda d: d.isoformat()),
+    # instants whose UTC form lies outside datetime's range
+    st.sampled_from(["0001-01-01T00:00:00+00:01", "0001-01-01T00:59:59.999999+01:00",
+                     "9999-12-31T23:59:59-00:01", "9999-12-31T23:00:00-01:00+00:00"]),
+    st.text(st.sampled_from("0123456789-:+TZz. "), max_size=32),
+    st.text(max_size=12),
+)
+
+
+@given(_timestamp_texts)
+def test_parse_timestamp_equals_the_oracle(text):
+    parsed, expected = _outcome(parse_timestamp, text), _outcome(oracle_parse_timestamp, text)
+    assert parsed == expected
+    if isinstance(expected, datetime):
+        assert parsed.tzinfo is timezone.utc and expected.tzinfo is timezone.utc
+
+
+@given(st.lists(st.one_of(st.datetimes(timezones=st.just(timezone.utc)),
+                          st.datetimes(timezones=st.just(timezone.utc)).map(
+                              lambda dt: dt.replace(microsecond=0)),
+                          st.integers(0, 3 * 86400).map(lambda s: T0 + timedelta(seconds=s))),
+                max_size=30))
+def test_the_writers_speller_spells_as_format_timestamp(instants):
+    spell = _utc_speller()  # one speller for all: the days it spelled are kept
+    assert [spell(instant) for instant in instants * 2] == list(map(format_timestamp, instants * 2))
 
 
 def test_to_utc_returns_a_utc_instant_itself():

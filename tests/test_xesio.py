@@ -178,6 +178,17 @@ def test_writer_spells_each_event_as_emit_attrs_does(log):
     assert parse_xes(text) == log
 
 
+@given(xes_logs(_activity))
+def test_writer_spells_each_trace_head_as_emit_attrs_does(log):
+    # a trace's lines up to its events are spelled once per attribute dict
+    text, at = write_xes(log), 0
+    for trace in log:
+        head = "".join(["  <trace>\n", *xesio._emit_attrs("    ", {"concept:name": trace.case_id},
+                                                            trace.attributes, trace.raw_extensions)])
+        at = text.index(head, at) + len(head)
+        assert text.startswith(("    <event>\n", "  </trace>\n"), at)
+
+
 @pytest.mark.parametrize("text", ["a&b<c>d\"e'f\tg\nh\ri", "a&b<c>d\"e\tg\nh\ri"],
                          ids=["both-quotes", "double-quote-only"])
 def test_writer_escapes_like_quoteattr(text):
@@ -451,6 +462,13 @@ _MUTATIONS = [
     ('<string key="concept:name" value="case1"', '<string key="concept:name" value="case0"'),
     ('<string key="concept:name" value="case1"', '<int key="concept:name" value="1"'),
     ('(      <string key="concept:name" value=")[^"]*(")', "\\1\\2"),  # empty activity
+    # instants spelled other than as write_xes spells them, which parse_timestamp reads
+    # through its general path: another offset, Z, none, microseconds
+    ('(value="[^"]*)\\+00:00"', '\\1+02:00"'),
+    ('(value="[^"]*)\\+00:00"', '\\1Z"'),
+    ('(value="[^"]*)\\+00:00"', '\\1z"'),
+    ('(value="[^"]*)\\+00:00"', '\\1"'),
+    ('(value="[^".]*)(\\+00:00")', "\\1.000001\\2"),
 ] + [('value="', f'value="{char}') for char in
      ["\x01", "\x1f", "\t", "\n", "\r", "\ufffe", "\uffff", "\ud800", "\udfff",
       # characters XML allows, which the canonical reader must read as an XML parser does
