@@ -11,6 +11,13 @@ An ``Event``'s timestamp is an aware datetime whose ``tzinfo`` is
 ``timezone.utc`` itself: ``Event`` normalizes any other instant with
 ``timeutil.to_utc``. The writers rely on it and spell a timestamp without
 normalizing it again.
+
+The builders of one record per event (``parse_xes``, ``parse_csv``, ``simulate``,
+``inject_noise``, ``dotted_chart``) run with the cyclic garbage collector paused
+(``_without_cycle_collection``, the one place the library touches the collector).
+With the collector on and nothing frozen, what a builder returns sits in the
+collector's oldest generation: no young or middle pass walks its records, and the
+caller's young cyclic garbage was collected first rather than kept with them.
 """
 
 from __future__ import annotations
@@ -88,24 +95,41 @@ def _normalize_attrs(attrs: dict[str, AttrValue] | None) -> dict[str, AttrValue]
 
 
 def _without_cycle_collection(build):
-    """``build`` with the cyclic garbage collector paused while it runs.
+    """``build`` with the cyclic garbage collector paused while it runs, and what it
+    built handed to the collector's oldest generation when it returns.
 
     For the functions that allocate one record per event. What they build must
     hold no reference cycle, so that reference counting frees all of it and a
-    pause defers collection without leaking. Left running, the collector would
-    count each record towards its thresholds and traverse every record built so
-    far in each full pass. The pause is process-wide while ``build`` runs; where
-    the caller had already disabled the collector, it is left disabled.
+    pause defers collection without leaking. A pause alone only defers the work:
+    the next young pass would walk every record, and a middle pass again, freeing
+    nothing. So on return ``gc.freeze()`` then ``gc.unfreeze()`` moves every tracked
+    object into the oldest generation, in constant time, and zeroes the young
+    count; only a full pass walks the records after that. Before pausing, an entry
+    pass (``gc.collect(1)``) collects the caller's young generations, whose cyclic
+    garbage would otherwise be promoted too and kept until some full pass.
+
+    The promotion is skipped while any object is frozen, so that what a caller
+    froze stays frozen; CPython 3.12.1 starts with 375 tuples frozen, so there the
+    wrapper pauses and makes the entry pass but promotes nothing. Pause and
+    promotion are process-wide: objects that other threads allocate during a
+    build are promoted with the records. Where the caller had disabled the
+    collector, nothing is collected or promoted; where ``build`` raises, nothing
+    is promoted. Either way the collector is left as the caller had it.
     """
     @functools.wraps(build)
     def paused(*args, **kwargs):
-        enabled = gc.isenabled()
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.collect(1)
         gc.disable()
         try:
-            return build(*args, **kwargs)
+            built = build(*args, **kwargs)
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            return built
         finally:
-            if enabled:
-                gc.enable()
+            gc.enable()
     return paused
 
 

@@ -163,52 +163,7 @@ class CompiledNet:
         return tuple(counts), tuple(missing)
 
 
-# --- PNML-style serialization -------------------------------------------------
-
-def write_pnml(net: PetriNet) -> str:
-    """Serialize the net as PNML with a <finalmarkings> section.
-
-    A name, id or label holding a character XML forbids (``_FORBIDDEN``) raises
-    PnmlFormatError: written, the document would not read back.
-    """
-    texts = [("the net", "its name", net.name),
-             *((f"place {place!r}", "its id", place) for place in net.places),
-             *((f"transition {trans.id!r}", "its id", trans.id) for trans in net.transitions),
-             *((f"transition {trans.id!r}", "its label", trans.label or "")
-               for trans in net.transitions)]
-    for owner, where, text in texts:
-        if (found := _FORBIDDEN.search(text)) is not None:
-            raise PnmlFormatError(f"{owner} holds {found.group()!r} in {where}, "
-                                  "a character XML cannot carry")
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<pnml>',
-             f'  <net id={_quote(net.name or "net1")} type="http://www.pnml.org/version-2009/grammar/ptnet">',
-             '    <page id="page1">']
-    for place in net.places:
-        lines.append(f'      <place id={_quote(place)}>')
-        tokens = net.initial_marking.get(place)
-        if tokens:
-            lines.append(f'        <initialMarking><text>{tokens}</text></initialMarking>')
-        lines.append('      </place>')
-    for trans in net.transitions:
-        lines.append(f'      <transition id={_quote(trans.id)}>')
-        if trans.label is not None:
-            lines.append(f'        <name><text>{_escape(trans.label)}</text></name>')
-        lines.append('      </transition>')
-    for index, (source, target) in enumerate(net.arcs, start=1):
-        lines.append(f'      <arc id="a{index}" source={_quote(source)} target={_quote(target)}/>')
-    lines.append('    </page>')
-    lines.append('    <finalmarkings>')
-    lines.append('      <marking>')
-    for place, count in sorted(net.final_marking.items()):
-        lines.append(f'        <place idref={_quote(place)}><text>{count}</text></place>')
-    lines.append('      </marking>')
-    lines.append('    </finalmarkings>')
-    lines.append('  </net>')
-    lines.append('</pnml>')
-    lines.append('')
-    return "\n".join(lines)
-
+# --- PNML reading -------------------------------------------------------------
 
 def _token_count(text: str, place: str) -> int:
     if not text.strip().isdecimal():
@@ -217,7 +172,7 @@ def _token_count(text: str, place: str) -> int:
 
 
 def parse_pnml(text: str) -> PetriNet:
-    """Parse PNML as write_pnml, ProM and pm4py write it, in any namespace or none.
+    """Parse PNML as ProM and pm4py write it, in any namespace or none.
 
     A transition with a ``<toolspecific activity="$invisible$">`` child is silent (how ProM
     and pm4py mark one). A document with more than one ``<net>``, a net with more than one
@@ -310,25 +265,3 @@ def _quote(text: str) -> str:
 def _dot(text: str) -> str:
     """``text`` as a quoted DOT string."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def net_to_dot(net: PetriNet) -> str:
-    """Deterministic DOT rendering: circles for places, boxes for transitions,
-    filled boxes for silent transitions."""
-    lines = ["digraph petri_net {", "  rankdir=LR;"]
-    for place in sorted(net.places):
-        tokens = net.initial_marking.get(place)
-        shade = net.final_marking.get(place)
-        label = place + (f" ({tokens})" if tokens else "")
-        style = ' style=filled fillcolor="gray85"' if shade else ""
-        lines.append(f'  {_dot(place)} [shape=circle label={_dot(label)}{style}];')
-    for trans in sorted(net.transitions, key=lambda t: t.id):
-        if trans.silent:
-            lines.append(f'  {_dot(trans.id)} [shape=box style=filled fillcolor=black label=""];')
-        else:
-            lines.append(f'  {_dot(trans.id)} [shape=box label={_dot(trans.label)}];')
-    for source, target in sorted(net.arcs):
-        lines.append(f'  {_dot(source)} -> {_dot(target)};')
-    lines.append("}")
-    lines.append("")
-    return "\n".join(lines)

@@ -12,9 +12,10 @@ from importlib import resources
 
 from careflow.analytics import DottedChartData, _color_for
 from careflow.covas import covas_model
-from careflow.errors import ConfigError, PetriNetError, SimulationDeadlockError, XesFormatError
+from careflow.errors import (ConfigError, PetriNetError, PnmlFormatError, SimulationDeadlockError,
+                             XesFormatError)
 from careflow.eventlog import _PARSERS, AttrValue, Event, EventLog, Trace
-from careflow.petri import Marking, PetriNet, Transition
+from careflow.petri import _FORBIDDEN, Marking, PetriNet, Transition, _dot, _escape, _quote
 from careflow.rng import Stream
 from careflow.simulate import (SimConfig, WaveSpec, _case_plan, _draw_admission, inject_noise,
                                parse_config, simulate)
@@ -549,5 +550,72 @@ def oracle_dotted_chart_svg(data: DottedChartData) -> str:
         lines.append(f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
                      f'fill="#333333" text-anchor="end">{format_timestamp(t_max)}</text>')
     lines.append("</svg>")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def write_pnml(net: PetriNet) -> str:
+    """Serialize the net as PNML with a <finalmarkings> section.
+
+    A name, id or label holding a character XML forbids (``_FORBIDDEN``) raises
+    PnmlFormatError: written, the document would not read back.
+    """
+    texts = [("the net", "its name", net.name),
+             *((f"place {place!r}", "its id", place) for place in net.places),
+             *((f"transition {trans.id!r}", "its id", trans.id) for trans in net.transitions),
+             *((f"transition {trans.id!r}", "its label", trans.label or "")
+               for trans in net.transitions)]
+    for owner, where, text in texts:
+        if (found := _FORBIDDEN.search(text)) is not None:
+            raise PnmlFormatError(f"{owner} holds {found.group()!r} in {where}, "
+                                  "a character XML cannot carry")
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<pnml>',
+             f'  <net id={_quote(net.name or "net1")} type="http://www.pnml.org/version-2009/grammar/ptnet">',
+             '    <page id="page1">']
+    for place in net.places:
+        lines.append(f'      <place id={_quote(place)}>')
+        tokens = net.initial_marking.get(place)
+        if tokens:
+            lines.append(f'        <initialMarking><text>{tokens}</text></initialMarking>')
+        lines.append('      </place>')
+    for trans in net.transitions:
+        lines.append(f'      <transition id={_quote(trans.id)}>')
+        if trans.label is not None:
+            lines.append(f'        <name><text>{_escape(trans.label)}</text></name>')
+        lines.append('      </transition>')
+    for index, (source, target) in enumerate(net.arcs, start=1):
+        lines.append(f'      <arc id="a{index}" source={_quote(source)} target={_quote(target)}/>')
+    lines.append('    </page>')
+    lines.append('    <finalmarkings>')
+    lines.append('      <marking>')
+    for place, count in sorted(net.final_marking.items()):
+        lines.append(f'        <place idref={_quote(place)}><text>{count}</text></place>')
+    lines.append('      </marking>')
+    lines.append('    </finalmarkings>')
+    lines.append('  </net>')
+    lines.append('</pnml>')
+    lines.append('')
+    return "\n".join(lines)
+
+
+def net_to_dot(net: PetriNet) -> str:
+    """Deterministic DOT rendering: circles for places, boxes for transitions,
+    filled boxes for silent transitions."""
+    lines = ["digraph petri_net {", "  rankdir=LR;"]
+    for place in sorted(net.places):
+        tokens = net.initial_marking.get(place)
+        shade = net.final_marking.get(place)
+        label = place + (f" ({tokens})" if tokens else "")
+        style = ' style=filled fillcolor="gray85"' if shade else ""
+        lines.append(f'  {_dot(place)} [shape=circle label={_dot(label)}{style}];')
+    for trans in sorted(net.transitions, key=lambda t: t.id):
+        if trans.silent:
+            lines.append(f'  {_dot(trans.id)} [shape=box style=filled fillcolor=black label=""];')
+        else:
+            lines.append(f'  {_dot(trans.id)} [shape=box label={_dot(trans.label)}];')
+    for source, target in sorted(net.arcs):
+        lines.append(f'  {_dot(source)} -> {_dot(target)};')
+    lines.append("}")
     lines.append("")
     return "\n".join(lines)

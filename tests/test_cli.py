@@ -14,12 +14,12 @@ from careflow.csvio import parse_csv, write_csv
 from careflow.errors import ConfigError, CsvFormatError, PnmlFormatError, XesFormatError
 from careflow.eventlog import Event, EventLog, Trace, drop_activities
 from careflow.jsontext import json_text
-from careflow.petri import parse_pnml, write_pnml
+from careflow.petri import parse_pnml
 from careflow.replay import deviation_report, replay_csv, replay_log
 from careflow.simulate import parse_config, simulate
 from careflow.timeutil import format_timestamp
 from careflow.xesio import parse_xes, write_xes
-from helpers import T0, budget_net, make_log, make_trace
+from helpers import T0, budget_net, make_log, make_trace, write_pnml
 
 
 def run_json(capsys, *argv) -> dict:

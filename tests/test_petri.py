@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import PetriNetError, PnmlFormatError
-from careflow.petri import (Marking, PetriNet, Transition, _escape, _quote, net_to_dot, parse_pnml,
-                            write_pnml)
+from careflow.petri import Marking, PetriNet, Transition, _escape, _quote, parse_pnml
 from careflow.replay import replay_log
-from helpers import (NotEnabledError, enabled, fire, make_log, pre_post, random_net,
-                     reachable_markings)
+from helpers import (NotEnabledError, enabled, fire, make_log, net_to_dot, pre_post, random_net,
+                     reachable_markings, write_pnml)
 
 
 def simple_net(**changes):
