@@ -22,22 +22,28 @@ def _mix(z: int) -> int:
 
 
 class Stream:
-    """One SplitMix64 stream; extra constructor args select a substream."""
+    """One SplitMix64 stream; extra constructor args select a substream. ``Stream(s.state)``
+    continues a stream whose 64-bit ``state`` a caller stepped as ``random`` steps it."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("state",)
 
     def __init__(self, seed: int, *substream: int):
         state = seed & _MASK
         for part in substream:
             state = _mix((state + _GOLDEN * ((part & _MASK) + 1)) & _MASK)
-        self._state = state
+        self.state = state
+
+    def substream(self, part: int) -> Stream:
+        """``Stream(seed, *parts, part)`` of this ``Stream(seed, *parts)``, before it draws:
+        the fold of the shared parts is done once for all of its substreams."""
+        return Stream(_mix((self.state + _GOLDEN * ((part & _MASK) + 1)) & _MASK))
 
     def random(self) -> float:
         """Uniform float in [0, 1): the top 53 bits of the stream's next output.
 
         The step and ``_mix`` are written out: one Python call per draw, not three.
         """
-        z = self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
@@ -75,16 +81,3 @@ class Stream:
             if lo <= x <= hi:
                 return x
         return self.uniform(lo, hi)
-
-    def pick_weighted(self, weights: list[float]) -> int:
-        """Categorical draw; weights must be non-negative with a positive sum."""
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        u = self.random() * total
-        acc = 0.0
-        for index, weight in enumerate(weights):
-            acc += weight
-            if u < acc:
-                return index
-        return len(weights) - 1

@@ -18,6 +18,12 @@ reaches is numbered and its conflict groups are built on the first visit, with
 each member's successor, label and delay draw worked out then. A step is then a
 draw and a lookup, and each (marking, transition) fires once per call.
 
+A case is played on plain integers and floats, and two invariants keep its log
+bytes those of the ``Stream`` methods and ``datetime`` arithmetic it writes out:
+it takes the same draws in the same order with the same float operations, and
+its integer clock rounds each delay exactly as ``timedelta(hours=...)`` does.
+A delay that carries a case past the year 9999 is a ConfigError.
+
 Configs are flat ``key = value`` text files (see ``parse_config``). The
 packaged ``covas_desk.config`` regenerates a desk-scale log whose headline
 statistics match the COVID ICU case study this toolkit reproduces; its delay
@@ -27,8 +33,11 @@ parameters are calibration artifacts, not measured clinical values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from itertools import accumulate
+from math import cos, exp, log, pi, sqrt
 
 from .errors import ConfigError, SimulationDeadlockError
 from .eventlog import (Event, EventLog, Trace, _attr_text, _normalize_attrs,
@@ -193,8 +202,8 @@ def _delay(label: str | None, config: SimConfig) -> tuple | None:
 class _StepTable:
     """The markings one ``simulate`` call reaches, numbered as found, and their
     conflict groups, built on first visit: enabled transitions grouped by identical
-    preset, groups sorted by preset, each (members in id order, pick weights) and
-    each member (successor number, label, ``_delay``)."""
+    preset, groups sorted by preset, each (members in id order, pick sums, weight total)
+    and each member (successor number, label, ``_delay``)."""
 
     def __init__(self, net: PetriNet, config: SimConfig):
         self.net, self.config = net, config
@@ -212,6 +221,10 @@ class _StepTable:
         return marking
 
     def build(self, marking: int) -> list:
+        """A group of two or more picks the first member whose running sum of weights exceeds
+        ``u * total``. The sums are a running maximum, so bisection finds it even where an
+        over-full group's unconfigured members weigh slightly below 0. A total that is not
+        positive raises when the group draws, not here: a group never drawn must not fail."""
         cn, probs = self.net.compiled, self.config.branch_probabilities
         vector = self.vectors[marking]
         groups: dict[tuple[str, ...], dict[int, tuple[int, ...]]] = {}
@@ -229,49 +242,89 @@ class _StepTable:
             rest = (1.0 - mass) / len(free) if free and mass <= 1.0 + 1e-9 else 0.0
             members = tuple((self._id(succ), cn.labels[t], _delay(cn.labels[t], self.config))
                             for t, succ in group.items())
-            out.append((members, [configured.get(t, rest) for t in group]))
+            weights = [configured.get(t, rest) for t in group]
+            out.append((members, list(accumulate(accumulate(weights), max)), sum(weights)))
         self.groups[marking] = out
         return out
 
 
-def _play_case(table: _StepTable, wave: WaveSpec, path_rng: Stream, delay_rng: Stream,
-               admission: datetime) -> list[Event]:
-    """One case's events, played on the step table."""
-    groups_at, final, scale = table.groups, table.final, wave.delay_scale
+def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission: datetime,
+               case_id: str) -> tuple[list[Event], int]:
+    """One case's events, played on the step table, and its path stream's state after them.
+    ``path`` and ``delay`` are ``Stream`` states, drawn from as ``Stream``'s methods draw."""
+    groups_at, final = table.groups, table.final
     marking = table.initial
-    clock = admission
-    prev_ts: datetime | None = None
+    clock, prev = 0, -1  # microseconds since admission; the last event's seconds since it
     events: list[Event] = []
     for _ in range(_MAX_STEPS_PER_CASE):
         if marking == final:
-            return events
+            return events, path
         groups = groups_at[marking]
         if groups is None:
             groups = table.build(marking)
-        if not groups:
+        n = len(groups)
+        if n == 1:
+            members, sums, total = groups[0]
+        elif n:
+            path = (path + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            z = ((path ^ (path >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            pick = int(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)) * n)
+            members, sums, total = groups[pick if pick < n else n - 1]
+        else:
             stuck = table.net.compiled.marking(table.vectors[marking]).key()
             raise SimulationDeadlockError(f"simulation deadlocked at marking {dict(stuck)!r}")
-        members, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
-        marking, label, delay = (members[path_rng.pick_weighted(weights)] if len(members) > 1
-                                 else members[0])
-        if label is not None:
-            kind, a, b = delay
-            if kind == _LOGNORMAL:
-                hours = math.exp(a + b * delay_rng.normal())
-            elif kind == _FIXED:
+        n = len(members)
+        if n == 1:
+            marking, label, draw = members[0]
+        else:
+            if total <= 0:
+                raise ValueError("weights must sum to a positive value")
+            path = (path + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            z = ((path ^ (path >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            pick = bisect_right(sums, ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)) * total)
+            marking, label, draw = members[pick if pick < n else n - 1]
+        if label is None:
+            continue
+        kind, a, b = draw
+        try:
+            if kind == _FIXED:
                 hours = a
-            elif kind == _UNIFORM:
-                hours = a + delay_rng.random() * b
             else:
-                raise ConfigError(a)
-            # timedelta(hours=...) and clock.replace(microsecond=0), spelled positionally,
-            # which gives the same instants without parsing keyword arguments per event
-            clock += timedelta(0, 0, 0, 0, 0, hours * scale)
-            ts = clock - timedelta(0, 0, clock.microsecond)
-            if prev_ts is not None and ts <= prev_ts:
-                ts = prev_ts + timedelta(seconds=1)  # keep timestamps strictly increasing
-            prev_ts = ts
-            events.append(Event(label, ts))
+                if kind == _LOGNORMAL:  # Box-Muller: u1 is drawn until it is not 0, then u
+                    u1 = 0.0
+                    while u1 <= 0.0:
+                        delay = (delay + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                        z = ((delay ^ (delay >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                        u1 = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
+                elif kind == _UNDEFINED:
+                    raise ConfigError(a)
+                delay = (delay + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                z = ((delay ^ (delay >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                u = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
+                hours = (exp(a + b * (sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u)))
+                         if kind == _LOGNORMAL else a + u * b)
+            # timedelta(hours=hours * scale) as CPython rounds it: whole hours, the fraction's
+            # whole microseconds, then the rest half to even on the parity of the delta's own
+            # total, where round() would look at the rest alone; infinity raises OverflowError
+            hours *= scale
+            whole = int(hours)
+            part = (hours - whole) * 3600000000.0
+            micros = int(part)
+            step = whole * 3600000000 + micros
+            part -= micros
+            clock += step + 1 if part > 0.5 or part == 0.5 and step & 1 else step
+            seconds = clock // 1_000_000
+            if seconds <= prev:
+                seconds = prev + 1  # keep timestamps strictly increasing
+            prev = seconds
+            events.append(Event(label, admission + timedelta(0, seconds)))
+        except OverflowError:
+            raise ConfigError(f"the delay of {label!r} carries {case_id} "
+                              "past the year 9999") from None
     raise SimulationDeadlockError("simulated case did not reach the final marking "
                                   f"within {_MAX_STEPS_PER_CASE} steps")
 
@@ -286,12 +339,13 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     shared = {(ards, complete): _normalize_attrs({"ards": ards, "complete": complete})
               for ards in (False, True) for complete in (False, True)}  # one dict per set
     for case_index, (wave_index, ongoing) in enumerate(plan):
-        path_rng = Stream(config.seed, case_index, 0)
-        delay_rng = Stream(config.seed, case_index, 1)
-        admission_rng = Stream(config.seed, case_index, 2)
+        case = Stream(config.seed, case_index)
         wave = config.waves[wave_index]
-        admission = _draw_admission(wave, admission_rng)
-        events = _play_case(table, wave, path_rng, delay_rng, admission)
+        case_id = f"case_{case_index + 1:0{width}d}"
+        events, path = _play_case(table, wave.delay_scale, case.substream(0).state,
+                                  case.substream(1).state,
+                                  _draw_admission(wave, case.substream(2)), case_id)
+        path_rng = Stream(path)
         ards = path_rng.bernoulli(config.ards_probability)
         if ongoing and len(events) >= 2:
             keep = 1 + path_rng.randint(len(events) - 1)  # uniform proper prefix
@@ -299,7 +353,6 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
             complete = False
         else:
             complete = True
-        case_id = f"case_{case_index + 1:0{width}d}"
         traces.append(Trace(case_id, tuple(events), shared[ards, complete]))
     return EventLog(tuple(traces), name=config.name)
 

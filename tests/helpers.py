@@ -344,6 +344,21 @@ def reference_search(net: PetriNet, activities: list[str], ignore_final: bool = 
 
 # --- step-by-step simulator oracle -------------------------------------------------
 
+def pick_weighted(stream: Stream, weights: list[float]) -> int:
+    """Categorical draw; weights must be non-negative with a positive sum. The pick by linear
+    scan that ``simulate``'s bisection over a group's running sums must equal."""
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    u = stream.random() * total
+    acc = 0.0
+    for index, weight in enumerate(weights):
+        acc += weight
+        if u < acc:
+            return index
+    return len(weights) - 1
+
+
 def lognormal(stream: Stream, mean: float, sigma: float) -> float:
     """Lognormal draw parameterized by its mean and log-space sigma."""
     if mean <= 0:
@@ -370,7 +385,7 @@ def _oracle_groups(net: PetriNet, marking: Marking,
 
 
 def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng: Stream,
-                      delay_rng: Stream, admission: datetime) -> list[Event]:
+                      delay_rng: Stream, admission: datetime, case_id: str) -> list[Event]:
     labels = {t.id: t.label for t in net.transitions}
     marking = net.initial_marking
     clock = admission
@@ -383,23 +398,27 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
         if not groups:
             raise SimulationDeadlockError(f"simulation deadlocked at marking {dict(marking.key())!r}")
         group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
-        tid = group[path_rng.pick_weighted(weights)] if len(group) > 1 else group[0]
+        tid = group[pick_weighted(path_rng, weights)] if len(group) > 1 else group[0]
         marking = fire(net, marking, tid)
         label = labels[tid]
         if label is not None:
             spec = config.delays.get(label) or config.delays.get("default")
             if spec is None:
                 raise ConfigError(f"no delay configured for activity {label!r} and no default")
-            if spec.kind == "fixed":
-                hours = spec.params[0] * wave.delay_scale
-            elif spec.kind == "uniform":
-                hours = delay_rng.uniform(spec.params[0], spec.params[1]) * wave.delay_scale
-            else:
-                hours = lognormal(delay_rng, spec.params[0], spec.params[1]) * wave.delay_scale
-            clock += timedelta(hours=hours)
-            ts = clock.replace(microsecond=0)
-            if prev_ts is not None and ts <= prev_ts:
-                ts = prev_ts + timedelta(seconds=1)
+            try:
+                if spec.kind == "fixed":
+                    hours = spec.params[0] * wave.delay_scale
+                elif spec.kind == "uniform":
+                    hours = delay_rng.uniform(spec.params[0], spec.params[1]) * wave.delay_scale
+                else:
+                    hours = lognormal(delay_rng, spec.params[0], spec.params[1]) * wave.delay_scale
+                clock += timedelta(hours=hours)
+                ts = clock.replace(microsecond=0)
+                if prev_ts is not None and ts <= prev_ts:
+                    ts = prev_ts + timedelta(seconds=1)
+            except OverflowError:
+                raise ConfigError(f"the delay of {label!r} carries {case_id} "
+                                  "past the year 9999") from None
             prev_ts = ts
             events.append(Event(label, ts))
     raise SimulationDeadlockError("simulated case did not reach the final marking "
@@ -419,14 +438,14 @@ def oracle_simulate(config: SimConfig, net: PetriNet) -> EventLog:
         delay_rng = Stream(config.seed, case_index, 1)
         wave = config.waves[wave_index]
         admission = _draw_admission(wave, Stream(config.seed, case_index, 2))
-        events = _oracle_play_case(net, config, wave, path_rng, delay_rng, admission)
+        case_id = f"case_{case_index + 1:0{width}d}"
+        events = _oracle_play_case(net, config, wave, path_rng, delay_rng, admission, case_id)
         ards = path_rng.bernoulli(config.ards_probability)
         complete = True
         if ongoing and len(events) >= 2:
             events = events[:1 + path_rng.randint(len(events) - 1)]
             complete = False
-        traces.append(Trace(f"case_{case_index + 1:0{width}d}", tuple(events),
-                            {"ards": ards, "complete": complete}))
+        traces.append(Trace(case_id, tuple(events), {"ards": ards, "complete": complete}))
     return EventLog(tuple(traces), name=config.name)
 
 

@@ -207,6 +207,15 @@ PARSERS = {"config": (parse_config, ConfigError), "pnml": (parse_pnml, PnmlForma
            "csv": (parse_csv, CsvFormatError), "xes": (parse_xes, XesFormatError)}
 
 
+def test_a_delay_past_the_year_9999_exits_2_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "far.config"
+    path.write_text(CONFIG + "delay.default = fixed 100000000.0\n", encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "log.xes")]) == 2
+    assert capsys.readouterr().err == ("careflow: error: the delay of 'Start' carries case_1 "
+                                       "past the year 9999\n")
+    assert not (tmp_path / "log.xes").exists()
+
+
 @pytest.mark.parametrize("kind, text, location", [
     ("config", CONFIG + "noise.seed = x\n", "line 7"),
     ("config", CONFIG + "noise.drop_probability = x\n", "line 7"),

@@ -2,9 +2,10 @@
 ``Stream.random``, and draw sequences pinned so that no speed-up can move them."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from careflow.rng import Stream
-from helpers import lognormal
+from helpers import lognormal, pick_weighted
 
 
 @pytest.mark.parametrize("seed, outputs", [
@@ -23,6 +24,12 @@ def test_substreams_are_pinned():
     assert [stream.random() for _ in range(2)] == [0.9953483549158902, 0.8914031955238824]
 
 
+@given(seed=st.integers(0, 2**64 - 1), parts=st.lists(st.integers(-2**70, 2**70), max_size=3),
+       part=st.integers(-2**70, 2**70))
+def test_a_substream_folds_one_more_part_into_its_stream(seed, parts, part):
+    assert Stream(seed, *parts).substream(part).state == Stream(seed, *parts, part).state
+
+
 def test_lognormal_draws_are_pinned():
     stream = Stream(99, 3, 1)
     assert [lognormal(stream, 24.0, 0.4) for _ in range(4)] == pytest.approx(
@@ -37,5 +44,5 @@ def test_randint_draws_are_pinned():
 
 def test_pick_weighted_draws_are_pinned():
     stream = Stream(5)
-    assert ([stream.pick_weighted([0.2, 0.5, 0.3]) for _ in range(12)]
+    assert ([pick_weighted(stream, [0.2, 0.5, 0.3]) for _ in range(12)]
             == [1, 2, 1, 0, 0, 1, 2, 1, 1, 1, 1, 0])

@@ -3,21 +3,24 @@ import hashlib
 import math
 import random
 import re
+from bisect import bisect_right
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import ConfigError, SimulationDeadlockError
 from careflow.eventlog import EventLog
 from careflow.petri import Marking, PetriNet, Transition
 from careflow.replay import replay_log
-from careflow.simulate import (DelaySpec, NoiseSpec, SimConfig, WaveSpec, inject_noise,
-                               parse_config, simulate, write_config)
+from careflow.simulate import (DelaySpec, NoiseSpec, SimConfig, WaveSpec, _StepTable,
+                               inject_noise, parse_config, simulate, write_config)
 from careflow.xesio import write_xes
-from helpers import make_log, make_trace, oracle_simulate, paper_logs
+from helpers import (_oracle_groups, make_log, make_trace, oracle_simulate, paper_logs,
+                     pick_weighted)
 
 WAVE = WaveSpec(window_start=datetime(2020, 2, 1, tzinfo=timezone.utc),
                 window_end=datetime(2020, 6, 30, tzinfo=timezone.utc),
@@ -304,6 +307,99 @@ def test_an_activity_never_taken_needs_no_delay():
     delays = {a: DelaySpec("fixed", (1.0,)) for a in ACTIVITIES if a != "startSymptoms"}
     cfg = config(delays=delays, branch_probabilities={"startSymptoms": 0.0})
     assert simulate(cfg, covas_model()) == oracle_simulate(cfg, covas_model())
+
+
+def test_a_group_whose_weights_sum_to_0_fails_when_drawn_like_the_oracle():
+    cfg = config(branch_probabilities={"DischDead": 0.0, "DischAlive": 0.0})
+    outcome = _outcome(simulate, cfg, covas_model())
+    assert outcome == (ValueError, "weights must sum to a positive value")
+    assert outcome == _outcome(oracle_simulate, cfg, covas_model())
+
+
+def test_a_transition_alone_in_its_group_fires_at_weight_0():
+    # only a group of two or more draws, so startOxygen's 0 never weighs
+    cfg = config(branch_probabilities={"startOxygen": 0.0})
+    log = simulate(cfg, covas_model())
+    assert all("startOxygen" in trace.activities() for trace in log)
+    assert log == oracle_simulate(cfg, covas_model())
+
+
+class _Draw:
+    """A stream whose one draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_an_over_full_group_picks_by_bisection_as_by_linear_scan():
+    # B and s weigh 1 + 1e-10, so the unconfigured D gets -1e-10 and the running sums dip
+    # below B's; a draw between the dip and B's sum must still pick B
+    probs = {"B": 0.5 + 1e-10, "s": 0.5}
+    net = loop_net()
+    table = _StepTable(net, config(branch_probabilities=probs))
+    (((after_a, _, _),), _, _), = table.build(table.initial)
+    (members, sums, total), = table.build(after_a)
+    (tids, weights), = _oracle_groups(net, Marking({"p2": 1}), probs)
+    assert [label or "s" for _, label, _ in members] == list(tids) and weights[1] < 0
+    for u in (0.0, 0.25, 0.5, 0.5 + 5e-11, math.nextafter(sums[0] / total, 0), sums[0] / total,
+              0.75, math.nextafter(1.0, 0)):
+        pick = bisect_right(sums, u * total)
+        assert min(pick, len(members) - 1) == pick_weighted(_Draw(u), weights), u
+    assert pick_weighted(_Draw(0.5 + 5e-11), weights) == 0
+
+
+FAR = datetime(9999, 12, 31, 23, 59, 57, tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("default, wave", [
+    (DelaySpec("fixed", (1e8,)), WAVE),
+    (DelaySpec("fixed", (1e300,)), WAVE),
+    (DelaySpec("fixed", (1e308,)), replace(WAVE, delay_scale=3.0)),
+    (DelaySpec("lognormal", (1.7e308, 0.1)), WAVE),
+    (DelaySpec("fixed", (0.0,)), WaveSpec(FAR, FAR, 1.0)),
+], ids=["past-datetime", "past-timedelta", "infinite-once-scaled", "lognormal",
+        "a-second-past-the-last"])
+def test_a_delay_past_the_year_9999_is_a_config_error_like_the_oracle(default, wave):
+    cfg = config(delays={"default": default}, waves=(wave,))
+    outcome = _outcome(simulate, cfg, covas_model())
+    assert outcome[0] is ConfigError and outcome[1].endswith("case_01 past the year 9999")
+    assert outcome == _outcome(oracle_simulate, cfg, covas_model())
+
+
+def chain_net() -> PetriNet:
+    """A, then B, then the final place."""
+    return PetriNet(("p1", "p2", "p3"), (Transition("A", "A"), Transition("B", "B")),
+                    (("p1", "A"), ("A", "p2"), ("p2", "B"), ("B", "p3")),
+                    Marking({"p1": 1}), Marking({"p3": 1}))
+
+
+# whole hours and an odd multiple of 1/2048 h: a whole number of microseconds and a half
+HALF_MICROSECOND_TIES = st.builds(lambda hours, odd: hours + (2 * odd + 1) / 2048,
+                                  st.integers(0, 10**5), st.integers(0, 1023))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hours=st.floats(0, 10**6) | HALF_MICROSECOND_TIES)
+@example(hours=1 / 2048)  # 1,757,812.5 us: a tie on an even total stays
+@example(hours=3 / 2048)  # 5,273,437.5 us: a tie on an odd total goes up
+def test_the_clock_rounds_each_delay_as_timedelta_does(hours):
+    # B's delay brings A's, as timedelta rounds it, to a second and one more, or to 1 us
+    # short of that; a clock that rounded A's delay 1 us off either way puts B a second off
+    exact = timedelta(hours=hours) // timedelta(microseconds=1)
+    admission = WAVE.window_start
+    for short in (0, 1):
+        rest = 1_000_000 + (-exact - short) % 1_000_000
+        b_hours = rest / 3_600_000_000
+        assert timedelta(hours=b_hours) == timedelta(microseconds=rest)
+        delays = {"A": DelaySpec("fixed", (hours,)), "B": DelaySpec("fixed", (b_hours,))}
+        cfg = config(case_count=1, waves=(WaveSpec(admission, admission, 1.0),), delays=delays)
+        log = simulate(cfg, chain_net())
+        (trace,) = log
+        assert trace.events[1].timestamp - admission == timedelta(seconds=(exact + rest) // 10**6)
+        assert log == oracle_simulate(cfg, chain_net())
 
 
 START, END = WAVE.window_start, WAVE.window_end
