@@ -168,7 +168,7 @@ class _Replayer:
     marking's silent moves sorted by missing tokens."""
 
     def __init__(self, net: PetriNet, max_expansions: int):
-        self.net, self.cn = net, net.compiled
+        self.cn = net.compiled
         self.max_expansions = max_expansions
         self.silents = tuple(t for t, label in enumerate(self.cn.labels) if label is None)
         self.labeled: dict[str, tuple[int, ...]] = {}  # activity -> its indices, ascending
@@ -219,19 +219,18 @@ class _Replayer:
         succ, missing = self.cn.fire(vector, t)
         return self._id(succ), len(missing)
 
-    def _push_sibling(self, heap: list, done: set[int], entry: tuple) -> None:
-        """Push the first silent sibling after ``entry`` that reaches an unsettled state.
+    def _push_silent(self, heap: list, done: set[int], m: int, s: int, path: bytes | tuple,
+                     gap: int, silent: tuple, k: int) -> None:
+        """Push the first of a marking's silent moves ``silent[k:]`` that reaches a state
+        unsettled at ``gap``, as a move from the state (m, s, path) before it.
 
         Sorted by (missing, index), a marking's silent moves cost no less than the one
-        before, so pushing each sibling only when the one before pops keeps the pop order.
+        before, so pushing each only when the one before pops keeps the pop order.
         """
-        m, s, path, _, gap, siblings, k = entry
-        parent_m, parent_path = m - siblings[k][2], path[:-1]
-        for k in range(k + 1, len(siblings)):
-            t, succ, missing = siblings[k]
+        for k in range(k, len(silent)):
+            t, succ, missing = silent[k]
             if succ * _GAPS + gap not in done:
-                heapq.heappush(heap, (parent_m + missing, s, parent_path + self.step[t], succ,
-                                      gap, siblings, k))
+                heapq.heappush(heap, (m + missing, s, path + self.step[t], succ, gap, silent, k))
                 return
 
     def _pull(self, layer: _Layer, entry: tuple) -> tuple | None:
@@ -263,11 +262,9 @@ class _Replayer:
         The layer's least heap entry for an unsettled state is its next state once the
         parent layer has handed over every state below it, as a labeled move only adds
         to a key. So the walk goes down the trie only as far as a layer whose parent need
-        not settle more, and each state settled on the way is handed to the layer above.
+        not settle more, and each state settled on the way is pulled into the layer above.
         """
-        silent_moves, step, moves, pre = self.silent_moves, self.step, self.moves, self.cn.pre
-        width = len(self.cn.tids)
-        push, pop = heapq.heappush, heapq.heappop
+        silent_moves, pop = self.silent_moves, heapq.heappop
         waiting: list[tuple[_Layer, tuple]] = []  # the layers that asked, with their bounds
         settles, stop = self.settles, self.stop  # kept in locals, written back on the way out
         while True:
@@ -278,8 +275,10 @@ class _Replayer:
                 if top[3] * _GAPS + top[4] not in done:
                     break
                 pop(heap)
-                if top[5] is not None:
-                    self._push_sibling(heap, done, top)
+                m, s, path, _, gap, siblings, k = top
+                if siblings is not None:
+                    self._push_silent(heap, done, m - siblings[k][2], s, path[:-1], gap,
+                                      siblings, k + 1)
                 top = _ABOVE
             limit = top if top < bound else bound
             if layer.floor < limit:
@@ -310,10 +309,11 @@ class _Replayer:
                 self.settles = settles
                 raise _Exhausted
             settles += 1
-            pop(heap)  # settle the top, and push its first silent move
-            m, s, path, marking, gap, siblings, _ = top
+            pop(heap)  # settle the top, and push its next sibling and first silent move
+            m, s, path, marking, gap, siblings, k = top
             if siblings is not None:
-                self._push_sibling(heap, done, top)
+                self._push_silent(heap, done, m - siblings[k][2], s, path[:-1], gap,
+                                  siblings, k + 1)
             done.add(marking * _GAPS + gap)
             entry = (m, s, path, marking)
             layer.settled.append(entry)
@@ -322,32 +322,13 @@ class _Replayer:
                 if silent is None:
                     hits = [(t,) + self._fire(marking, t) for t in self.silents]  # ascending t
                     silent = silent_moves[marking] = tuple(sorted(hits, key=_MISSING))
-                for k, (t, succ, missing) in enumerate(silent):
-                    if succ * _GAPS + gap + 1 not in done:
-                        push(heap, (m + missing, s + 1, path + step[t], succ, gap + 1, silent, k))
-                        break
+                self._push_silent(heap, done, m, s + 1, path, gap + 1, silent, 0)
             if not waiting:
                 self.settles = settles
                 return True
-            # hand it to the layer that asked: this is _pull written out, as on a one-variant
-            # trie every state below the leaf comes this way, and the call cost about 8% of
-            # replay_trace
-            asked = waiting[-1][0]
-            asked.pulled += 1
-            candidates = asked.candidates
-            t = candidates[0]
-            if len(candidates) > 1:
-                vector = self.vectors[marking]
-                t = next((c for c in candidates if all(vector[p] for p in pre[c])), t)
-            hit = moves.get(marking * width + t)
-            if hit is None:
-                hit = moves[marking * width + t] = self._fire(marking, t)
-            succ, missing = hit
-            if succ * _GAPS not in asked.done:
-                pushed = (m + missing, s, path + step[t], succ, 0, None, 0)
-                push(asked.heap, pushed)
-                if pushed < bound:
-                    bound = pushed
+            pushed = self._pull(waiting[-1][0], entry)  # hand it to the layer that asked
+            if pushed is not None and pushed < bound:
+                bound = pushed
 
     def _search(self, leaf: _Layer, ignore_final_marking: bool) -> bytes | tuple[int, ...] | None:
         """The winning schedule for the leaf's path, or None if it expands more states than
@@ -469,12 +450,13 @@ def _replay(net: PetriNet, traces: Sequence[Trace], ignores: Sequence[bool],
     if not all(ignores) and not net.final_marking:
         raise ReplayConfigError("replay requires a non-empty final marking")
     replayer = _Replayer(net, max_expansions)
+    variants = [(trace.activities(), ignore) for trace, ignore in zip(traces, ignores)]
     searches: dict[tuple[tuple[str, ...], bool], tuple] = {}  # variant -> its search
     places: dict[tuple, int] = {}  # search -> its first place in the log
-    for trace, ignore in zip(traces, ignores):
-        variant = (trace.activities(), ignore)
+    for variant in variants:
         if variant not in searches:
-            candidates = [replayer.labeled.get(a, ()) for a in variant[0]]
+            activities, ignore = variant
+            candidates = [replayer.labeled.get(a, ()) for a in activities]
             search = searches[variant] = (tuple(c for c in candidates if c), ignore)
             places.setdefault(search, len(places))
     winners = replayer.search(places)
@@ -483,14 +465,13 @@ def _replay(net: PetriNet, traces: Sequence[Trace], ignores: Sequence[bool],
 
     results: list[TraceReplayResult] = []
     by_variant: dict[tuple[tuple[str, ...], bool], TraceReplayResult] = {}
-    for trace, ignore in zip(traces, ignores):
-        variant = (trace.activities(), ignore)
+    for trace, variant in zip(traces, variants):
         first = by_variant.get(variant)
         if first is None:
             winner = winners[searches[variant]]
             if winner is None:
                 raise ReplayBudgetError(trace.case_id, max_expansions)
-            first = by_variant[variant] = _result(net, labels, trace, winner, ignore)
+            first = by_variant[variant] = _result(net, labels, trace, winner, variant[1])
             results.append(first)
         else:
             results.append(replace(first, case_id=trace.case_id))

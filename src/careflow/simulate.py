@@ -203,7 +203,8 @@ class _StepTable:
     """The markings one ``simulate`` call reaches, numbered as found, and their
     conflict groups, built on first visit: enabled transitions grouped by identical
     preset, groups sorted by preset, each (members in id order, pick sums, weight total)
-    and each member (successor number, label, ``_delay``)."""
+    and each member (successor number, label, ``_delay``). A group whose weights sum to
+    0 holds its members' ids, joined, in place of its total."""
 
     def __init__(self, net: PetriNet, config: SimConfig):
         self.net, self.config = net, config
@@ -224,7 +225,8 @@ class _StepTable:
         """A group of two or more picks the first member whose running sum of weights exceeds
         ``u * total``. The sums are a running maximum, so bisection finds it even where an
         over-full group's unconfigured members weigh slightly below 0. A total that is not
-        positive raises when the group draws, not here: a group never drawn must not fail."""
+        positive raises when the group draws, not here: a group never drawn must not fail.
+        The table keeps the message, not the error, for the reason ``_delay`` gives."""
         cn, probs = self.net.compiled, self.config.branch_probabilities
         vector = self.vectors[marking]
         groups: dict[tuple[str, ...], dict[int, tuple[int, ...]]] = {}
@@ -243,7 +245,10 @@ class _StepTable:
             members = tuple((self._id(succ), cn.labels[t], _delay(cn.labels[t], self.config))
                             for t, succ in group.items())
             weights = [configured.get(t, rest) for t in group]
-            out.append((members, list(accumulate(accumulate(weights), max)), sum(weights)))
+            total = sum(weights)
+            if total <= 0:
+                total = ", ".join([cn.tids[t] for t in group])
+            out.append((members, list(accumulate(accumulate(weights), max)), total))
         self.groups[marking] = out
         return out
 
@@ -278,8 +283,8 @@ def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission
         if n == 1:
             marking, label, draw = members[0]
         else:
-            if total <= 0:
-                raise ValueError("weights must sum to a positive value")
+            if type(total) is str:
+                raise ConfigError(f"the branch probabilities of {total} sum to 0")
             path = (path + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
             z = ((path ^ (path >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -332,6 +337,9 @@ def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission
 @_without_cycle_collection
 def simulate(config: SimConfig, net: PetriNet) -> EventLog:
     """Generate an event log; identical (config, net) give identical logs."""
+    unknown = sorted(config.branch_probabilities.keys() - set(net.compiled.tids))
+    if unknown:
+        raise ConfigError(f"probability for {unknown[0]!r} names no transition of the net")
     plan = _case_plan(config)
     width = len(str(len(plan)))
     traces: list[Trace] = []

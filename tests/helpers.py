@@ -398,6 +398,8 @@ def _oracle_play_case(net: PetriNet, config: SimConfig, wave: WaveSpec, path_rng
         if not groups:
             raise SimulationDeadlockError(f"simulation deadlocked at marking {dict(marking.key())!r}")
         group, weights = groups[path_rng.randint(len(groups))] if len(groups) > 1 else groups[0]
+        if len(group) > 1 and sum(weights) <= 0:
+            raise ConfigError(f"the branch probabilities of {', '.join(group)} sum to 0")
         tid = group[pick_weighted(path_rng, weights)] if len(group) > 1 else group[0]
         marking = fire(net, marking, tid)
         label = labels[tid]
@@ -430,6 +432,9 @@ def oracle_simulate(config: SimConfig, net: PetriNet) -> EventLog:
     groups are rebuilt at each step from presets read off the arcs, and each delay is
     drawn through ``Stream``'s own ``uniform`` and the ``lognormal`` above. Kept as the
     reference ``simulate`` must equal."""
+    unknown = sorted(set(config.branch_probabilities) - {t.id for t in net.transitions})
+    if unknown:
+        raise ConfigError(f"probability for {unknown[0]!r} names no transition of the net")
     plan = _case_plan(config)
     width = len(str(len(plan)))
     traces: list[Trace] = []

@@ -216,6 +216,16 @@ def test_a_delay_past_the_year_9999_exits_2_without_a_traceback(tmp_path, capsys
     assert not (tmp_path / "log.xes").exists()
 
 
+def test_a_probability_for_no_transition_exits_2_naming_its_key(tmp_path, capsys):
+    path = tmp_path / "typo.config"
+    path.write_text(CONFIG + "delay.default = fixed 1.0\nprob.DischDaed = 0.35\n",
+                    encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "log.xes")]) == 2
+    assert capsys.readouterr().err == ("careflow: error: probability for 'DischDaed' names no "
+                                       "transition of the net\n")
+    assert not (tmp_path / "log.xes").exists()
+
+
 @pytest.mark.parametrize("kind, text, location", [
     ("config", CONFIG + "noise.seed = x\n", "line 7"),
     ("config", CONFIG + "noise.drop_probability = x\n", "line 7"),

@@ -280,9 +280,11 @@ def test_simulate_equals_the_step_by_step_oracle(seed, case_count, delays, defau
                       60.0 if mode else 0.0, scales[0]),
              WaveSpec(datetime(2020, 7, 1, tzinfo=timezone.utc),
                       datetime(2020, 12, 15, tzinfo=timezone.utc), 0.4, delay_scale=scales[1]))
+    net = loop_net() if loop else covas_model()
+    ids = {t.id for t in net.transitions}  # a key that names no transition fails at once
+    probs = {key: p for key, p in probs.items() if key in ids}
     cfg = config(seed=seed, case_count=case_count, delays=delays, waves=waves,
                  ongoing_fraction=ongoing, ards_probability=ards, branch_probabilities=probs)
-    net = loop_net() if loop else covas_model()
     assert _outcome(simulate, cfg, net) == _outcome(oracle_simulate, cfg, net)
 
 
@@ -312,7 +314,17 @@ def test_an_activity_never_taken_needs_no_delay():
 def test_a_group_whose_weights_sum_to_0_fails_when_drawn_like_the_oracle():
     cfg = config(branch_probabilities={"DischDead": 0.0, "DischAlive": 0.0})
     outcome = _outcome(simulate, cfg, covas_model())
-    assert outcome == (ValueError, "weights must sum to a positive value")
+    assert outcome == (ConfigError, "the branch probabilities of DischAlive, DischDead sum to 0")
+    assert outcome == _outcome(oracle_simulate, cfg, covas_model())
+
+
+def test_a_probability_for_no_transition_fails_before_any_case_is_played():
+    # a misspelled key would otherwise leave DischDead the unconfigured half; with no
+    # delays at all, a played case would fail at its first draw instead
+    probs = {**config().branch_probabilities, "DischDaed": 0.35}
+    cfg = config(branch_probabilities=probs, delays={})
+    outcome = _outcome(simulate, cfg, covas_model())
+    assert outcome == (ConfigError, "probability for 'DischDaed' names no transition of the net")
     assert outcome == _outcome(oracle_simulate, cfg, covas_model())
 
 
@@ -395,7 +407,8 @@ def test_the_clock_rounds_each_delay_as_timedelta_does(hours):
         b_hours = rest / 3_600_000_000
         assert timedelta(hours=b_hours) == timedelta(microseconds=rest)
         delays = {"A": DelaySpec("fixed", (hours,)), "B": DelaySpec("fixed", (b_hours,))}
-        cfg = config(case_count=1, waves=(WaveSpec(admission, admission, 1.0),), delays=delays)
+        cfg = config(case_count=1, waves=(WaveSpec(admission, admission, 1.0),), delays=delays,
+                     branch_probabilities={})
         log = simulate(cfg, chain_net())
         (trace,) = log
         assert trace.events[1].timestamp - admission == timedelta(seconds=(exact + rest) // 10**6)
