@@ -237,21 +237,23 @@ def _cmd_waves(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    writer = _log_io(args.out)  # a bad output name fails before the config is read
     config, noise = parse_config(_resolve_config(args.config))
+    if args.with_noise and noise is None:
+        raise CareflowError("--with-noise requires noise.* keys in the config")
     log = simulate(config, _load_model(args.model))
     if args.with_noise:
-        if noise is None:
-            raise CareflowError("--with-noise requires noise.* keys in the config")
         log = inject_noise(log, noise)
-    _write(args.out, _log_io(args.out)._document(log))
+    _write(args.out, writer._document(log))
     return 0
 
 
 def _cmd_convert(args) -> int:
+    writer = _log_io(args.output)  # a bad output name fails before the input is read
     log = _read_log(args.input, types=args.types)
     if args.drop_activity:
         log = drop_activities(log, set(args.drop_activity))
-    _write(args.output, _log_io(args.output)._document(log))
+    _write(args.output, writer._document(log))
     return 0
 
 

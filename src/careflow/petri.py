@@ -31,6 +31,8 @@ class Marking:
     def __init__(self, counts: dict[str, int] | None = None):
         cleaned: dict[str, int] = {}
         for place, count in (counts or {}).items():
+            if not isinstance(count, int):
+                raise ValueError(f"token count {count!r} for place {place!r} is not an integer")
             if count < 0:
                 raise ValueError(f"negative token count for place {place!r}")
             if count > 0:

@@ -22,8 +22,7 @@ def _mix(z: int) -> int:
 
 
 class Stream:
-    """One SplitMix64 stream; extra constructor args select a substream. ``Stream(s.state)``
-    continues a stream whose 64-bit ``state`` a caller stepped as ``random`` steps it."""
+    """One SplitMix64 stream; extra constructor args select a substream."""
 
     __slots__ = ("state",)
 

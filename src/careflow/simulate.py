@@ -18,11 +18,10 @@ reaches is numbered and its conflict groups are built on the first visit, with
 each member's successor, label and delay draw worked out then. A step is then a
 draw and a lookup, and each (marking, transition) fires once per call.
 
-A case is played on plain integers and floats, and two invariants keep its log
-bytes those of the ``Stream`` methods and ``datetime`` arithmetic it writes out:
-it takes the same draws in the same order with the same float operations, and
-its integer clock rounds each delay exactly as ``timedelta(hours=...)`` does.
-A delay that carries a case past the year 9999 is a ConfigError.
+A case keeps its clock as an integer count of microseconds, which rounds each
+delay exactly as ``timedelta(hours=...)`` does, so its log bytes are those of
+``datetime`` arithmetic. A delay that carries a case past the year 9999 is a
+ConfigError.
 
 Configs are flat ``key = value`` text files (see ``parse_config``). The
 packaged ``covas_desk.config`` regenerates a desk-scale log whose headline
@@ -253,17 +252,17 @@ class _StepTable:
         return out
 
 
-def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission: datetime,
-               case_id: str) -> tuple[list[Event], int]:
-    """One case's events, played on the step table, and its path stream's state after them.
-    ``path`` and ``delay`` are ``Stream`` states, drawn from as ``Stream``'s methods draw."""
+def _play_case(table: _StepTable, scale: float, path_rng: Stream, delay_rng: Stream,
+               admission: datetime, case_id: str) -> list[Event]:
+    """One case's events, played on the step table with its path and delay streams' draws."""
+    path, delay = path_rng.random, delay_rng.random
     groups_at, final = table.groups, table.final
     marking = table.initial
     clock, prev = 0, -1  # microseconds since admission; the last event's seconds since it
     events: list[Event] = []
     for _ in range(_MAX_STEPS_PER_CASE):
         if marking == final:
-            return events, path
+            return events
         groups = groups_at[marking]
         if groups is None:
             groups = table.build(marking)
@@ -271,10 +270,7 @@ def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission
         if n == 1:
             members, sums, total = groups[0]
         elif n:
-            path = (path + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            z = ((path ^ (path >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            pick = int(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)) * n)
+            pick = int(path() * n)
             members, sums, total = groups[pick if pick < n else n - 1]
         else:
             stuck = table.net.compiled.marking(table.vectors[marking]).key()
@@ -285,10 +281,7 @@ def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission
         else:
             if type(total) is str:
                 raise ConfigError(f"the branch probabilities of {total} sum to 0")
-            path = (path + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            z = ((path ^ (path >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            pick = bisect_right(sums, ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)) * total)
+            pick = bisect_right(sums, path() * total)
             marking, label, draw = members[pick if pick < n else n - 1]
         if label is None:
             continue
@@ -298,18 +291,12 @@ def _play_case(table: _StepTable, scale: float, path: int, delay: int, admission
                 hours = a
             else:
                 if kind == _LOGNORMAL:  # Box-Muller: u1 is drawn until it is not 0, then u
-                    u1 = 0.0
+                    u1 = delay()
                     while u1 <= 0.0:
-                        delay = (delay + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                        z = ((delay ^ (delay >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                        u1 = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
+                        u1 = delay()
                 elif kind == _UNDEFINED:
                     raise ConfigError(a)
-                delay = (delay + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                z = ((delay ^ (delay >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                u = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
+                u = delay()
                 hours = (exp(a + b * (sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u)))
                          if kind == _LOGNORMAL else a + u * b)
             # timedelta(hours=hours * scale) as CPython rounds it: whole hours, the fraction's
@@ -350,10 +337,9 @@ def simulate(config: SimConfig, net: PetriNet) -> EventLog:
         case = Stream(config.seed, case_index)
         wave = config.waves[wave_index]
         case_id = f"case_{case_index + 1:0{width}d}"
-        events, path = _play_case(table, wave.delay_scale, case.substream(0).state,
-                                  case.substream(1).state,
-                                  _draw_admission(wave, case.substream(2)), case_id)
-        path_rng = Stream(path)
+        path_rng = case.substream(0)
+        events = _play_case(table, wave.delay_scale, path_rng, case.substream(1),
+                            _draw_admission(wave, case.substream(2)), case_id)
         ards = path_rng.bernoulli(config.ards_probability)
         if ongoing and len(events) >= 2:
             keep = 1 + path_rng.randint(len(events) - 1)  # uniform proper prefix

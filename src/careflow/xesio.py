@@ -29,16 +29,13 @@ import warnings
 import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from datetime import datetime
-from operator import attrgetter
 from sys import intern
 
 from .errors import XesFormatError
-from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _activity_of, _attr_text,
+from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
 from .petri import _FORBIDDEN, _quote
 from .timeutil import _utc_speller
-
-_attributes_of = attrgetter("attributes")
 
 # characters fed to the pull parser at a time: it encodes each feed to UTF-8, and holds
 # every trace the feed closes until they are read, so one feed of the whole text would
@@ -315,10 +312,7 @@ def _refusal(log: EventLog) -> str | None:
         found = fault(("concept:name",), "its case id", trace.case_id, trace.attributes)
         if found is not None:
             return f"case {trace.case_id!r} {found}"
-        events = trace.events
-        if labels.issuperset(map(_activity_of, events)) and not any(map(_attributes_of, events)):
-            continue  # each label searched already, and no event attributes
-        for event in events:
+        for event in trace.events:
             if event.attributes or event.activity not in labels:
                 labels.add(event.activity)
                 found = fault(("concept:name", "time:timestamp"), "its activity",

@@ -567,3 +567,27 @@ def test_a_log_suffix_selects_its_reader_in_any_case(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text(write_xes(log), encoding="utf-8")
     assert cli.main(["stats", str(tmp_path / "notes.txt")]) == 2
     assert "notes.txt" in capsys.readouterr().err
+
+
+def test_a_bad_output_name_or_missing_noise_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the arguments were checked")
+
+    monkeypatch.setattr(cli, "simulate", forbidden)
+    monkeypatch.setattr(cli, "_read_log", forbidden)
+    out = str(tmp_path / "log.txt")
+    for argv in (["simulate", "--config", "covas_desk.config", "--out", out],
+                 ["convert", str(tmp_path / "in.xes"), out]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == (f"careflow: error: cannot infer log format from {out!r}; "
+                       "expected .xes, .xml or .csv\n")
+        assert not (tmp_path / "log.txt").exists()
+    config = tmp_path / "quiet.config"
+    config.write_text("".join(line for line in cli._resolve_config("covas_desk.config")
+                              .splitlines(keepends=True) if not line.startswith("noise.")),
+                      encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(config), "--with-noise",
+                     "--out", str(tmp_path / "log.xes")]) == 2
+    assert capsys.readouterr().err == ("careflow: error: --with-noise requires noise.* keys "
+                                       "in the config\n")

@@ -30,6 +30,9 @@ def test_marking_canonical_form():
     assert m == Marking({"a": 1})
     with pytest.raises(ValueError):
         Marking({"a": -1})
+    for count in (1.0, "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Marking({"a": count})
 
 
 def test_enabled_basic():

@@ -231,6 +231,95 @@ def test_writer_refuses_what_xml_cannot_carry(char, build, owner):
     assert str(caught.value) == owner(char) + ", a character XML cannot carry"
 
 
+def _xml_forbids(c: str) -> bool:
+    """Whether XML 1.0's Char production leaves ``c`` out."""
+    return not (c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+                or c >= "\U00010000")
+
+
+def _plain_refusal(log: EventLog) -> str | None:
+    """The message of write_xes's refusal of ``log``, found by walking the log, then each
+    trace, then its events, searching every record in full."""
+    def fault(reserved, field, text, attrs):
+        for key in reserved:
+            if key in attrs:
+                return f"has an attribute {key!r}, a key XES reserves"
+        spots = [(field, text)]
+        for key, value in attrs.items():
+            spots.append((f"the key {key!r}", key))
+            if isinstance(value, str):
+                spots.append((f"the value of {key!r}", value))
+        for where, spot in spots:
+            for c in spot:
+                if _xml_forbids(c):
+                    return f"holds {c!r} in {where}, a character XML cannot carry"
+        return None
+
+    if (found := fault(("concept:name",), "its name", log.name, log.attributes)) is not None:
+        return f"the log {found}"
+    for trace in log:
+        found = fault(("concept:name",), "its case id", trace.case_id, trace.attributes)
+        if found is not None:
+            return f"case {trace.case_id!r} {found}"
+        for event in trace.events:
+            found = fault(("concept:name", "time:timestamp"), "its activity", event.activity,
+                          event.attributes)
+            if found is not None:
+                return f"an event of case {trace.case_id!r} {found}"
+    return None
+
+
+def _spoiled(text, attrs, fault, char, reserved):
+    """``(text, attrs)`` of a record with one fault put in: a reserved key, or ``char`` in
+    its text, in a key or in a string value."""
+    if fault == "reserved":
+        return text, {**attrs, reserved: T0 if reserved == "time:timestamp" else "x"}
+    if fault == "text":
+        return text + char, attrs
+    return text, {**attrs, **({f"k{char}": 1} if fault == "key" else {"k": f"v{char}"})}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["reserved", "text", "key", "value"]),
+       st.sampled_from(["\x01", "\x0b", "\ufffe", "\ud800"]), st.booleans())
+def test_writer_refuses_a_fault_in_any_record_as_a_plain_walk_does(rnd, fault, char, shared):
+    # one record of a random log takes the fault, most often an event of a later trace whose
+    # labels all appeared earlier; (i, -1) is trace i itself, None the log. With ``shared``,
+    # an event's key or value fault goes in an attribute dict that other events also carry
+    log = random_log(rnd)
+    at = rnd.choice([None] + [(i, j) for i, trace in enumerate(log)
+                              for j in range(-1, len(trace.events))])
+    on_event = at is not None and at[1] >= 0
+    reserved = rnd.choice(["concept:name", "time:timestamp"]) if on_event else "concept:name"
+    shared = shared and on_event and fault != "text"
+    pool = [{"s": "w"}, {"n": 1, "s": "v"}]
+    if shared:
+        pool[0] = _spoiled("", pool[0], fault, char, reserved)[1]
+    pool = [{}] + [Event("A", T0, attrs).attributes for attrs in pool]  # one dict per set
+    traces = []
+    for i, trace in enumerate(log):
+        events = []
+        for j, event in enumerate(trace.events):
+            activity, attrs = event.activity, rnd.choice(pool)
+            if at == (i, j):
+                activity, attrs = ((activity, pool[1]) if shared
+                                   else _spoiled(activity, attrs, fault, char, reserved))
+            events.append(Event(activity, event.timestamp, attrs))
+        case_id, attrs = trace.case_id, trace.attributes
+        if at == (i, -1):
+            case_id, attrs = _spoiled(case_id, attrs, fault, char, reserved)
+        traces.append(Trace(case_id, tuple(events), attrs))
+    name, attrs = log.name, log.attributes
+    if at is None:
+        name, attrs = _spoiled(name, attrs, fault, char, reserved)
+    spoiled = EventLog(tuple(traces), name=name, attributes=attrs)
+    expected = _plain_refusal(spoiled)
+    assert expected is not None
+    with pytest.raises(XesFormatError) as caught:
+        write_xes(spoiled)
+    assert str(caught.value) == expected
+
+
 # --- the streaming reader against the tree-based one ---------------------------
 
 def _outcome(reader, text: str):
