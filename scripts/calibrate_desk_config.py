@@ -120,7 +120,7 @@ def tune_events(cfg: SimConfig) -> SimConfig | None:
         for step in range(0, 117):
             p = lo + step * (hi - lo) / 116
             candidate = with_prob(cfg, key, p)
-            events = measure(candidate)["events"]
+            events = simulate(candidate, NET).event_count
             if events == TARGET_EVENTS:
                 return candidate
             if best is None or abs(events - TARGET_EVENTS) < best[0]:

@@ -119,14 +119,9 @@ def occupancy(log: EventLog, start_activity: str, end_activity: str) -> Occupanc
             elif event.activity == end_activity:
                 if not open_starts:
                     bad = True  # end with no open start
-                else:
-                    start = open_starts.pop(0)
-                    if event.timestamp >= start:
-                        intervals.append((start, event.timestamp))
-                    else:
-                        bad = True  # end before its start: skip the pairing
-        if horizon is not None:
-            intervals.extend((start, horizon) for start in open_starts)
+                else:  # events are in time order, so the end is not before its start
+                    intervals.append((open_starts.pop(0), event.timestamp))
+        intervals.extend((start, horizon) for start in open_starts)
         if bad:
             flagged.append(trace.case_id)
 

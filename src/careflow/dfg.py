@@ -8,8 +8,12 @@ from datetime import timedelta
 
 from .eventlog import EventLog
 from .jsontext import json_text
-from .petri import _dot
 from .timeutil import format_duration
+
+
+def _dot(text: str) -> str:
+    """``text`` as a quoted DOT string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,16 @@ PetriNetError for a repeated id or arc, an arc that does not join a known place
 and a known transition, and a marking on an unknown place.
 
 The token game is played once, by ``CompiledNet`` (``PetriNet.compiled``):
-places become indices, markings tuples of token counts, and transitions are
-numbered in sorted-id order, so index sequences sort like id sequences, and
-each transition's preset and postset are read off the arcs. Its ``fire``
-creates missing tokens and reports them; replay and the simulator both go
-through it, and the simulator takes a transition that misses none as enabled.
+places become indices, markings vectors of token counts in one form
+(``_canonical``), and transitions are numbered in sorted-id order, so index
+sequences sort like id sequences, and each transition's preset and postset are
+read off the arcs. Its ``fire`` creates missing tokens and reports them; replay
+and the simulator both go through it, and the simulator takes a transition that
+misses none as enabled.
 """
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,8 +120,17 @@ class PetriNet:
         return CompiledNet(self)
 
 
+def _canonical(counts) -> bytes | tuple[int, ...]:
+    """A marking vector in its one form: bytes when every count fits in a byte (33 B and
+    a byte a place, where a tuple takes 56 B and 8), a tuple otherwise."""
+    try:
+        return bytes(counts)
+    except ValueError:  # a count above 255
+        return tuple(counts)
+
+
 class CompiledNet:
-    """Integer form of a net for the token game; markings are count tuples."""
+    """Integer form of a net for the token game; markings are ``_canonical`` vectors."""
 
     def __init__(self, net: PetriNet):
         self.place_ids = net.places
@@ -139,30 +148,39 @@ class CompiledNet:
         self.pre, self.post = tuple(map(tuple, pre)), tuple(map(tuple, post))
         self.initial, self.final = self.vector(net.initial_marking), self.vector(net.final_marking)
 
-    def vector(self, marking: Marking) -> tuple[int, ...]:
+    def vector(self, marking: Marking) -> bytes | tuple[int, ...]:
         counts = [0] * len(self.place_ids)
         for place, count in marking.items():
             counts[self.place_index[place]] = count
-        return tuple(counts)
+        return _canonical(counts)
 
-    def marking(self, vector: tuple[int, ...]) -> Marking:
+    def marking(self, vector: bytes | tuple[int, ...]) -> Marking:
         return Marking({self.place_ids[i]: n for i, n in enumerate(vector) if n})
 
-    def fire(self, vector: tuple[int, ...], t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def fire(self, vector: bytes | tuple[int, ...], t: int
+             ) -> tuple[bytes | tuple[int, ...], tuple[int, ...]]:
         """Fire transition index ``t``: (successor, missing input place indices).
 
-        Missing input tokens are created on the fly and reported; the input tuple is unchanged.
+        Missing input tokens are created on the fly and reported; the input vector is
+        unchanged. A bytes vector fires on a bytearray copy, any other on a list, and
+        the successor comes back in the ``_canonical`` form.
         """
-        counts = list(vector)
+        counts = bytearray(vector) if type(vector) is bytes else list(vector)
         missing = []
         for p in self.pre[t]:
             if counts[p]:
                 counts[p] -= 1
             else:
                 missing.append(p)
-        for p in self.post[t]:
-            counts[p] += 1
-        return tuple(counts), tuple(missing)
+        post = self.post[t]
+        try:
+            for p in post:
+                counts[p] += 1
+        except ValueError:  # a count above 255: carry on in a list (no place is in post twice)
+            counts = list(counts)
+            for p in post[post.index(p):]:
+                counts[p] += 1
+        return _canonical(counts), tuple(missing)
 
 
 # --- PNML reading -------------------------------------------------------------
@@ -239,31 +257,3 @@ def parse_pnml(text: str) -> PetriNet:
     except PetriNetError as exc:
         raise PnmlFormatError(str(exc))
 
-
-# what XML 1.0 forbids in a document: C0 controls but tab, LF and CR, lone surrogates
-# (which UTF-8 cannot encode either), U+FFFE and U+FFFF
-_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-_ESCAPED = re.compile('[&<>"\n\r\t]')  # what _quote escapes, and '"', which it may single-quote
-
-
-def _escape(text: str) -> str:
-    """``text`` as XML element text: CR as a reference, which end-of-line handling would
-    read back as LF."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace(
-        "\r", "&#13;")
-
-
-def _quote(text: str) -> str:
-    """``text`` as a quoted XML attribute value, spelled as ``xml.sax.saxutils.quoteattr``
-    spells it: single quotes when it holds '"' but no "'", else '"' as ``&quot;``."""
-    if _ESCAPED.search(text) is None:
-        return f'"{text}"'
-    text = _escape(text).replace("\n", "&#10;").replace("\t", "&#9;")
-    if '"' in text and "'" not in text:
-        return f"'{text}'"
-    return '"' + text.replace('"', "&quot;") + '"'
-
-
-def _dot(text: str) -> str:
-    """``text`` as a quoted DOT string."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

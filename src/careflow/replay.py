@@ -53,9 +53,9 @@ One successor memo serves every search, as firing depends on the marking
 alone; it is dropped, with the trie, before the firing logs are built. The memo
 numbers each marking once, and the search works on those numbers: its states,
 memo keys and heap entries are small ints, hashed and compared without reading
-a marking. A marking whose counts fit in a byte is kept, and fired, as bytes.
-The search pushes silent successors one at a time and spells paths as bytes,
-which keeps its heaps small.
+a marking. Markings are kept in ``CompiledNet``'s form, bytes while every count
+fits in a byte, and fired by ``CompiledNet.fire``. The search pushes silent
+successors one at a time and spells paths as bytes, which keeps its heaps small.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _places(cn: CompiledNet, indices: tuple[int, ...]) -> frozenset[str]:
     return frozenset([cn.place_ids[p] for p in indices]) if indices else _NONE
 
 
-def _final_gap(final: tuple[int, ...], vector: bytes | tuple[int, ...]
+def _final_gap(final: bytes | tuple[int, ...], vector: bytes | tuple[int, ...]
                ) -> tuple[int, int, tuple[int, ...]]:
     """(deficit, remaining, short place indices) for consuming the final marking."""
     short = tuple(p for p, need in enumerate(final) if vector[p] < need)
@@ -162,10 +162,10 @@ class _Exhausted(Exception):
 
 class _Replayer:
     """Searches one net with one successor memo over interned markings: ``vectors``
-    holds each marking once, as bytes when every count fits in a byte (a tuple
-    otherwise), numbered by ``ids``; ``moves`` maps ``id * len(tids) + t`` of a labeled
-    move to (successor id, missing tokens), and ``silent_moves[id]`` holds the
-    marking's silent moves sorted by missing tokens."""
+    holds each marking once, in ``CompiledNet``'s form (see ``petri._canonical``),
+    numbered by ``ids``; ``moves`` maps ``id * len(tids) + t`` of a labeled move to
+    (successor id, missing tokens), and ``silent_moves[id]`` holds the marking's
+    silent moves sorted by missing tokens."""
 
     def __init__(self, net: PetriNet, max_expansions: int):
         self.cn = net.compiled
@@ -186,10 +186,6 @@ class _Replayer:
         self.settles = self.stop = 0  # states settled, and where this search must stop
 
     def _id(self, vector: bytes | tuple[int, ...]) -> int:
-        try:
-            vector = bytes(vector)  # 33 B and a byte a place, where a tuple takes 56 B and 8
-        except ValueError:  # a count above 255
-            pass
         marking = self.ids.get(vector)
         if marking is None:
             marking = self.ids[vector] = len(self.vectors)
@@ -198,25 +194,8 @@ class _Replayer:
         return marking
 
     def _fire(self, marking: int, t: int) -> tuple[int, int]:
-        """(successor id, missing tokens) of firing ``t`` at the marking, counted as
-        CompiledNet.fire counts them. A byte vector fires on a bytearray copy, with no
-        tuple to build and convert back, unless a count would pass 255."""
-        vector = self.vectors[marking]
-        if type(vector) is bytes:
-            counts, missing = bytearray(vector), 0
-            for p in self.cn.pre[t]:
-                if counts[p]:
-                    counts[p] -= 1
-                else:
-                    missing += 1
-            try:
-                for p in self.cn.post[t]:
-                    counts[p] += 1
-            except ValueError:  # a count above 255
-                pass
-            else:
-                return self._id(bytes(counts)), missing
-        succ, missing = self.cn.fire(vector, t)
+        """(successor id, missing tokens) of firing ``t`` at the marking."""
+        succ, missing = self.cn.fire(self.vectors[marking], t)
         return self._id(succ), len(missing)
 
     def _push_silent(self, heap: list, done: set[int], m: int, s: int, path: bytes | tuple,

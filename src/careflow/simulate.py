@@ -199,20 +199,20 @@ def _delay(label: str | None, config: SimConfig) -> tuple | None:
 
 
 class _StepTable:
-    """The markings one ``simulate`` call reaches, numbered as found, and their
-    conflict groups, built on first visit: enabled transitions grouped by identical
-    preset, groups sorted by preset, each (members in id order, pick sums, weight total)
-    and each member (successor number, label, ``_delay``). A group whose weights sum to
-    0 holds its members' ids, joined, in place of its total."""
+    """The markings one ``simulate`` call reaches, in ``CompiledNet``'s form and numbered
+    as found, and their conflict groups, built on first visit: enabled transitions
+    grouped by identical preset, groups sorted by preset, each (members in id order, pick
+    sums, weight total) and each member (successor number, label, ``_delay``). A group
+    whose weights sum to 0 holds its members' ids, joined, in place of its total."""
 
     def __init__(self, net: PetriNet, config: SimConfig):
         self.net, self.config = net, config
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.vectors: list[tuple[int, ...]] = []
+        self.ids: dict[bytes | tuple[int, ...], int] = {}
+        self.vectors: list[bytes | tuple[int, ...]] = []
         self.groups: list[list | None] = []
         self.initial, self.final = self._id(net.compiled.initial), self._id(net.compiled.final)
 
-    def _id(self, vector: tuple[int, ...]) -> int:
+    def _id(self, vector: bytes | tuple[int, ...]) -> int:
         marking = self.ids.get(vector)
         if marking is None:
             marking = self.ids[vector] = len(self.vectors)
@@ -228,7 +228,7 @@ class _StepTable:
         The table keeps the message, not the error, for the reason ``_delay`` gives."""
         cn, probs = self.net.compiled, self.config.branch_probabilities
         vector = self.vectors[marking]
-        groups: dict[tuple[str, ...], dict[int, tuple[int, ...]]] = {}
+        groups: dict[tuple[str, ...], dict[int, bytes | tuple[int, ...]]] = {}
         for t in range(len(cn.tids)):  # enabled: fires without a missing token
             succ, missing = cn.fire(vector, t)
             if not missing:

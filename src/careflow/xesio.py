@@ -34,7 +34,6 @@ from sys import intern
 from .errors import XesFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
                        _normalize_attrs, _without_cycle_collection)
-from .petri import _FORBIDDEN, _quote
 from .timeutil import _utc_speller
 
 # characters fed to the pull parser at a time: it encodes each feed to UTF-8, and holds
@@ -220,6 +219,30 @@ def parse_xes(text: str) -> EventLog:
                     raw_extensions=tuple(log_raw))
 
 
+# what XML 1.0 forbids in a document: C0 controls but tab, LF and CR, lone surrogates
+# (which UTF-8 cannot encode either), U+FFFE and U+FFFF
+_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_ESCAPED = re.compile('[&<>"\n\r\t]')  # what _quote escapes, and '"', which it may single-quote
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML element text: CR as a reference, which end-of-line handling would
+    read back as LF."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace(
+        "\r", "&#13;")
+
+
+def _quote(text: str) -> str:
+    """``text`` as a quoted XML attribute value, spelled as ``xml.sax.saxutils.quoteattr``
+    spells it: single quotes when it holds '"' but no "'", else '"' as ``&quot;``."""
+    if _ESCAPED.search(text) is None:
+        return f'"{text}"'
+    text = _escape(text).replace("\n", "&#10;").replace("\t", "&#9;")
+    if '"' in text and "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _emit_attrs(indent: str, fields: dict[str, AttrValue | None], attrs: dict[str, AttrValue],
                 raw: tuple[str, ...]) -> Iterator[str]:
     """The lines of a record's fields, keyed as XES reserves (None: not written), and of
@@ -340,6 +363,6 @@ def write_xes(log: EventLog) -> str:
     like a field XES spells as an attribute (``concept:name`` of the log, a
     trace or an event, an event's ``time:timestamp``) raises XesFormatError, and
     so does a name, case id, activity, key or string value holding a character
-    XML forbids (``petri._FORBIDDEN``).
+    XML forbids (``_FORBIDDEN``).
     """
     return "".join(_document(log))

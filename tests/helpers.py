@@ -12,15 +12,16 @@ from importlib import resources
 
 from careflow.analytics import DottedChartData, _color_for
 from careflow.covas import covas_model
+from careflow.dfg import _dot
 from careflow.errors import (ConfigError, PetriNetError, PnmlFormatError, SimulationDeadlockError,
                              XesFormatError)
 from careflow.eventlog import _PARSERS, AttrValue, Event, EventLog, Trace
-from careflow.petri import _FORBIDDEN, Marking, PetriNet, Transition, _dot, _escape, _quote
+from careflow.petri import Marking, PetriNet, Transition
 from careflow.rng import Stream
 from careflow.simulate import (SimConfig, WaveSpec, _case_plan, _draw_admission, inject_noise,
                                parse_config, simulate)
 from careflow.timeutil import format_timestamp, to_utc
-from careflow.xesio import XesWarning, _local
+from careflow.xesio import _FORBIDDEN, XesWarning, _escape, _local, _quote
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
 

@@ -116,6 +116,15 @@ def test_occupancy_unmatched_end_flags_trace():
     assert series.breakpoints == ()
 
 
+def test_occupancy_second_start_before_an_end_flags_trace():
+    trace = Trace("c1", (Event("startVentilation", minutes(0)),
+                         Event("startVentilation", minutes(5)), Event("endVentilation", minutes(10))))
+    series = occupancy(EventLog((trace,)), "startVentilation", "endVentilation")
+    assert series.flagged_cases == ("c1",)
+    # the end pairs with the first start; the second stays open to the horizon
+    assert series.breakpoints == ((minutes(0), 1), (minutes(5), 2), (minutes(10), 0))
+
+
 def test_occupancy_matches_per_minute_sampling():
     rnd = random.Random(99)
     for _ in range(30):

@@ -342,8 +342,10 @@ def test_simulate_out_writes_what_the_library_writer_returns(suffix, module, wri
 
 
 @pytest.mark.parametrize("argv", [["no-such-command"], ["waves", "log.xes"],
-                                  ["variants", "log.xes", "--top", "-1"]],
-                         ids=["unknown-command", "missing-split", "negative-top"])
+                                  ["variants", "log.xes", "--top", "-1"],
+                                  ["variants", "log.xes", "--top", "abc"]],
+                         ids=["unknown-command", "missing-split", "negative-top",
+                              "top-not-a-number"])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
@@ -430,6 +432,25 @@ def test_csv_types_accept_bool(tmp_path):
     assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes"),
                      "--types", "case:ards=bool"]) == 0
     assert parse_xes((tmp_path / "out.xes").read_text(encoding="utf-8")) == log
+
+
+def test_a_types_entry_without_a_kind_exits_2(tmp_path, capsys):
+    (tmp_path / "in.csv").write_text(write_csv(make_log(["A"])), encoding="utf-8")
+    assert cli.main(["convert", str(tmp_path / "in.csv"), str(tmp_path / "out.xes"),
+                     "--types", "foo"]) == 2
+    assert capsys.readouterr().err == ("careflow: error: bad --types entry 'foo'; "
+                                       "expected column=kind\n")
+    assert not (tmp_path / "out.xes").exists()
+
+
+def test_occupancy_warns_of_each_flagged_case_on_stderr(tmp_path, capsys):
+    log = make_log(["startVentilation", "startVentilation", "endVentilation"],
+                   ["startVentilation", "endVentilation"])
+    (tmp_path / "log.xes").write_text(write_xes(log), encoding="utf-8")
+    assert cli.main(["occupancy", str(tmp_path / "log.xes"), "--start", "startVentilation",
+                     "--end", "endVentilation", "--json"]) == 0
+    assert capsys.readouterr().err == \
+        "warning: unpaired startVentilation/endVentilation events in case c1\n"
 
 
 def test_csv_route_equals_xes_route(tmp_path, monkeypatch, capsys):

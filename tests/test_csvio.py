@@ -38,6 +38,12 @@ def test_empty_input_is_empty_log():
     assert len(parse_csv("case_id,activity,timestamp\n")) == 0
 
 
+def test_blank_lines_are_skipped_and_still_counted_as_rows():
+    assert parse_csv(CSV.replace("00:00\nc1,B", "00:00\n\n,,\nc1,B")) == parse_csv(CSV)
+    with pytest.raises(CsvFormatError, match="row 5"):
+        parse_csv(CSV + "\nc2,A,not-a-time\n")
+
+
 def test_leading_byte_order_mark_is_skipped():
     assert parse_csv("\ufeff" + CSV) == parse_csv(CSV)
     with pytest.raises(CsvFormatError, match="case_id"):

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from careflow.covas import ACTIVITIES, covas_model
 from careflow.errors import PetriNetError, PnmlFormatError
-from careflow.petri import Marking, PetriNet, Transition, _escape, _quote, parse_pnml
+from careflow.petri import Marking, PetriNet, Transition, parse_pnml
 from careflow.replay import replay_log
+from careflow.xesio import _escape, _quote
 from helpers import (NotEnabledError, enabled, fire, make_log, net_to_dot, pre_post, random_net,
                      reachable_markings, write_pnml)
 
@@ -76,6 +77,42 @@ def test_token_conservation_on_random_nets():
             assert succ.total() == marking.total() - len(pre[tid]) + len(post[tid])
             assert tid in enabled(net, marking)
             marking = succ
+
+
+def test_compiled_fire_matches_a_list_reference_in_either_marking_form():
+    # counts 0-300 with the edges of a byte drawn often: a successor is bytes exactly
+    # when each of its counts fits in one, whether it came in as bytes or as a tuple
+    rnd = random.Random(33)
+    for _ in range(100):
+        net = random_net(rnd)
+        cn = net.compiled
+        for _ in range(10):
+            counts = [rnd.choice((0, 1, 254, 255, 256, rnd.randint(0, 300))) for _ in net.places]
+            vectors = [tuple(counts)] + ([bytes(counts)] if max(counts) <= 255 else [])
+            for tid in cn.tids:
+                expected, missing = list(counts), []
+                for source, target in net.arcs:
+                    if target == tid:
+                        place = net.places.index(source)
+                        if expected[place]:
+                            expected[place] -= 1
+                        else:
+                            missing.append(place)
+                for source, target in net.arcs:
+                    if source == tid:
+                        expected[net.places.index(target)] += 1
+                for vector in vectors:
+                    succ, forced = cn.fire(vector, cn.index[tid])
+                    assert list(succ) == expected and forced == tuple(missing)
+                    assert type(succ) is (bytes if max(expected) <= 255 else tuple)
+
+
+def test_a_tuple_marking_is_bytes_again_once_its_counts_fit():
+    net = PetriNet(("p", "q"), (Transition("t", "T"),), (("p", "t"), ("t", "q")),
+                   Marking({"p": 256}), Marking({"q": 1}))
+    cn = net.compiled
+    assert cn.initial == (256, 0) and cn.final == bytes((0, 1))
+    assert cn.fire(cn.initial, 0) == (bytes((255, 1)), ())
 
 
 def test_enabled_fire_agreement():

@@ -107,6 +107,11 @@ def test_replay_requires_markings():
                    Marking(), Marking())
     with pytest.raises(ReplayConfigError):
         replay_trace(net, make_trace("c1", ["A"]))
+    net = PetriNet(("p1",), (Transition("t", "A"),), (("p1", "t"), ("t", "p1")),
+                   Marking({"p1": 1}), Marking())
+    with pytest.raises(ReplayConfigError, match="final"):
+        replay_trace(net, make_trace("c1", ["A"]))
+    assert replay_trace(net, make_trace("c1", ["A"]), ignore_final_marking=True).fitness == 1.0
 
 
 def test_replay_log_aggregates_counters():

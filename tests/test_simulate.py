@@ -214,6 +214,10 @@ def test_config_parse_errors():
         parse_config("config_version = 1\nname = x\ncase_count = 1\nseed = 1\n"
                      "wave.1.window_start = 2020-01-01\nwave.1.window_end = 2020-02-01\n"
                      "wave.1.share = 0.4\ndelay.default = fixed 1\n")
+    with pytest.raises(ConfigError, match=r"duplicate key 'seed' \(line 3\)"):
+        parse_config("config_version = 1\nseed = 1\nseed = 2\n")
+    with pytest.raises(ConfigError, match="unsupported config_version 2"):
+        parse_config("config_version = 2\ncase_count = 1\n")
 
 
 def test_simulated_log_has_unique_case_ids():
@@ -447,6 +451,18 @@ RULE_BREAKERS = {
     "lognormal-zero-mean": (lambda: DelaySpec("lognormal", (0.0, 0.5)), "negative delay"),
     "lognormal-negative-mean": (lambda: DelaySpec("lognormal", (-1.0, 0.5)), "negative delay"),
     "uniform-reversed": (lambda: DelaySpec("uniform", (9.0, 1.0)), "negative delay"),
+    "case-count-zero": (lambda: SimConfig(0, 1, (WaveSpec(START, END, 1.0),), {}, {}),
+                        "case_count must be positive"),
+    "no-waves": (lambda: SimConfig(5, 1, (), {}, {}), "at least one wave"),
+    "shares-below-one": (lambda: SimConfig(5, 1, (WaveSpec(START, END, 0.5),), {}, {}),
+                         "wave shares must sum to 1"),
+    "probability-above-one": (lambda: SimConfig(5, 1, (WaveSpec(START, END, 1.0),), {"B": 1.5},
+                                                {}), "probability for 'B' out of"),
+    "ongoing-fraction-one": (lambda: SimConfig(5, 1, (WaveSpec(START, END, 1.0),), {}, {},
+                                               ongoing_fraction=1.0), "ongoing_fraction must"),
+    "ards-probability-nan": (lambda: SimConfig(5, 1, (WaveSpec(START, END, 1.0),), {}, {},
+                                               ards_probability=math.nan), "ards_probability must"),
+    "noise-drop-negative": (lambda: NoiseSpec(-0.1, 1), "event_drop_probability must"),
     # a reversed window with a negative delay scale, a reversed range and a negative delay
     "all-at-once": (lambda: SimConfig(5, 1, (WaveSpec(datetime(2020, 1, 1, tzinfo=timezone.utc),
                                                       datetime(2019, 1, 1, tzinfo=timezone.utc),

@@ -48,6 +48,15 @@ def test_trace_without_case_id_gets_synthetic_id():
         with pytest.warns(XesWarning):
             log = parse_xes(text)
         assert log.traces[0].case_id == "case_1"
+    text = '<log><trace><string key="concept:name" value="case_2"/></trace><trace/></log>'
+    with pytest.warns(XesWarning, match="assigned 'case_2_x'"):
+        log = parse_xes(text)
+    assert [t.case_id for t in log] == ["case_2", "case_2_x"]
+
+
+def test_trace_inside_a_trace_is_an_error():
+    with pytest.raises(XesFormatError, match="<trace> nested inside a <trace>"):
+        parse_xes('<log><trace><string key="concept:name" value="c1"/><trace/></trace></log>')
 
 
 def test_event_without_timestamp_is_an_error():
@@ -404,6 +413,9 @@ READER_CASES = {
     "date-out-of-range": _doc(event='<date key="d" value="9999-12-31T23:59:59-01:00"/>'),
     "misplaced-containers": _doc(log='<event/>'),
     "nested-event": _doc(event='<event/>'),
+    "nested-trace": _doc(trace='<trace/>'),
+    "synthetic-id-collides": '<log><trace><string key="concept:name" value="case_2"/></trace>'
+                             '<trace/></log>',
     "warning-then-error": '<log><trace/><trace><string key="concept:name" value="case_1"/>'
                           '</trace></log>',
     "non-log-root": _doc(root="foo"),
