@@ -1,20 +1,24 @@
-"""Log analytics: dotted chart, resource occupancy, wave comparison."""
+"""Log analytics: dotted chart, resource occupancy, wave comparison.
+
+A dotted chart is held as one ``DottedChartCase`` per case, which keeps its trace's own
+events, and is rendered by line generators over the cases, so neither building nor
+drawing it holds an object or a string per event (``DottedChartData.rows`` spells the
+points out on demand).
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import attrgetter
 
 from .csvio import _quoted
-from .eventlog import (EventLog, _mean_case_duration, _timestamp_of, _without_cycle_collection,
-                       filter_complete, split_by_time)
+from .eventlog import (Event, EventLog, _mean_case_duration, _text, filter_complete,
+                       split_by_time)
 from .timeutil import _UTC, _utc_speller, format_timestamp, to_utc
 
-_case_index_of = attrgetter("case_index")
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DottedChartRow:
     """One point of the chart; its timestamp is normalized to UTC as an event's is."""
 
@@ -23,22 +27,32 @@ class DottedChartRow:
     timestamp: datetime
     color_key: str
 
-    def __init__(self, case_index: int, case_id: str, timestamp: datetime, color_key: str):
-        # written out as Event.__init__ is, as a chart builds one row per event
-        _set_case_index(self, case_index)
-        _set_case_id(self, case_id)
-        _set_timestamp(self, timestamp if timestamp.tzinfo is _UTC else to_utc(timestamp))
-        _set_color_key(self, color_key)
+    def __post_init__(self):
+        if self.timestamp.tzinfo is not _UTC:
+            object.__setattr__(self, "timestamp", to_utc(self.timestamp))
 
 
-_set_case_index, _set_case_id, _set_timestamp, _set_color_key = (
-    DottedChartRow.__dict__[name].__set__
-    for name in ("case_index", "case_id", "timestamp", "color_key"))
+@dataclass(frozen=True, slots=True)
+class DottedChartCase:
+    """One case of the chart: its index, id and color key, and its trace's own events (in
+    time order), so that the chart builds no object per event."""
+
+    case_index: int
+    case_id: str
+    color_key: str
+    events: tuple[Event, ...]
 
 
 @dataclass(frozen=True)
 class DottedChartData:
-    rows: tuple[DottedChartRow, ...]
+    cases: tuple[DottedChartCase, ...]
+
+    @property
+    def rows(self) -> tuple[DottedChartRow, ...]:
+        """One point per event, in case index then time order; built on each call."""
+        return tuple([DottedChartRow(case.case_index, case.case_id, event.timestamp,
+                                     case.color_key)
+                      for case in self.cases for event in case.events])
 
 
 @dataclass(frozen=True)
@@ -71,14 +85,13 @@ def _color_value(value) -> str:
     return str(value)
 
 
-@_without_cycle_collection
 def dotted_chart(log: EventLog, color_attribute: str = "ards",
                  sort: str = "by_first_event") -> DottedChartData:
-    """One row per event, with a case index assigned after sorting cases.
+    """One record per case, with a case index assigned after sorting cases.
 
-    Cases without events get no index so row indices stay contiguous from 0.
+    Cases without events get no index so indices stay contiguous from 0.
     The color key is the trace attribute value as a string, 'unknown' when the
-    attribute is absent.
+    attribute is absent. Each record keeps its trace's own events.
     """
     if sort not in ("by_first_event", "by_case_id"):
         raise ValueError(f"unknown sort mode {sort!r}")
@@ -87,12 +100,10 @@ def dotted_chart(log: EventLog, color_attribute: str = "ards",
         traces.sort(key=lambda t: (t.start_time, t.case_id))
     else:
         traces.sort(key=lambda t: t.case_id)
-    rows = []
-    for index, trace in enumerate(traces):
-        color = _color_value(trace.attributes.get(color_attribute))
-        case_id = trace.case_id
-        rows += [DottedChartRow(index, case_id, event.timestamp, color) for event in trace.events]
-    return DottedChartData(tuple(rows))
+    return DottedChartData(tuple([
+        DottedChartCase(index, trace.case_id,
+                        _color_value(trace.attributes.get(color_attribute)), trace.events)
+        for index, trace in enumerate(traces)]))
 
 
 def occupancy(log: EventLog, start_activity: str, end_activity: str) -> OccupancySeries:
@@ -177,17 +188,19 @@ def _color_for(key: str, assigned: dict[str, str]) -> str:
     return assigned[key]
 
 
+def _chart_csv_lines(data: DottedChartData) -> Iterator[str]:
+    """The lines of ``dotted_chart_csv``, each with its line end: one row per event."""
+    yield "case_index,case_id,timestamp,color\n"
+    spell = _utc_speller()  # an event's timestamp is UTC
+    for case in data.cases:
+        head = f"{case.case_index},{_quoted(case.case_id)},"
+        tail = f",{_quoted(case.color_key)}\n"
+        for event in case.events:
+            yield f"{head}{spell(event.timestamp)}{tail}"
+
+
 def dotted_chart_csv(data: DottedChartData) -> str:
-    lines = ["case_index,case_id,timestamp,color"]
-    index = case_id = color = None
-    spell = _utc_speller()  # a row's timestamp is UTC
-    for row in data.rows:
-        if row.case_index != index or row.case_id != case_id or row.color_key != color:
-            index, case_id, color = row.case_index, row.case_id, row.color_key
-            head, tail = f"{index},{_quoted(case_id)},", f",{_quoted(color)}"  # once per case
-        lines.append(f"{head}{spell(row.timestamp)}{tail}")
-    lines.append("")
-    return "\n".join(lines)
+    return _text(_chart_csv_lines(data))
 
 
 def _svg_frame(width: int, height: int, pad: int) -> list[str]:
@@ -199,38 +212,33 @@ def _svg_frame(width: int, height: int, pad: int) -> list[str]:
             'fill="none" stroke="#333333"/>']
 
 
-_SVG_CHUNK = 4096  # circles joined at a time: a string per row would coexist with the result
+def _chart_svg_lines(data: DottedChartData) -> Iterator[str]:
+    """The lines of ``dotted_chart_svg``, each with its line end: one circle per event."""
+    width, height, pad = 1000, 600, 40
+    yield "\n".join(_svg_frame(width, height, pad)) + "\n"
+    cases = [case for case in data.cases if case.events]
+    if cases:
+        t_min = min(case.events[0].timestamp for case in cases)  # events are in time order
+        t_max = max(case.events[-1].timestamp for case in cases)
+        span = (t_max - t_min).total_seconds() or 1.0
+        top = max(max(case.case_index for case in cases), 1)
+        assigned: dict[str, str] = {}
+        for case in cases:
+            y = height - pad - (case.case_index / top) * (height - 2 * pad)
+            tail = f'" cy="{y:.2f}" r="2" fill="{_color_for(case.color_key, assigned)}"/>\n'
+            for event in case.events:
+                x = pad + (event.timestamp - t_min).total_seconds() / span * (width - 2 * pad)
+                yield f'<circle cx="{x:.2f}{tail}'
+        yield (f'<text x="{pad}" y="{height - pad + 16}" font-size="11" fill="#333333">'
+               f'{format_timestamp(t_min)}</text>\n')
+        yield (f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
+               f'fill="#333333" text-anchor="end">{format_timestamp(t_max)}</text>\n')
+    yield "</svg>\n"
 
 
 def dotted_chart_svg(data: DottedChartData) -> str:
     """Self-contained SVG: x = time, y = case index, one circle per event."""
-    width, height, pad = 1000, 600, 40
-    rows = data.rows
-    lines = _svg_frame(width, height, pad)
-    if rows:
-        t_min = min(map(_timestamp_of, rows))
-        t_max = max(map(_timestamp_of, rows))
-        span = (t_max - t_min).total_seconds() or 1.0
-        max_index = max(map(_case_index_of, rows))
-        assigned: dict[str, str] = {}
-        index = color = None
-        for start in range(0, len(rows), _SVG_CHUNK):
-            chunk = []
-            for row in rows[start:start + _SVG_CHUNK]:
-                if row.case_index != index or row.color_key != color:  # a case's rows run on
-                    index, color = row.case_index, row.color_key
-                    y = height - pad - (index / max(max_index, 1)) * (height - 2 * pad)
-                    tail = f'" cy="{y:.2f}" r="2" fill="{_color_for(color, assigned)}"/>'
-                x = pad + (row.timestamp - t_min).total_seconds() / span * (width - 2 * pad)
-                chunk.append(f'<circle cx="{x:.2f}{tail}')
-            lines.append("\n".join(chunk))
-        lines.append(f'<text x="{pad}" y="{height - pad + 16}" font-size="11" fill="#333333">'
-                     f'{format_timestamp(t_min)}</text>')
-        lines.append(f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
-                     f'fill="#333333" text-anchor="end">{format_timestamp(t_max)}</text>')
-    lines.append("</svg>")
-    lines.append("")
-    return "\n".join(lines)
+    return _text(_chart_svg_lines(data))
 
 
 def occupancy_csv(series: OccupancySeries, daily_max: bool = False) -> str:

@@ -16,13 +16,12 @@ import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
 from datetime import timedelta
-from itertools import islice
 from pathlib import Path
 
 from . import analytics, csvio, dfg as dfg_mod, xesio
 from .covas import covas_model
 from .errors import CareflowError
-from .eventlog import EventLog, drop_activities, log_stats, variants
+from .eventlog import EventLog, _batches, drop_activities, log_stats, variants
 from .jsontext import json_text
 from .petri import parse_pnml
 from .replay import deviation_report, replay_csv, replay_log
@@ -84,12 +83,12 @@ def _parse_types(spec: str) -> dict[str, str]:
 
 
 def _write(path: str | None, pieces: Iterable[str]):
-    """Write text ``pieces`` to the file at ``path`` 1,024 at a time, so they, their whole text
+    """Write text ``pieces`` to the file at ``path`` in ``_batches``, so they, their whole text
     and its UTF-8 encoding are never held at once, or print them when no path is given. A log
-    goes in as its ``_document`` lines, which refuse what the format cannot spell."""
-    pieces = iter(pieces)
+    goes in as its ``_document`` lines, which refuse what the format cannot spell, and a
+    dotted chart as its renderer's lines."""
     with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as out:
-        while batch := "".join(islice(pieces, 1024)):  # one write per line runs slower
+        for batch in _batches(pieces):  # one write per line runs slower
             out.write(batch)
     if path:
         print(f"wrote {path}")
@@ -195,8 +194,8 @@ def _cmd_replay(args) -> int:
 def _cmd_dotted_chart(args) -> int:
     data = analytics.dotted_chart(_read_log(args.log), color_attribute=args.color,
                                   sort=args.sort)
-    _write(args.out, [analytics.dotted_chart_svg(data) if _format(args.out) == "svg"
-                      else analytics.dotted_chart_csv(data)])
+    _write(args.out, analytics._chart_svg_lines(data) if _format(args.out) == "svg"
+               else analytics._chart_csv_lines(data))
     return 0
 
 

@@ -24,7 +24,7 @@ from sys import intern
 
 from .errors import CsvFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
-                       _normalize_attrs, _without_cycle_collection)
+                       _normalize_attrs, _text, _without_cycle_collection)
 from .timeutil import _utc_speller, parse_timestamp
 
 CASE_PREFIX = "case:"
@@ -69,6 +69,12 @@ def _cell(parse, raw: str, kinds: dict[str, str], column: str, row: int) -> Attr
                              row=row)
 
 
+def _unreadable(error: csv.Error, row: int) -> CsvFormatError:
+    """A row the csv module refuses: a field past ``csv.field_size_limit()``, a NUL (3.10),
+    a bare CR outside quotes."""
+    return CsvFormatError(f"cannot read the row: {error}", row=row)
+
+
 @_without_cycle_collection
 def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
     """Parse CSV text into an event log; ``types`` maps extra columns to kinds.
@@ -92,6 +98,8 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
         header = next(reader)
     except StopIteration:
         return EventLog()
+    except csv.Error as exc:
+        raise _unreadable(exc, 1) from None
     for core in CORE:
         if core not in header:
             raise CsvFormatError(f"missing column {core!r} in header")
@@ -113,38 +121,43 @@ def parse_csv(text: str, types: dict[str, str] | None = None) -> EventLog:
 
     width = len(header)
     cases: dict[str, tuple[list[Event], dict[str, AttrValue]]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not any(row):
-            continue
-        if len(row) < width:
-            row = row + [""] * (width - len(row))
-        elif len(row) > width and any(row[width:]):
-            raise CsvFormatError(f"a cell beyond the header's {width} columns", row=row_no)
-        case_id = row[case_at]
-        activity = intern(row[activity_at])  # one copy of each label
-        ts_raw = row[timestamp_at]
-        if not case_id or not activity:
-            raise CsvFormatError(f"empty {'activity' if case_id else 'case_id'!r} cell", row=row_no)
-        try:
-            ts = parse_timestamp(ts_raw)
-        except ValueError:
-            raise CsvFormatError(f"unparseable timestamp {ts_raw!r}", row=row_no)
-        case = cases.get(case_id)
-        if case is None:
-            case = cases[case_id] = ([], {})
-        attrs: dict[str, AttrValue] | None = {} if event_columns else None
-        for at, col, parse, key, seen in extra:
-            raw = row[at]
-            if raw == "":
+    row_no = 1
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            if not any(row):
                 continue
-            if seen is None:
-                attrs[key] = _cell(parse, raw, kinds, col, row_no)
-                continue
-            value = seen.get(raw)
-            if value is None:  # no kind parses to None
-                value = seen[raw] = _cell(parse, raw, kinds, col, row_no)
-            case[1][key] = value
-        case[0].append(Event(activity, ts, attrs))
+            if len(row) < width:
+                row = row + [""] * (width - len(row))
+            elif len(row) > width and any(row[width:]):
+                raise CsvFormatError(f"a cell beyond the header's {width} columns", row=row_no)
+            case_id = row[case_at]
+            activity = intern(row[activity_at])  # one copy of each label
+            ts_raw = row[timestamp_at]
+            if not case_id or not activity:
+                raise CsvFormatError(f"empty {'activity' if case_id else 'case_id'!r} cell",
+                                     row=row_no)
+            try:
+                ts = parse_timestamp(ts_raw)
+            except ValueError:
+                raise CsvFormatError(f"unparseable timestamp {ts_raw!r}", row=row_no)
+            case = cases.get(case_id)
+            if case is None:
+                case = cases[case_id] = ([], {})
+            attrs: dict[str, AttrValue] | None = {} if event_columns else None
+            for at, col, parse, key, seen in extra:
+                raw = row[at]
+                if raw == "":
+                    continue
+                if seen is None:
+                    attrs[key] = _cell(parse, raw, kinds, col, row_no)
+                    continue
+                value = seen.get(raw)
+                if value is None:  # no kind parses to None
+                    value = seen[raw] = _cell(parse, raw, kinds, col, row_no)
+                case[1][key] = value
+            case[0].append(Event(activity, ts, attrs))
+    except csv.Error as exc:  # the reader's own, on the row after row_no
+        raise _unreadable(exc, row_no + 1) from None
     # one read-only dict per set of case values told apart by identity (the seen memos keep
     # each alive and give equal texts one object), so 1, True, 1.0 and -0.0, 0.0 stay apart
     shared: dict[tuple[tuple[str, int], ...], dict[str, AttrValue]] = {}
@@ -197,7 +210,7 @@ def write_csv(log: EventLog) -> str:
     and are quoted as ``csv.writer`` quotes them. An event attribute named
     ``case_id``, ``activity``, ``timestamp`` or ``case:...`` raises CsvFormatError.
     """
-    return "".join(_document(log))
+    return _text(_document(log))
 
 
 def roundtrip_mapping(log: EventLog) -> dict[str, str]:

@@ -13,7 +13,7 @@ An ``Event``'s timestamp is an aware datetime whose ``tzinfo`` is
 normalizing it again.
 
 The builders of one record per event (``parse_xes``, ``parse_csv``, ``simulate``,
-``inject_noise``, ``dotted_chart``) run with the cyclic garbage collector paused
+``inject_noise``) run with the cyclic garbage collector paused
 (``_without_cycle_collection``, the one place the library touches the collector).
 With the collector on and nothing frozen, what a builder returns sits in the
 collector's oldest generation: no young or middle pass walks its records, and the
@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import functools
 import gc
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from itertools import islice
 from operator import attrgetter
 
 from .timeutil import _UTC, format_timestamp, parse_timestamp, to_utc
@@ -60,6 +62,26 @@ def _attr_text(value: AttrValue) -> tuple[str, str]:
     if isinstance(value, datetime):
         return "date", format_timestamp(value)
     return "string", str(value)
+
+
+_BATCH = 1024  # lines joined at a time
+
+
+def _batches(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined ``_BATCH`` at a time: the pieces a document is written or grown in."""
+    lines = iter(lines)
+    while batch := "".join(islice(lines, _BATCH)):
+        yield batch
+
+
+def _text(lines: Iterable[str]) -> str:
+    """The text of ``lines``, grown in place a batch at a time, so that its lines and the
+    whole text are never held at once. CPython resizes a string in place when ``+=`` holds
+    its only reference; written as ``while batch := ...: text += batch``, 3.11 copies it."""
+    text = ""
+    for batch in _batches(lines):
+        text += batch
+    return text
 
 
 class _ReadOnlyAttributes(dict):

@@ -166,12 +166,12 @@ class CompiledNet:
         the successor comes back in the ``_canonical`` form.
         """
         counts = bytearray(vector) if type(vector) is bytes else list(vector)
-        missing = []
+        missing = ()  # no tuple is built unless a token is missing
         for p in self.pre[t]:
             if counts[p]:
                 counts[p] -= 1
             else:
-                missing.append(p)
+                missing += (p,)
         post = self.post[t]
         try:
             for p in post:
@@ -180,7 +180,7 @@ class CompiledNet:
             counts = list(counts)
             for p in post[post.index(p):]:
                 counts[p] += 1
-        return _canonical(counts), tuple(missing)
+        return _canonical(counts), missing
 
 
 # --- PNML reading -------------------------------------------------------------

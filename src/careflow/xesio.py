@@ -33,7 +33,7 @@ from sys import intern
 
 from .errors import XesFormatError
 from .eventlog import (_PARSERS, AttrValue, Event, EventLog, Trace, _attr_text,
-                       _normalize_attrs, _without_cycle_collection)
+                       _normalize_attrs, _text, _without_cycle_collection)
 from .timeutil import _utc_speller
 
 # characters fed to the pull parser at a time: it encodes each feed to UTF-8, and holds
@@ -365,4 +365,4 @@ def write_xes(log: EventLog) -> str:
     so does a name, case id, activity, key or string value holding a character
     XML forbids (``_FORBIDDEN``).
     """
-    return "".join(_document(log))
+    return _text(_document(log))

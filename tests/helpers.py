@@ -549,8 +549,9 @@ def oracle_parse_xes(text: str) -> EventLog:
 # --- dotted chart SVG oracle --------------------------------------------------
 
 def oracle_dotted_chart_svg(data: DottedChartData) -> str:
-    """``dotted_chart_svg`` as it was before it joined its circles in chunks: one string
-    per row, joined once. Kept as the reference the chunked emitter must equal."""
+    """``dotted_chart_svg`` as it was before it rendered from cases and grew its text in
+    batches: one string per row of ``data.rows``, joined once. Kept as the reference the
+    batched renderer must equal."""
     width, height, pad = 1000, 600, 40
     rows = data.rows
     if rows:

@@ -1,16 +1,22 @@
 import csv
+import gc
 import hashlib
 import random
+import tracemalloc
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
 
-from careflow import analytics
-from careflow.analytics import (DottedChartData, DottedChartRow, compare_waves, dotted_chart,
+from careflow import analytics, eventlog
+from careflow.analytics import (DottedChartCase, DottedChartData, compare_waves, dotted_chart,
                                 dotted_chart_csv, dotted_chart_svg, occupancy, occupancy_csv,
                                 occupancy_daily_max, occupancy_svg)
+from careflow.covas import covas_model
 from careflow.eventlog import Event, EventLog, Trace
+from careflow.simulate import parse_config, simulate
 from helpers import T0, make_log, make_trace, oracle_dotted_chart_svg, paper_logs
 
 
@@ -60,6 +66,8 @@ def test_dotted_chart_sort_by_first_event():
     assert ordered == sorted(ordered)
     by_id = dotted_chart(EventLog((late, early)), sort="by_case_id")
     assert sorted(r.case_id for r in by_id.rows if r.case_index == 0) == ["a_late"]
+    with pytest.raises(ValueError, match="unknown sort mode 'sideways'"):
+        dotted_chart(EventLog((late, early)), sort="sideways")
 
 
 def test_dotted_chart_colors():
@@ -257,31 +265,79 @@ def test_occupancy_svg_of_the_paper_log_is_pinned():
         "6b983e454c4d17b03b0ed80775770369cdd275ec393670a91799d72544a62d54")
 
 
+def chart_case(index: int, case_id: str, color: str, seconds) -> DottedChartCase:
+    """A case as ``dotted_chart`` builds it: a trace's events, in time order."""
+    return DottedChartCase(index, case_id, color, tuple(
+        Event("A", T0 + timedelta(seconds=s)) for s in sorted(seconds)))
+
+
 def random_chart(count: int, seed: int) -> DottedChartData:
+    """``count`` points in cases of seven (the last may be short), each case in one color."""
     rnd = random.Random(seed)
     colors = ("true", "false", "unknown", "a", "b", "c", "d", "e", "f", "g")
     return DottedChartData(tuple(
-        DottedChartRow(i // 7, f"c{i // 7}", T0 + timedelta(seconds=rnd.randrange(10**7)),
-                       rnd.choice(colors)) for i in range(count)))
+        chart_case(start // 7, f"c{start // 7}", rnd.choice(colors),
+                   [rnd.randrange(10**7) for _ in range(min(7, count - start))])
+        for start in range(0, count, 7)))
 
 
-@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097, 8193])
 def test_dotted_chart_svg_matches_one_join_at_chunk_edges(count):
-    assert analytics._SVG_CHUNK == 4096
+    # the frame is one piece and each circle a line, so these cross the 1,024-line batch edges
+    assert eventlog._BATCH == 1024
     data = random_chart(count, count)
+    assert len(data.rows) == count
     assert dotted_chart_svg(data) == oracle_dotted_chart_svg(data)
 
 
-chart_rows = st.builds(DottedChartRow, st.integers(0, 40), st.sampled_from(["c1", "c2"]),
-                       st.integers(0, 10**8).map(lambda s: T0 + timedelta(seconds=s)),
-                       st.sampled_from(["true", "false", "unknown", "x", "y", "1"]))
+chart_cases = st.builds(chart_case, st.integers(0, 40), st.sampled_from(["c1", "c2"]),
+                        st.sampled_from(["true", "false", "unknown", "x", "y", "1"]),
+                        st.lists(st.integers(0, 10**8), max_size=5))
 
 
-@given(st.lists(chart_rows, max_size=30), st.integers(1, 8))
-def test_dotted_chart_svg_matches_one_join(drawn, chunk):
+@given(st.lists(chart_cases, max_size=8), st.integers(1, 8))
+def test_dotted_chart_svg_matches_one_join(drawn, batch):
     data = DottedChartData(tuple(drawn))
     expected = oracle_dotted_chart_svg(data)
     assert dotted_chart_svg(data) == expected
-    with pytest.MonkeyPatch.context() as patch:  # chunks small enough to cross their edges
-        patch.setattr(analytics, "_SVG_CHUNK", chunk)
+    with pytest.MonkeyPatch.context() as patch:  # batches small enough to cross their edges
+        patch.setattr(eventlog, "_BATCH", batch)
         assert dotted_chart_svg(data) == expected
+
+
+@pytest.fixture(scope="module")
+def log_10x():
+    text = (resources.files("careflow") / "data" / "covas_desk.config").read_text(encoding="utf-8")
+    config, _ = parse_config(text)
+    return simulate(replace(config, case_count=10 * config.case_count), covas_model())
+
+
+def test_dotted_chart_retains_under_30_bytes_per_event(log_10x):
+    # 75 B (3.11) with a DottedChartRow per event; about 12 B with a record per case that
+    # keeps its trace's own events
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chart = dotted_chart(log_10x)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(chart.cases) == len(log_10x)
+    assert retained / log_10x.event_count < 30
+
+
+def test_dotted_chart_svg_peaks_a_batch_above_its_result(log_10x):
+    # joining 4,096-circle chunks and then the chunks peaked at 2.06 times the result (3.11);
+    # grown in place, the text peaks a batch of lines above it, however large the chart
+    chart = dotted_chart(log_10x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        svg = dotted_chart_svg(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 256 * eventlog._BATCH  # a line of under 100 characters, its str, its list entry
+    assert len(svg) > 2 * bound
+    assert peak - len(svg) < bound

@@ -130,6 +130,29 @@ def test_dotted_chart_writes_svg_and_prints_csv(small_log, tmp_path, capsys):
     assert capsys.readouterr().out == analytics.dotted_chart_csv(data)
 
 
+@pytest.mark.parametrize("sort", ["by_first_event", "by_case_id"])
+@pytest.mark.parametrize("suffix", [".svg", ".csv"])
+def test_dotted_chart_out_writes_what_the_library_renders(suffix, sort, tmp_path, monkeypatch):
+    # the paper log's 1,645 points cross the writer's 1,024-line batch edge
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--config", "covas_desk.config", "--out", "log.csv"]) == 0
+    assert cli.main(["dotted-chart", "log.csv", "--sort", sort, "--out", f"chart{suffix}"]) == 0
+    log = parse_csv((tmp_path / "log.csv").read_text(encoding="utf-8"))
+    assert log.event_count > 1024
+    render = analytics.dotted_chart_svg if suffix == ".svg" else analytics.dotted_chart_csv
+    expected = render(analytics.dotted_chart(log, sort=sort)).encode("utf-8")
+    assert (tmp_path / f"chart{suffix}").read_bytes() == expected
+
+
+def test_a_csv_field_past_the_csv_modules_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("case_id,activity,timestamp\nc1," + "A" * 131_073
+                    + ",2020-02-01T00:00:00+00:00\n", encoding="utf-8")
+    assert cli.main(["stats", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "careflow: error: cannot read the row: field larger than field limit (131072) (row 2)\n")
+
+
 def test_waves_text_with_ongoing_cases(small_log, capsys):
     _, path = small_log
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 
@@ -99,6 +100,38 @@ def test_unmapped_columns_become_attributes():
             "c1,A,2020-02-01T00:00:00+00:00,icu\n")
     log = parse_csv(text)
     assert log.traces[0].events[0].attributes == {"ward": "icu"}
+
+
+HEADER_ROW = "case_id,activity,timestamp\n"
+ROW = "c1,A,2020-02-01T00:00:00+00:00\n"
+
+
+def test_a_field_past_the_csv_modules_limit_is_a_csv_format_error():
+    limit = csv.field_size_limit()
+    assert parse_csv(HEADER_ROW + ROW.replace("A", "A" * limit)).traces[0].events[0].activity
+    long_row = ROW.replace("A", "A" * (limit + 1))
+    with pytest.raises(CsvFormatError, match=rf"field larger than field limit \({limit}\) "
+                                             r"\(row 4\)"):
+        parse_csv(HEADER_ROW + ROW + "\n" + long_row)  # the blank row 3 counts
+    with pytest.raises(CsvFormatError, match=r"\(row 1\)"):
+        parse_csv(HEADER_ROW.replace("timestamp", "t" * (limit + 1)))
+
+
+def test_a_nul_byte_reads_as_data_or_is_a_csv_format_error():
+    text = HEADER_ROW + ROW.replace("A", "A\0")
+    if sys.version_info < (3, 11):  # the csv module refuses a NUL before 3.11
+        with pytest.raises(CsvFormatError, match=r"\(row 2\)"):
+            parse_csv(text)
+    else:
+        assert parse_csv(text).traces[0].events[0].activity == "A\0"
+
+
+def test_a_bare_cr_outside_quotes_is_a_csv_format_error():
+    # the CLI reads files with universal newlines, so only a library caller passes one
+    with pytest.raises(CsvFormatError, match=r"new-line character.*\(row 3\)"):
+        parse_csv(HEADER_ROW + ROW + ROW.replace("A", "A\rB"))
+    quoted = parse_csv(HEADER_ROW + ROW.replace("A", '"A\rB"'))
+    assert quoted.traces[0].events[0].activity == "A\rB"
 
 
 def test_case_prefixed_columns_become_trace_attributes():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from careflow import xesio
-from careflow.analytics import DottedChartRow
+from careflow.analytics import DottedChartCase, DottedChartRow
 from careflow.csvio import parse_csv, roundtrip_mapping, write_csv
 from careflow.eventlog import (_NO_ATTRIBUTES, Event, EventLog, Trace, drop_activities,
                                filter_complete, log_stats, split_by_time, variants)
@@ -241,7 +241,8 @@ def test_shared_attributes_keep_equal_values_of_other_kinds_and_signs_apart():
 
 def test_per_event_and_per_case_records_are_slotted():
     event = Event("A", T0)
-    for record in (event, Trace("c1", (event,)), DottedChartRow(0, "c1", T0, "unknown")):
+    for record in (event, Trace("c1", (event,)), DottedChartRow(0, "c1", T0, "unknown"),
+                   DottedChartCase(0, "c1", "unknown", (event,))):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 

@@ -18,8 +18,7 @@ from importlib import resources
 
 import pytest
 
-from careflow import analytics, csvio, simulate as simulate_module, xesio
-from careflow.analytics import dotted_chart
+from careflow import csvio, simulate as simulate_module, xesio
 from careflow.covas import covas_model
 from careflow.csvio import parse_csv, roundtrip_mapping, write_csv
 from careflow.errors import ConfigError, CsvFormatError, XesFormatError
@@ -49,7 +48,6 @@ PAUSED = {
     "parse_csv": (lambda i: parse_csv(i["csv"], i["types"]), csvio, "_lines"),
     "simulate": (lambda i: simulate(i["config"], i["net"]), simulate_module, "_case_plan"),
     "inject_noise": (lambda i: inject_noise(i["log"], i["noise"]), simulate_module, "Stream"),
-    "dotted_chart": (lambda i: dotted_chart(i["log"]), analytics, "_color_value"),
 }
 
 # a config that leaves every activity after Start without a delay
@@ -62,7 +60,6 @@ FAILURES = {
                   CsvFormatError),
     "simulate": (lambda i: simulate(replace(i["config"], delays=ONLY_START_DELAY), i["net"]),
                  ConfigError),
-    "dotted_chart": (lambda i: dotted_chart(i["log"], sort="sideways"), ValueError),
 }
 
 
@@ -124,8 +121,7 @@ def test_paused_functions_promote_what_they_build_to_the_oldest_generation(name,
         pytest.skip("objects are frozen at start (CPython 3.12.1), so nothing is promoted")
     built = PAUSED[name][0](inputs)
     oldest = {id(obj) for obj in gc.get_objects(generation=2)}
-    records = built.rows if name == "dotted_chart" else built.traces
-    assert records and all(id(record) in oldest for record in records)
+    assert built.traces and all(id(trace) in oldest for trace in built.traces)
 
 
 class _Cycle:
